@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("--output-dir", default=".", help="directory for outputs")
 
     def add_test_flags(p):
@@ -347,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--B", type=int, default=200, help="bootstrap replicates")
     p_sim.add_argument("--sample-sizes", default="100,200,400,800,1600")
     p_sim.add_argument("--rate-p", type=int, default=1, help="lag budget (rate study)")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker threads")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import (
-    EIGENVALUE_CLAMP,
+    _clamp,
     decompose,
     loadings,
     operator_eigenvalues,
@@ -71,18 +71,23 @@ def bootstrap_test(
     curves, rebuilds the operator, and records its (d0+1)-th eigenvalue.
     The p-value is the fraction of replicates whose eigenvalue strictly
     exceeds the observed one (ties count as non-exceedance); the
-    hypothesis is rejected when the p-value is at most alpha.
+    hypothesis is rejected when the p-value is at most alpha. An observed
+    eigenvalue the clamp sets to zero is zero to working precision, so
+    the hypothesis is not rejected and the p-value is 1 without drawing
+    replicates.
     """
     n = panel.n
     if not 0 <= d0 < n - p:
         raise BoundsError(f"need 0 <= d0 < n - p, got d0={d0}, n={n}, p={p}")
-    method = "dual" if n - p <= len(panel.grid) else "grid"
-    observed = operator_eigenvalues(panel, p, method=method)
-    if d0 >= observed.size:
-        raise BoundsError(f"d0={d0} exceeds available eigenvalues ({observed.size})")
-    theta_obs = float(observed[d0])
+    dec = decompose(panel, p, n_components=d0)
+    if d0 >= dec.eigenvalues.size:
+        raise BoundsError(
+            f"d0={d0} exceeds available eigenvalues ({dec.eigenvalues.size})"
+        )
+    theta_obs = float(dec.eigenvalues[d0])
+    if theta_obs == 0.0:
+        return 1.0
 
-    dec = decompose(panel, p, n_components=d0, method=method)
     lam = loadings(panel, dec.eigenfunctions)
     fitted = reconstruct(panel, dec.eigenfunctions, lam.values).values
     residuals = panel.values - fitted
@@ -93,7 +98,7 @@ def bootstrap_test(
         rng = _replicate_rng(cfg.seed, b)
         idx = rng.integers(0, n, size=n)
         star = CurvePanel(grid=grid, values=fitted + residuals[idx])
-        theta_star = operator_eigenvalues(star, p, method=method)[d0]
+        theta_star = operator_eigenvalues(star, p)[d0]
         if theta_star > theta_obs:
             exceed += 1
     return exceed / cfg.n_draws
@@ -160,15 +165,12 @@ def select_dimension(
             found = True
     eps = default_epsilon(lam, panel.n) if epsilon is None else float(epsilon)
     threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0
-    clamped = lam.copy()
-    if clamped.size:
-        clamped[clamped < EIGENVALUE_CLAMP * max(clamped[0], 0.0)] = 0.0
     return DimensionReport(
         d_hat=d_hat,
         pvalues=pvalues,
         threshold_d=threshold_d,
         epsilon_used=eps,
-        eigenvalues=clamped,
+        eigenvalues=_clamp(lam),
     )
 
 

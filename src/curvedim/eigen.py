@@ -2,18 +2,25 @@
 
 The operator of interest is K(u, v) = sum over lags k = 1..p of the
 composition of the lag-k autocovariance kernel with its adjoint. Its
-nonzero spectrum can be computed two equivalent ways:
+nonzero spectrum and eigenfunctions are computed on the quadrature grid:
+the operator kernel is discretized there and the quadrature-weighted
+symmetric m x m eigenproblem is solved with a symmetric eigensolver, whose
+eigenvectors are quadrature-orthonormal eigenfunctions directly. This is
+the only route ``operator_eigenvalues``, ``decompose`` and ``fit_panel``
+take.
 
-* the "dual" route: the (n-p) x (n-p) matrix
-  ``K* = (n-p)^-2 (sum_k G_k) G_0`` built from lagged Gram matrices of
-  centered curves shares the nonzero eigenvalues of the operator, and its
-  eigenvectors weight the centered curves into eigenfunctions;
-* the "grid" route: discretize the operator kernel on the quadrature grid
-  and solve the quadrature-weighted symmetric eigenproblem directly.
-
-Both are exact duals of each other (same quadrature), so either may serve
-as the computational path; the dual route is cheaper when n - p <= m and
-the grid route when n - p > m.
+The (n-p) x (n-p) dual matrix ``K* = (n-p)^-2 (sum_k G_k) G_0`` built from
+lagged Gram matrices of centered curves is the exact dual of that problem
+(same quadrature, same nonzero spectrum), and its eigenvectors weight the
+centered curves into eigenfunctions. ``dual_matrix``, ``eigen_dual``,
+``eigenfunctions_from_dual`` and ``gram_schmidt`` compute it as the
+reference the duality tests compare against. It is not a faster path:
+when the centered curves span fewer than n - p directions, as panels
+from a finite-dimensional model do, its lag-0 Gram matrix is singular and
+the solve falls back to a general nonsymmetric eigensolver (10-14 ms
+against 2 ms for the grid route on two-factor panels with n = 100,
+m = 101, p = 5, on a 2-core x86 machine), and Gram-Schmidt may drop
+eigenfunctions that are numerically in the span of earlier ones.
 """
 
 from __future__ import annotations
@@ -30,7 +37,15 @@ from .errors import (
     NumericalFailureError,
     ValidationError,
 )
-from .grids import CurvePanel, Grid, centered_values, gram_matrix, mean_curve
+from .grids import (
+    CurvePanel,
+    Grid,
+    centered_values,
+    check_lag_budget,
+    gram_matrix,
+    mean_curve,
+    write_curves_csv,  # eigenfunction CSVs use the panel layout
+)
 
 # Eigenvalues this far below the leading one are numerical noise and are
 # clamped to zero in reports.
@@ -198,16 +213,16 @@ class EigenDecomposition:
     ``eigenvalues`` holds the full computed spectrum (descending, entries
     below EIGENVALUE_CLAMP of the leading one clamped to zero);
     ``eigenfunctions`` holds ``count`` orthonormal sign-fixed curves.
-    ``dual_vectors`` is None when the grid route produced the result.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     count: int
-    dual_vectors: np.ndarray | None = None
 
 
 def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
+    """Copy of a descending spectrum with entries below EIGENVALUE_CLAMP of
+    the leading one set to zero."""
     lam = eigenvalues.copy()
     if lam.size:
         floor = EIGENVALUE_CLAMP * max(float(lam[0]), 0.0)
@@ -217,12 +232,7 @@ def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
 
 def _grid_operator_symmetric(panel: CurvePanel, p: int) -> np.ndarray:
     """Quadrature-weighted symmetric discretization W^{1/2} K W^{1/2}."""
-    if p < 1:
-        raise ValidationError(f"lag budget p must be >= 1, got {p}")
-    if p >= panel.n:
-        raise InsufficientSampleError(
-            f"lag budget p={p} requires more than p curves, panel has n={panel.n}"
-        )
+    check_lag_budget(panel, p)
     c = centered_values(panel)
     n_eff = panel.n - p
     w = panel.grid.weights
@@ -251,71 +261,33 @@ def _decompose_grid(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, funcs
 
 
-def _resolve_method(panel: CurvePanel, p: int, method: str) -> str:
-    if method not in ("auto", "dual", "grid"):
-        raise ValidationError(f"unknown eigen method {method!r}")
-    if method == "auto":
-        return "dual" if panel.n - p <= len(panel.grid) else "grid"
-    return method
-
-
-def operator_eigenvalues(
-    panel: CurvePanel, p: int, method: str = "auto"
-) -> np.ndarray:
-    """Descending unclamped eigenvalues of the cumulative lag operator.
-
-    ``method`` picks the dual or grid route; "auto" chooses the cheaper of
-    the two exact duals based on the panel shape.
-    """
-    if _resolve_method(panel, p, method) == "dual":
-        dm = dual_matrix(panel, p)
-        lam, _ = eigen_dual(dm, gram_matrix(panel, 0, p))
-        return lam
+def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
+    """Descending unclamped eigenvalues of the cumulative lag operator."""
     lam, _ = _decompose_grid(panel, p)
     return lam
 
 
 def decompose(
-    panel: CurvePanel,
-    p: int = 5,
-    n_components: int | None = None,
-    method: str = "auto",
+    panel: CurvePanel, p: int = 5, n_components: int | None = None
 ) -> EigenDecomposition:
     """Full pipeline: spectrum plus orthonormal eigenfunction curves.
 
-    The dual route maps eigenvectors onto centered-curve combinations and
-    orthonormalizes them with Gram-Schmidt in descending-eigenvalue order;
-    the grid route yields quadrature-orthonormal eigenfunctions directly.
-    Eigenfunction signs follow the positive-peak convention so output is
-    deterministic.
+    The eigenfunctions are the leading ``n_components`` quadrature-
+    orthonormal eigenvectors of the grid operator (by default, one per
+    eigenvalue the clamp leaves nonzero). Eigenfunction signs follow the
+    positive-peak convention so output is deterministic.
     """
-    route = _resolve_method(panel, p, method)
-    if route == "dual":
-        dm = dual_matrix(panel, p)
-        lam, gamma = eigen_dual(dm, gram_matrix(panel, 0, p))
-    else:
-        lam, funcs = _decompose_grid(panel, p)
-        gamma = None
-    available = lam.size
-    floor = EIGENVALUE_CLAMP * max(float(lam[0]), 0.0) if available else 0.0
+    lam, funcs = _decompose_grid(panel, p)
+    clamped = _clamp(lam)
     if n_components is None:
-        n_components = int(np.sum(lam > floor))
-    if n_components > available:
+        n_components = int(np.count_nonzero(clamped))
+    if n_components > lam.size:
         raise BoundsError(
-            f"requested {n_components} components, spectrum has {available}"
+            f"requested {n_components} components, spectrum has {lam.size}"
         )
-    if route == "dual":
-        raw = eigenfunctions_from_dual(panel, gamma, n_components)
-        ortho, _dropped = gram_schmidt(panel.grid, raw) if n_components else (
-            np.empty((0, len(panel.grid))), [])
-        funcs = _fix_signs(ortho)
-    else:
-        funcs = _fix_signs(funcs[:n_components])
+    funcs = _fix_signs(funcs[:n_components])
     return EigenDecomposition(
-        eigenvalues=_clamp(lam),
-        eigenfunctions=funcs,
-        count=funcs.shape[0],
-        dual_vectors=gamma[:, :n_components] if gamma is not None else None,
+        eigenvalues=clamped, eigenfunctions=funcs, count=funcs.shape[0]
     )
 
 
@@ -362,13 +334,13 @@ def reconstruct(
 
 
 def fit_panel(
-    panel: CurvePanel, p: int, n_components: int, method: str = "auto"
+    panel: CurvePanel, p: int, n_components: int
 ) -> tuple[CurvePanel, np.ndarray, EigenDecomposition, LoadingsSeries]:
     """Decompose, project, and reconstruct with a fixed component count.
 
     Returns (fitted panel, residual matrix, decomposition, loadings).
     """
-    dec = decompose(panel, p, n_components=n_components, method=method)
+    dec = decompose(panel, p, n_components=n_components)
     lam = loadings(panel, dec.eigenfunctions)
     fitted = reconstruct(panel, dec.eigenfunctions, lam.values)
     residuals = panel.values - fitted.values
@@ -383,14 +355,6 @@ def write_decomposition_json(dec: EigenDecomposition, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_curves_csv(grid: Grid, curves: np.ndarray, path) -> None:
-    """Grid row followed by one row per curve (panel CSV layout)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(repr(float(x)) for x in grid.points) + "\n")
-        for row in np.asarray(curves, dtype=np.float64):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def write_loadings_csv(series: LoadingsSeries, path) -> None:

@@ -143,13 +143,20 @@ def centered_values(panel: CurvePanel) -> np.ndarray:
     return panel.values - mean_curve(panel)
 
 
-def _check_lags(panel: CurvePanel, k: int, p: int) -> None:
-    if not 0 <= k <= p:
-        raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
+def check_lag_budget(panel: CurvePanel, p: int) -> None:
+    """Reject a lag budget outside 1 <= p < n."""
+    if p < 1:
+        raise ValidationError(f"lag budget p must be >= 1, got {p}")
     if p >= panel.n:
         raise InsufficientSampleError(
             f"lag budget p={p} requires more than p curves, panel has n={panel.n}"
         )
+
+
+def _check_lags(panel: CurvePanel, k: int, p: int) -> None:
+    if not 0 <= k <= p:
+        raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
+    check_lag_budget(panel, p)
 
 
 def lag_cov_kernel(panel: CurvePanel, k: int, p: int) -> LagCovKernel:
@@ -186,11 +193,16 @@ def gram_matrix(panel: CurvePanel, k: int, p: int) -> np.ndarray:
 # Panel file format: CSV, first row = grid points, one curve per subsequent
 # row, values in round-trip decimal form.
 
-def write_panel_csv(panel: CurvePanel, path) -> None:
+def write_curves_csv(grid: Grid, curves: np.ndarray, path) -> None:
+    """Write curves on ``grid`` in the panel CSV layout (any number of rows)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(repr(float(x)) for x in panel.grid.points) + "\n")
-        for row in panel.values:
+        fh.write(",".join(repr(float(x)) for x in grid.points) + "\n")
+        for row in np.asarray(curves, dtype=np.float64):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def write_panel_csv(panel: CurvePanel, path) -> None:
+    write_curves_csv(panel.grid, panel.values, path)
 
 
 def read_panel_csv(path) -> CurvePanel:

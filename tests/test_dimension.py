@@ -53,6 +53,22 @@ class TestBootstrapTest:
         panel = generate_panel(FactorModelSpec(d=1, n=30, seed=5))
         with pytest.raises(BoundsError):
             bootstrap_test(panel, 40, 2, BootstrapConfig(n_draws=5))
+        # d0 == m < n - p: the spectrum has only m eigenvalues
+        coarse = generate_panel(FactorModelSpec(d=1, n=30, grid=uniform_grid(11), seed=5))
+        with pytest.raises(BoundsError):
+            bootstrap_test(coarse, 11, 2, BootstrapConfig(n_draws=5))
+
+    def test_zero_observed_eigenvalue_is_not_rejected(self):
+        # Noise-free two-factor panel: eigenvalues 3 and 4 are zero to
+        # working precision, so their p-values must not depend on roundoff.
+        panel = generate_panel(FactorModelSpec(d=2, n=300, noise_terms=0, seed=0))
+        for seed in (0, 1, 2):
+            cfg = BootstrapConfig(seed=seed)
+            assert bootstrap_test(panel, 2, 5, cfg) == 1.0
+            assert bootstrap_test(panel, 3, 5, cfg) == 1.0
+        report = select_dimension(panel, p=5, cfg=BootstrapConfig(seed=0), d_max=4)
+        assert report.d_hat == 2
+        assert report.pvalues[3] == report.pvalues[4] == 1.0
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -21,6 +21,7 @@ from curvedim.grids import (
     lag_cov_kernel,
     mean_curve,
 )
+from curvedim.simulation import FactorModelSpec, generate_panel
 
 
 def uniform_grid(m=101):
@@ -64,6 +65,20 @@ def grid_operator_spectrum(panel, p):
     root = np.sqrt(w)
     sym = acc * root[:, None] * root[None, :]
     return np.sort(np.linalg.eigvalsh((sym + sym.T) / 2.0))[::-1]
+
+
+def dual_reference(panel, p, n_components):
+    """Dual-route spectrum and orthonormal positive-peak eigenfunctions.
+
+    The reference side of the duality tests: the pipeline itself only
+    solves the grid operator.
+    """
+    lam, gamma = eigen_dual(dual_matrix(panel, p), gram_matrix(panel, 0, p))
+    raw = eigenfunctions_from_dual(panel, gamma, n_components)
+    funcs, dropped = gram_schmidt(panel.grid, raw)
+    assert dropped == []
+    peaks = funcs[np.arange(len(funcs)), np.argmax(np.abs(funcs), axis=1)]
+    return lam, funcs * np.sign(peaks)[:, None]
 
 
 class TestDualMatrix:
@@ -259,7 +274,7 @@ class TestDecompose:
     def test_duality_against_grid_discretization(self):
         for seed, n, p in ((0, 30, 2), (1, 45, 5), (2, 60, 4)):
             panel = random_panel(n, 101, seed=seed)
-            lam = operator_eigenvalues(panel, p, method="dual")
+            lam, _ = dual_reference(panel, p, 1)
             oracle = grid_operator_spectrum(panel, p)
             keep = np.where(oracle > 1e-8 * oracle[0])[0]
             rel = np.abs(lam[keep] - oracle[keep]) / oracle[keep]
@@ -267,10 +282,10 @@ class TestDecompose:
 
     def test_routes_agree_on_eigenfunctions(self):
         panel = random_panel(40, 31, seed=21)
-        d1 = decompose(panel, 3, n_components=2, method="dual")
-        d2 = decompose(panel, 3, n_components=2, method="grid")
-        assert np.allclose(d1.eigenvalues[:5], d2.eigenvalues[:5], rtol=1e-8, atol=1e-12)
-        for f1, f2 in zip(d1.eigenfunctions, d2.eigenfunctions):
+        lam, funcs = dual_reference(panel, 3, 2)
+        dec = decompose(panel, 3, n_components=2)
+        assert np.allclose(lam[:5], dec.eigenvalues[:5], rtol=1e-8, atol=1e-12)
+        for f1, f2 in zip(funcs, dec.eigenfunctions):
             assert np.max(np.abs(f1 - f2)) < 1e-6
 
     def test_eigenvalue_count_bounded(self):
@@ -306,9 +321,21 @@ class TestDecompose:
         assert np.all(lam >= 0.0)
 
     def test_eigenfunctions_orthonormal_both_routes(self):
-        for method, n, m in (("dual", 25, 51), ("grid", 80, 31)):
-            panel = random_panel(n, m, seed=25)
-            dec = decompose(panel, 4, n_components=3, method=method)
+        # The noise-free one-factor panel asks for more components than
+        # its rank; every requested component must still be returned.
+        rank_one = generate_panel(FactorModelSpec(d=1, n=30, noise_terms=0, seed=0))
+        cases = (
+            ("dual", random_panel(25, 51, seed=25), 4),
+            ("grid", random_panel(80, 31, seed=25), 4),
+            ("grid", rank_one, 2),
+        )
+        for route, panel, p in cases:
+            if route == "dual":
+                _, funcs = dual_reference(panel, p, 3)
+            else:
+                dec = decompose(panel, p, n_components=3)
+                assert dec.count == 3
+                funcs = dec.eigenfunctions
             w = panel.grid.weights
-            gram = (dec.eigenfunctions * w) @ dec.eigenfunctions.T
-            assert np.max(np.abs(gram - np.eye(dec.count))) < 1e-8
+            gram = (funcs * w) @ funcs.T
+            assert np.max(np.abs(gram - np.eye(3))) < 1e-8
