@@ -24,9 +24,9 @@ from .dimension import (
     write_dimension_report_json,
 )
 from .eigen import (
+    EigenDecomposition,
     decompose,
     loadings,
-    operator_eigenvalues,
     read_loadings_csv,
     write_curves_csv,
     write_decomposition_json,
@@ -112,11 +112,11 @@ def _run_identify(panel, args, out: Path) -> dict:
         d_max=args.d_max,
         epsilon=_epsilon_override(args.epsilon_rule),
     )
-    dec = decompose(panel, p=args.p, n_components=report.d_hat)
-    lam = loadings(panel, dec.eigenfunctions)
+    dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions, report.d_hat)
+    lam = loadings(panel, report.eigenfunctions)
     write_dimension_report_json(report, out / "dimension_report.json")
     write_decomposition_json(dec, out / "decomposition.json")
-    write_curves_csv(panel.grid, dec.eigenfunctions, out / "eigenfunctions.csv")
+    write_curves_csv(panel.grid, report.eigenfunctions, out / "eigenfunctions.csv")
     write_loadings_csv(lam, out / "loadings.csv")
     return {"d_hat": report.d_hat, "loadings": lam.values}
 
@@ -170,12 +170,12 @@ def cmd_test_dim(args) -> int:
     panel = read_panel_csv(args.panel)
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
     pvalue = bootstrap_test(panel, args.d0, args.p, cfg)
-    lam = operator_eigenvalues(panel, args.p)
+    observed = decompose(panel, args.p, n_components=0).eigenvalues[args.d0]
     payload = {
         "d0": args.d0,
         "tested_rank": args.d0 + 1,
         "p_value": pvalue,
-        "observed_eigenvalue": float(lam[args.d0]),
+        "observed_eigenvalue": float(observed),
         "rejected_at_alpha": bool(pvalue <= args.alpha),
         "alpha": args.alpha,
     }

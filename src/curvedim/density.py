@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .grids import CurvePanel, Grid
+from .grids import CurvePanel, Grid, read_float_rows
 
 DEFAULT_SESSION_OPEN = 9.5 * 3600.0  # 09:30, seconds within the day
 DEFAULT_SESSION_CLOSE = 16.0 * 3600.0  # 16:00
@@ -251,26 +251,14 @@ def write_tick_csv(day: TickDay, path) -> None:
 
 
 def read_tick_csv(path, day_id: str) -> TickDay:
-    times: list[float] = []
-    prices: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if "epoch_seconds" not in header:
             raise ParseError(f"{path}: expected header with epoch_seconds,price")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                times.append(float(parts[0]))
-                prices.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        rows = read_float_rows(fh, path, first_line=2, columns=2)
+    times, prices = rows.T.copy()
     try:
-        return TickDay(day_id=day_id, times=np.array(times), prices=np.array(prices))
+        return TickDay(day_id=day_id, times=times, prices=prices)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import (
-    _clamp,
-    decompose,
-    loadings,
-    operator_eigenvalues,
-    reconstruct,
-)
+from .eigen import decompose, fit_panel, operator_eigenvalues
 from .errors import BoundsError, ValidationError
 from .grids import CurvePanel, Grid
 
@@ -79,7 +73,7 @@ def bootstrap_test(
     n = panel.n
     if not 0 <= d0 < n - p:
         raise BoundsError(f"need 0 <= d0 < n - p, got d0={d0}, n={n}, p={p}")
-    dec = decompose(panel, p, n_components=d0)
+    fitted, residuals, dec, _ = fit_panel(panel, p, d0)
     if d0 >= dec.eigenvalues.size:
         raise BoundsError(
             f"d0={d0} exceeds available eigenvalues ({dec.eigenvalues.size})"
@@ -88,16 +82,12 @@ def bootstrap_test(
     if theta_obs == 0.0:
         return 1.0
 
-    lam = loadings(panel, dec.eigenfunctions)
-    fitted = reconstruct(panel, dec.eigenfunctions, lam.values).values
-    residuals = panel.values - fitted
-
     exceed = 0
     grid = panel.grid
     for b in range(cfg.n_draws):
         rng = _replicate_rng(cfg.seed, b)
         idx = rng.integers(0, n, size=n)
-        star = CurvePanel(grid=grid, values=fitted + residuals[idx])
+        star = CurvePanel(grid=grid, values=fitted.values + residuals[idx])
         theta_star = operator_eigenvalues(star, p)[d0]
         if theta_star > theta_obs:
             exceed += 1
@@ -127,13 +117,19 @@ def default_epsilon(eigenvalues: np.ndarray, n: int) -> float:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Outcome of the dimension determination on one panel."""
+    """Outcome of the dimension determination on one panel.
+
+    ``eigenvalues`` is the observed panel's clamped spectrum and
+    ``eigenfunctions`` its ``d_hat`` leading eigenfunctions, both from the
+    one ``decompose`` call the report is built on.
+    """
 
     d_hat: int
     pvalues: dict[int, float]
     threshold_d: int
     epsilon_used: float
     eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
+    eigenfunctions: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
 
 def select_dimension(
@@ -149,11 +145,15 @@ def select_dimension(
     dimension is the smallest d0 whose hypothesis "eigenvalue d0+1 is
     zero" is not rejected at level alpha (d_max when every hypothesis is
     rejected). The threshold rule runs alongside with the default
-    scale-relative cutoff unless an explicit epsilon is given.
+    scale-relative cutoff unless an explicit epsilon is given; it counts
+    the clamped eigenvalues the report holds.
     """
     cfg = cfg or BootstrapConfig()
-    lam = operator_eigenvalues(panel, p)
-    d_max = min(d_max, lam.size, panel.n - p - 1)
+    if d_max < 0:
+        raise ValidationError(f"d_max must be >= 0, got {d_max}")
+    d_max = min(d_max, len(panel.grid), panel.n - p - 1)
+    dec = decompose(panel, p, n_components=d_max)
+    lam = dec.eigenvalues
     pvalues: dict[int, float] = {}
     d_hat = d_max
     found = False
@@ -170,7 +170,8 @@ def select_dimension(
         pvalues=pvalues,
         threshold_d=threshold_d,
         epsilon_used=eps,
-        eigenvalues=_clamp(lam),
+        eigenvalues=lam,
+        eigenfunctions=dec.eigenfunctions[:d_hat],
     )
 
 

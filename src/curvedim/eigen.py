@@ -5,9 +5,14 @@ composition of the lag-k autocovariance kernel with its adjoint. Its
 nonzero spectrum and eigenfunctions are computed on the quadrature grid:
 the operator kernel is discretized there and the quadrature-weighted
 symmetric m x m eigenproblem is solved with a symmetric eigensolver, whose
-eigenvectors are quadrature-orthonormal eigenfunctions directly. This is
-the only route ``operator_eigenvalues``, ``decompose`` and ``fit_panel``
-take.
+eigenvectors are quadrature-orthonormal eigenfunctions directly.
+
+``decompose`` is the entry point for an observed panel: it returns the
+spectrum with eigenvalues below EIGENVALUE_CLAMP of the leading one set
+to zero, which is the rule every report and decision applies, together
+with sign-fixed eigenfunctions. ``operator_eigenvalues`` is the raw,
+unclamped solve that bootstrap replicates and the Monte Carlo eigenvalue
+studies use. Both take the same grid route.
 
 The (n-p) x (n-p) dual matrix ``K* = (n-p)^-2 (sum_k G_k) G_0`` built from
 lagged Gram matrices of centered curves is the exact dual of that problem
@@ -35,6 +40,7 @@ from .errors import (
     GridMismatchError,
     InsufficientSampleError,
     NumericalFailureError,
+    ParseError,
     ValidationError,
 )
 from .grids import (
@@ -44,6 +50,7 @@ from .grids import (
     check_lag_budget,
     gram_matrix,
     mean_curve,
+    read_float_rows,
     write_curves_csv,  # eigenfunction CSVs use the panel layout
 )
 
@@ -198,12 +205,8 @@ def gram_schmidt(
 
 def _fix_signs(curves: np.ndarray) -> np.ndarray:
     """Flip each curve so its largest-magnitude grid value is positive."""
-    out = curves.copy()
-    for j in range(out.shape[0]):
-        peak = np.argmax(np.abs(out[j]))
-        if out[j, peak] < 0:
-            out[j] = -out[j]
-    return out
+    peaks = curves[np.arange(curves.shape[0]), np.argmax(np.abs(curves), axis=1)]
+    return curves * np.where(peaks < 0, -1.0, 1.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -366,25 +369,13 @@ def write_loadings_csv(series: LoadingsSeries, path) -> None:
 
 
 def read_loadings_csv(path) -> np.ndarray:
-    from .errors import ParseError
-
-    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        try:
-            rows.append([float(tok) for tok in first.strip().split(",")])
-        except ValueError:
-            pass  # header row
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not rows:
+        lines = fh.readlines()
+    try:
+        read_float_rows(lines[:1], path)
+    except ParseError:
+        lines[0] = ""  # header row
+    rows = read_float_rows(lines, path)
+    if rows.shape[0] == 0:
         raise ParseError(f"{path}: no loading rows")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError(f"{path}: rows are not rectangular")
-    return np.array(rows, dtype=np.float64)
+    return rows

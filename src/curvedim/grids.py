@@ -87,10 +87,6 @@ def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum(grid.weights * f * g))
 
 
-def curve_norm(grid: Grid, f: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_product(grid, f, f), 0.0)))
-
-
 @dataclass(frozen=True)
 class CurvePanel:
     """``n`` observed curves sharing one grid; row ``t`` is curve ``t``."""
@@ -205,24 +201,47 @@ def write_panel_csv(panel: CurvePanel, path) -> None:
     write_curves_csv(panel.grid, panel.values, path)
 
 
-def read_panel_csv(path) -> CurvePanel:
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def read_float_rows(
+    lines, path, first_line: int = 1, columns: int | None = None
+) -> np.ndarray:
+    """Parse comma-separated lines (an open file or a list) as a float array.
+
+    Blank lines are skipped. Every other line must hold ``columns`` fields
+    (by default as many as the first such line) that parse as floats; the
+    first line that does not raises ``ParseError`` naming ``path`` and its
+    line number, counted from ``first_line``.
+    """
+    kept = [(n, s) for n, s in enumerate(map(str.strip, lines), start=first_line) if s]
+    if not kept:
+        return np.empty((0, columns or 0))
+    if columns is None:
+        columns = kept[0][1].count(",") + 1
+    try:
+        if any(line.count(",") + 1 != columns for _, line in kept):
+            raise ValueError("ragged rows")
+        # One conversion for the whole file: building a list per row costs
+        # more than parsing when rows are short, as tick files' are.
+        text = ",".join(line for _, line in kept)
+        return np.array(text.split(","), dtype=np.float64).reshape(len(kept), columns)
+    except ValueError:
+        for lineno, line in kept:
+            parts = line.split(",")
+            if len(parts) != columns:
+                raise ParseError(f"{path}: line {lineno}: expected {columns} columns")
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                [float(tok) for tok in parts]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if len(rows) < 3:
+        raise
+
+
+def read_panel_csv(path) -> CurvePanel:
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = read_float_rows(fh, path)
+    if rows.shape[0] < 3:
         raise ParseError(f"{path}: need a grid row and at least 2 curve rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ParseError(f"{path}: rows are not rectangular")
     try:
-        grid = Grid(np.array(rows[0]))
-        return CurvePanel(grid=grid, values=np.array(rows[1:]))
+        grid = Grid(rows[0])
+        return CurvePanel(grid=grid, values=rows[1:])
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from exc

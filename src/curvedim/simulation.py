@@ -274,10 +274,9 @@ def subspace_error_study(
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
                 )
-                panel = generate_panel(spec)
-                lam = operator_eigenvalues(panel, p)
+                dec = decompose(generate_panel(spec), p, n_components=len(grid))
+                lam = dec.eigenvalues
                 d_hat = threshold_estimate(lam, default_epsilon(lam, n))
-                dec = decompose(panel, p, n_components=max(d, d_hat))
                 dist = subspace_distance_general(
                     grid, dec.eigenfunctions[:d], truth
                 )
@@ -404,10 +403,6 @@ def rate_regression_slopes(result: RateStudyResult) -> tuple[float, float]:
 
 
 # CSV and manifest emission (plot-ready tidy data).
-
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(int(x))
-
 
 def write_eigen_gap_csv(result: EigenGapResult, path) -> None:
     cols = [f"eigenvalue_{j + 1}" for j in range(EigenGapResult.TOP)]

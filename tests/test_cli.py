@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from curvedim import eigen
 from curvedim.cli import main
 from curvedim.density import synthetic_tick_days, write_tick_manifest
 from curvedim.grids import read_panel_csv, write_panel_csv
@@ -21,8 +22,24 @@ def read_error(capsys):
     return json.loads(err)["error"]
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Panels passed to the operator eigensolver, in call order."""
+    panels = []
+    solve = eigen._decompose_grid
+
+    def counted(panel, p):
+        panels.append(panel)
+        return solve(panel, p)
+
+    monkeypatch.setattr(eigen, "_decompose_grid", counted)
+    return panels
+
+
 class TestIdentify:
-    def test_two_factor_panel_reports_dimension_two(self, two_factor_panel_csv, tmp_path):
+    def test_two_factor_panel_reports_dimension_two(
+        self, two_factor_panel_csv, tmp_path, eigensolves
+    ):
         out = tmp_path / "out"
         rc = main(
             [
@@ -51,6 +68,9 @@ class TestIdentify:
         loadings = (out / "loadings.csv").read_text().splitlines()
         assert loadings[0] == "component_1,component_2"
         assert len(loadings) == 601
+        # One solve for the report, then per hypothesis one for the fit and
+        # one per replicate; the output files reuse the report's solve.
+        assert len(eigensolves) == 1 + 4 * (1 + 100)
 
     def test_malformed_panel_exits_one_with_parse_kind(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -107,6 +127,19 @@ class TestTestDim:
         assert payload["tested_rank"] == 3
         assert 0.0 <= payload["p_value"] <= 1.0
         assert "p-value" in capsys.readouterr().out
+
+    def test_zero_observed_eigenvalue_reported_clamped(self, tmp_path):
+        # Noise-free two-factor panel: eigenvalue 3 is zero to working
+        # precision, and the report shows the value the p-value used.
+        panel = tmp_path / "rank2.csv"
+        spec = FactorModelSpec(d=2, n=300, noise_terms=0, seed=0)
+        write_panel_csv(generate_panel(spec), panel)
+        out = tmp_path / "td"
+        rc = main(["test-dim", "--panel", str(panel), "--d0", "2", "--output-dir", str(out)])
+        assert rc == 0
+        payload = json.loads((out / "test_dim.json").read_text())
+        assert payload["observed_eigenvalue"] == 0.0
+        assert payload["p_value"] == 1.0
 
 
 class TestSimulate:
@@ -165,7 +198,7 @@ class TestSimulate:
         header = (out / "figure1_eigenvalues.csv").read_text().splitlines()[0]
         assert header.count("eigenvalue_") == 10
 
-    def test_subspace_error_csv(self, tmp_path):
+    def test_subspace_error_csv(self, tmp_path, eigensolves):
         out = tmp_path / "sub"
         rc = main(
             [
@@ -180,6 +213,7 @@ class TestSimulate:
         lines = (out / "figure3_dtilde.csv").read_text().splitlines()
         assert lines[0] == "d,n,replication,d_hat,dtilde,dtilde_adaptive"
         assert len(lines) == 3
+        assert len(eigensolves) == 2  # one per replicate
 
     def test_bootstrap_power_csv(self, tmp_path):
         out = tmp_path / "bp"

@@ -57,6 +57,8 @@ class TestBootstrapTest:
         coarse = generate_panel(FactorModelSpec(d=1, n=30, grid=uniform_grid(11), seed=5))
         with pytest.raises(BoundsError):
             bootstrap_test(coarse, 11, 2, BootstrapConfig(n_draws=5))
+        with pytest.raises(ValidationError):
+            select_dimension(panel, p=2, cfg=BootstrapConfig(n_draws=5), d_max=-1)
 
     def test_zero_observed_eigenvalue_is_not_rejected(self):
         # Noise-free two-factor panel: eigenvalues 3 and 4 are zero to
@@ -118,6 +120,7 @@ class TestSelectDimension:
         assert set(report.pvalues) == {1, 2, 3, 4}
         assert all(0.0 <= v <= 1.0 for v in report.pvalues.values())
         assert report.epsilon_used > 0
+        assert report.eigenfunctions.shape == (2, len(panel.grid))
 
     def test_report_export(self, tmp_path):
         panel = generate_panel(FactorModelSpec(d=1, n=80, seed=8))
