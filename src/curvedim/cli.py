@@ -33,7 +33,7 @@ from .eigen import (
     write_loadings_csv,
 )
 from .errors import CurveDimError, ValidationError, exit_code_for
-from .grids import read_panel_csv, write_panel_csv
+from .grids import read_panel_csv, write_json, write_panel_csv
 from .simulation import (
     RateStudySpec,
     bootstrap_power_study,
@@ -98,8 +98,8 @@ def _epsilon_override(text: str) -> float | None:
         raise ValidationError(
             f"--epsilon-rule must be 'default' or a positive number, got {text!r}"
         ) from exc
-    if value <= 0:
-        raise ValidationError("--epsilon-rule value must be positive")
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError("--epsilon-rule value must be positive and finite")
     return value
 
 
@@ -112,7 +112,7 @@ def _run_identify(panel, args, out: Path) -> dict:
         d_max=args.d_max,
         epsilon=_epsilon_override(args.epsilon_rule),
     )
-    dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions, report.d_hat)
+    dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions)
     lam = loadings(panel, report.eigenfunctions)
     write_dimension_report_json(report, out / "dimension_report.json")
     write_decomposition_json(dec, out / "decomposition.json")
@@ -140,9 +140,7 @@ def _run_var_fit(series: np.ndarray, max_order: int, out: Path) -> None:
                 "dof": int(res.dof),
                 "pvalue": float(res.pvalue),
             }
-    with open(out / "diagnostics.json", "w", encoding="utf-8") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "diagnostics.json", diagnostics)
 
 
 def cmd_identify(args) -> int:
@@ -179,9 +177,7 @@ def cmd_test_dim(args) -> int:
         "rejected_at_alpha": bool(pvalue <= args.alpha),
         "alpha": args.alpha,
     }
-    with open(out / "test_dim.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "test_dim.json", payload)
     _manifest(
         out,
         "test-dim",

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .grids import CurvePanel, Grid, read_float_rows
+from .grids import CurvePanel, Grid, read_float_rows, write_json
 
 DEFAULT_SESSION_OPEN = 9.5 * 3600.0  # 09:30, seconds within the day
 DEFAULT_SESSION_CLOSE = 16.0 * 3600.0  # 16:00
@@ -69,6 +69,15 @@ class DensityConfig:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
+        settings = (
+            self.session_open,
+            self.session_close,
+            self.interval_minutes,
+            *self.support,
+            self.bandwidth_multiplier,
+        )
+        if not np.all(np.isfinite(settings)):
+            raise ValidationError("density settings must be finite")
         if not self.session_close > self.session_open:
             raise ValidationError("session close must follow session open")
         step = self.interval_minutes * 60.0
@@ -273,9 +282,7 @@ def write_tick_manifest(days: list[TickDay], directory, manifest_name="ticks.jso
         write_tick_csv(day, directory / fname)
         entries.append({"id": day.day_id, "file": fname})
     manifest = directory / manifest_name
-    with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"days": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, {"days": entries})
     return manifest
 
 
@@ -298,6 +305,4 @@ def read_tick_manifest(path) -> list[TickDay]:
 
 
 def write_day_metadata_json(metadata: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"days": metadata}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"days": metadata})

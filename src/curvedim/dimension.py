@@ -10,14 +10,13 @@ extension.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eigen import decompose, fit_panel, operator_eigenvalues
 from .errors import BoundsError, ValidationError
-from .grids import CurvePanel, Grid
+from .grids import CurvePanel, Grid, write_json
 
 _ORTHONORMAL_TOL = 1e-6
 
@@ -97,8 +96,8 @@ def bootstrap_test(
 def threshold_estimate(eigenvalues: np.ndarray, epsilon: float) -> int:
     """Count eigenvalues at or above epsilon (input sorted descending)."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError("epsilon must be positive and finite")
     if lam.size and np.any(np.diff(lam) > 0):
         raise ValidationError("eigenvalues must be sorted in descending order")
     return int(np.sum(lam >= epsilon))
@@ -163,8 +162,12 @@ def select_dimension(
         if not found and pv > cfg.alpha:
             d_hat = d0
             found = True
-    eps = default_epsilon(lam, panel.n) if epsilon is None else float(epsilon)
-    threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0
+    if epsilon is None:
+        eps = default_epsilon(lam, panel.n)
+        threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0
+    else:
+        eps = float(epsilon)
+        threshold_d = threshold_estimate(lam, eps)
     return DimensionReport(
         d_hat=d_hat,
         pvalues=pvalues,
@@ -236,6 +239,4 @@ def write_dimension_report_json(report: DimensionReport, path) -> None:
         "pvalues": {str(k): float(v) for k, v in sorted(report.pvalues.items())},
         "eigenvalues": [float(x) for x in report.eigenvalues],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

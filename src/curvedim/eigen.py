@@ -19,18 +19,11 @@ lagged Gram matrices of centered curves is the exact dual of that problem
 (same quadrature, same nonzero spectrum), and its eigenvectors weight the
 centered curves into eigenfunctions. ``dual_matrix``, ``eigen_dual``,
 ``eigenfunctions_from_dual`` and ``gram_schmidt`` compute it as the
-reference the duality tests compare against. It is not a faster path:
-when the centered curves span fewer than n - p directions, as panels
-from a finite-dimensional model do, its lag-0 Gram matrix is singular and
-the solve falls back to a general nonsymmetric eigensolver (10-14 ms
-against 2 ms for the grid route on two-factor panels with n = 100,
-m = 101, p = 5, on a 2-core x86 machine), and Gram-Schmidt may drop
-eigenfunctions that are numerically in the span of earlier ones.
+reference the duality tests compare against.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +31,6 @@ import numpy as np
 from .errors import (
     BoundsError,
     GridMismatchError,
-    InsufficientSampleError,
     NumericalFailureError,
     ParseError,
     ValidationError,
@@ -48,107 +40,74 @@ from .grids import (
     Grid,
     centered_values,
     check_lag_budget,
-    gram_matrix,
     mean_curve,
     read_float_rows,
     write_curves_csv,  # eigenfunction CSVs use the panel layout
+    write_json,
 )
 
 # Eigenvalues this far below the leading one are numerical noise and are
 # clamped to zero in reports.
 EIGENVALUE_CLAMP = 1e-12
 
-# Relative size of the smallest lag-0 Gram eigenvalue below which the
-# symmetric similarity transform is abandoned for a general solver.
-_SINGULAR_G0 = 1e-12
-
 _DROP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DualMatrix:
-    """The (n-p) x (n-p) matrix sharing the operator's nonzero spectrum."""
+    """The (n-p) x (n-p) matrix sharing the operator's nonzero spectrum.
+
+    ``values`` is K* = (n-p)^-2 S G_0 and ``lag_sum`` is S = sum_{k=1..p} G_k.
+    """
 
     values: np.ndarray
+    lag_sum: np.ndarray
     p: int
     n: int
 
 
 def dual_matrix(panel: CurvePanel, p: int) -> DualMatrix:
-    """Build K* = (n-p)^-2 (sum_{k=1..p} G_k) G_0 from lagged Gram matrices."""
-    if p < 1:
-        raise ValidationError(f"lag budget p must be >= 1, got {p}")
-    if p >= panel.n:
-        raise InsufficientSampleError(
-            f"lag budget p={p} requires more than p curves, panel has n={panel.n}"
-        )
+    """Build K* = (n-p)^-2 (sum_{k=1..p} G_k) G_0 from lagged Gram matrices.
+
+    G_k[t, s] is the quadrature inner product of the centered curves t+k
+    and s+k, so each G_k is a diagonal block of the one n x n Gram matrix
+    of the centered curves.
+    """
+    check_lag_budget(panel, p)
+    c = centered_values(panel)
+    g = (c * panel.grid.weights) @ c.T
+    g = (g + g.T) / 2.0
     n_eff = panel.n - p
-    s = np.zeros((n_eff, n_eff))
-    for k in range(1, p + 1):
-        s += gram_matrix(panel, k, p)
-    g0 = gram_matrix(panel, 0, p)
-    return DualMatrix(values=(s @ g0) / n_eff**2, p=p, n=panel.n)
-
-
-def _eig_general(kstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonsymmetric eigensolve with validation of the real spectrum."""
-    try:
-        lam, vec = np.linalg.eig(kstar)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver failed on dual matrix: {exc}") from exc
-    radius = float(np.max(np.abs(lam))) if lam.size else 0.0
-    imag = float(np.max(np.abs(lam.imag))) if lam.size else 0.0
-    if radius > 0 and imag > 1e-8 * radius:
-        raise NumericalFailureError(
-            f"dual matrix spectrum not numerically real: max imag {imag:.3e} "
-            f"vs spectral radius {radius:.3e}"
-        )
-    lam = lam.real
-    vec = vec.real
-    if radius > 0 and float(lam.min()) < -1e-8 * radius:
-        raise NumericalFailureError(
-            f"dual matrix spectrum has negative eigenvalue {lam.min():.3e} "
-            f"vs spectral radius {radius:.3e}"
-        )
-    return lam, vec
+    s = sum(g[k : k + n_eff, k : k + n_eff] for k in range(1, p + 1))
+    g0 = g[:n_eff, :n_eff]
+    return DualMatrix(values=(s @ g0) / n_eff**2, lag_sum=s, p=p, n=panel.n)
 
 
 def eigen_dual(dm: DualMatrix, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of the dual matrix, descending, with eigenvectors.
 
     ``g0`` must be the lag-0 Gram matrix of the panel the dual matrix was
-    built from. Because K* equals a product of PSD matrices, it is similar
-    to the symmetric matrix G0^{1/2} K* G0^{-1/2}; solving that with a
-    symmetric eigensolver guarantees a real ordered spectrum, and the
-    eigenvectors map back through G0^{-1/2}. When G0 is numerically
-    singular the similarity is unavailable and a general nonsymmetric
-    solver is used instead.
+    built from. With H the PSD square root of G0 and S the lag sum,
+    K* = (n-p)^-2 (S H) H has the nonzero spectrum of the symmetric PSD
+    matrix (n-p)^-2 H S H, whether or not G0 is singular, and an
+    eigenvector v of the latter maps to the eigenvector S H v of K*. The
+    eigenvalues are clamped like every reported spectrum; the vectors of
+    clamped eigenvalues are zero and the others have unit length.
     """
-    kstar = np.asarray(dm.values, dtype=np.float64)
+    s = dm.lag_sum
     g0 = np.asarray(g0, dtype=np.float64)
-    if g0.shape != kstar.shape:
+    if g0.shape != s.shape:
         raise ValidationError("lag-0 Gram matrix does not match the dual matrix size")
     try:
         s0, u0 = np.linalg.eigh((g0 + g0.T) / 2.0)
+        h = (u0 * np.sqrt(np.clip(s0, 0.0, None))) @ u0.T
+        sym = h @ s @ h / (dm.n - dm.p) ** 2
+        lam, v = np.linalg.eigh((sym + sym.T) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver failed on Gram matrix: {exc}") from exc
-    s_max = float(s0.max()) if s0.size else 0.0
-    if s_max <= 0 or float(s0.min()) < _SINGULAR_G0 * s_max:
-        lam, vec = _eig_general(kstar)
-    else:
-        root = np.sqrt(s0)
-        g0_half = (u0 * root) @ u0.T
-        g0_half_inv = (u0 / root) @ u0.T
-        sym = g0_half @ kstar @ g0_half_inv
-        sym = (sym + sym.T) / 2.0
-        try:
-            lam, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
-        vec = g0_half_inv @ v
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vec = vec[:, order]
+        raise NumericalFailureError(f"dual eigensolver failed: {exc}") from exc
+    lam = _clamp(lam[::-1])
+    vec = s @ h @ v[:, ::-1]
+    vec[:, lam == 0.0] = 0.0
     norms = np.linalg.norm(vec, axis=0)
     norms[norms == 0] = 1.0
     return lam, vec / norms
@@ -220,7 +179,10 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    count: int
+
+    @property
+    def count(self) -> int:
+        return self.eigenfunctions.shape[0]
 
 
 def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
@@ -289,9 +251,7 @@ def decompose(
             f"requested {n_components} components, spectrum has {lam.size}"
         )
     funcs = _fix_signs(funcs[:n_components])
-    return EigenDecomposition(
-        eigenvalues=clamped, eigenfunctions=funcs, count=funcs.shape[0]
-    )
+    return EigenDecomposition(eigenvalues=clamped, eigenfunctions=funcs)
 
 
 @dataclass(frozen=True)
@@ -355,9 +315,7 @@ def write_decomposition_json(dec: EigenDecomposition, path) -> None:
         "eigenvalues": [float(x) for x in dec.eigenvalues],
         "count": int(dec.count),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_loadings_csv(series: LoadingsSeries, path) -> None:

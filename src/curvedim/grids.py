@@ -10,6 +10,7 @@ already evaluated on a common grid.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +185,17 @@ def gram_matrix(panel: CurvePanel, k: int, p: int) -> np.ndarray:
     block = c[k : k + n_eff]
     g = (block * panel.grid.weights) @ block.T
     return (g + g.T) / 2.0
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON ending in a newline.
+
+    Every JSON output of the package goes through here, so all share one
+    byte layout.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # Panel file format: CSV, first row = grid points, one curve per subsequent

@@ -12,7 +12,6 @@ order or the number of worker threads.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .dimension import (
 )
 from .eigen import decompose, operator_eigenvalues
 from .errors import ValidationError
-from .grids import CurvePanel, Grid
+from .grids import CurvePanel, Grid, write_json
 from .tsmodels import ar1_simulate
 
 DEFAULT_GRID_POINTS = 101
@@ -122,15 +121,17 @@ def generate_panel(spec: FactorModelSpec) -> CurvePanel:
     return CurvePanel(grid=spec.grid, values=values)
 
 
+def _check_replications(replications: int) -> None:
+    if replications < 1:
+        raise ValidationError("replications must be >= 1")
+
+
 def _run_indexed(fn, count: int, threads: int) -> list:
     """Run fn(i) for i in range(count); aggregation is by index."""
     if threads <= 1:
         return [fn(i) for i in range(count)]
-    out = [None] * count
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in zip(range(count), pool.map(fn, range(count))):
-            out[i] = res
-    return out
+        return list(pool.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,7 @@ def eigen_gap_study(
     grid: Grid | None = None,
     threads: int = 1,
 ) -> EigenGapResult:
+    _check_replications(replications)
     grid = grid or default_grid()
     top = EigenGapResult.TOP
     means: dict[tuple[int, int], np.ndarray] = {}
@@ -208,6 +210,7 @@ def bootstrap_power_study(
     grid: Grid | None = None,
     threads: int = 1,
 ) -> BootstrapPowerResult:
+    _check_replications(replications)
     grid = grid or default_grid()
     out: dict[tuple[int, int], np.ndarray] = {}
     for ni, n in enumerate(n_values):
@@ -264,6 +267,7 @@ def subspace_error_study(
     grid: Grid | None = None,
     threads: int = 1,
 ) -> SubspaceErrorResult:
+    _check_replications(replications)
     grid = grid or default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
@@ -318,8 +322,7 @@ class RateStudySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        _check_replications(self.replications)
         if abs(self.ar_coefficient) >= 1.0:
             raise ValidationError("AR coefficient must satisfy |a| < 1")
 
@@ -445,6 +448,4 @@ def write_rate_study_csv(result: RateStudyResult, path) -> None:
 
 
 def write_manifest(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

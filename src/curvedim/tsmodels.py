@@ -8,7 +8,6 @@ autocorrelations/autocovariances as usual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     NonstationarityError,
     ValidationError,
 )
+from .grids import write_json
 
 
 def ar1_simulate(
@@ -270,6 +270,4 @@ def write_var_fit_json(fit: VarFit, path) -> None:
         ],
         "aic_table": {str(k): float(v) for k, v in sorted(fit.aic_table.items())},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

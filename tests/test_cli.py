@@ -109,6 +109,23 @@ class TestIdentify:
         report = json.loads((out / "dimension_report.json").read_text())
         assert report["epsilon"] == 0.25
 
+    def test_bad_epsilon_rule_exits_one_with_validation_kind(
+        self, two_factor_panel_csv, tmp_path, capsys
+    ):
+        for value in ("0", "-1", "nan", "inf"):
+            out = tmp_path / value
+            rc = main(
+                [
+                    "identify",
+                    "--panel", str(two_factor_panel_csv),
+                    "--epsilon-rule", value,
+                    "--output-dir", str(out),
+                ]
+            )
+            assert rc == 1
+            assert read_error(capsys)["kind"] == "validation"
+            assert not (out / "dimension_report.json").exists()
+
 
 class TestTestDim:
     def test_writes_pvalue_json(self, two_factor_panel_csv, tmp_path, capsys):
@@ -147,6 +164,17 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("study", ["eigen-gap", "bootstrap-power", "subspace-error", "rate"])
+    def test_replications_below_one_exit_one_with_validation_kind(
+        self, study, tmp_path, capsys
+    ):
+        for count in ("0", "-3"):
+            out = tmp_path / count
+            rc = main(["simulate", study, "--replications", count, "--output-dir", str(out)])
+            assert rc == 1
+            assert read_error(capsys)["kind"] == "validation"
+            assert not any(out.glob("*.csv"))
 
     def test_rate_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "rate"

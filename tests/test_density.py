@@ -220,12 +220,19 @@ class TestDensityConfig:
         assert cfg.sampling_times().size == 79
 
     def test_interval_must_divide_session(self):
-        with pytest.raises(ValidationError):
-            DensityConfig(interval_minutes=7.0)
+        for minutes in (7.0, float("nan")):
+            with pytest.raises(ValidationError):
+                DensityConfig(interval_minutes=minutes)
 
     def test_support_must_be_ordered(self):
-        with pytest.raises(ValidationError):
-            DensityConfig(support=(0.002, -0.002))
+        for support in ((0.002, -0.002), (-np.inf, 0.002)):
+            with pytest.raises(ValidationError):
+                DensityConfig(support=support)
+
+    def test_multiplier_must_be_positive_and_finite(self):
+        for multiplier in (0.0, float("nan"), np.inf):
+            with pytest.raises(ValidationError):
+                DensityConfig(bandwidth_multiplier=multiplier)
 
 
 class TestTickIo:

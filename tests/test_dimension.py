@@ -17,7 +17,7 @@ from curvedim.dimension import (
 )
 from curvedim.eigen import gram_schmidt, operator_eigenvalues
 from curvedim.errors import BoundsError, ValidationError
-from curvedim.grids import Grid
+from curvedim.grids import CurvePanel, Grid
 from curvedim.simulation import FactorModelSpec, generate_panel
 
 
@@ -132,6 +132,23 @@ class TestSelectDimension:
         payload = json.loads(path.read_text())
         assert payload["d_hat"] == report.d_hat
         assert "eigenvalues" in payload and "pvalues" in payload
+
+    @settings(deadline=None, max_examples=10)
+    @given(k=st.integers(-20, 20))
+    def test_rescaling_by_power_of_two(self, k):
+        # Multiplying the curves by c = 2^k scales every product exactly, so
+        # the decision is unchanged and the operator spectrum scales by c^4.
+        panel = generate_panel(FactorModelSpec(d=2, n=60, grid=uniform_grid(21), seed=12))
+        c = 2.0**k
+        scaled = CurvePanel(grid=panel.grid, values=c * panel.values)
+        cfg = BootstrapConfig(n_draws=20, seed=5)
+        base = select_dimension(panel, p=2, cfg=cfg, d_max=3)
+        report = select_dimension(scaled, p=2, cfg=cfg, d_max=3)
+        assert report.d_hat == base.d_hat
+        assert report.threshold_d == base.threshold_d
+        assert report.pvalues == base.pvalues
+        assert np.array_equal(report.eigenfunctions, base.eigenfunctions)
+        assert np.array_equal(report.eigenvalues, base.eigenvalues * c**4)
 
 
 class TestSubspaceDistance:

@@ -149,6 +149,25 @@ class TestEigenDual:
         keep = oracle > 1e-10 * oracle[0]
         assert np.max(np.abs(lam[: keep.sum()] - oracle[keep])) <= 1e-6 * oracle[0]
 
+    def test_singular_gram_keeps_only_nonzero_eigenvectors(self):
+        # Noise-free two-factor panel with n - p > m: G0 has rank <= m and
+        # K* has exactly two nonzero eigenvalues.
+        panel = generate_panel(
+            FactorModelSpec(d=2, n=60, noise_terms=0, grid=uniform_grid(21))
+        )
+        p = 2
+        dm = dual_matrix(panel, p)
+        lam, vec = eigen_dual(dm, gram_matrix(panel, 0, p))
+        grid_lam = np.zeros(lam.size)
+        grid_lam[: len(panel.grid)] = operator_eigenvalues(panel, p)
+        scale = lam[0]
+        assert np.max(np.abs(lam - grid_lam)) <= 1e-8 * scale
+        nonzero = np.flatnonzero(np.linalg.norm(vec, axis=0))
+        assert nonzero.tolist() == [0, 1]
+        for j in nonzero:
+            resid = np.linalg.norm(dm.values @ vec[:, j] - lam[j] * vec[:, j])
+            assert resid <= 1e-8 * scale
+
 
 class TestEigenfunctionsFromDual:
     def test_unit_vector_picks_first_centered_curve(self):
