@@ -330,8 +330,8 @@ def read_loadings_csv(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     try:
-        read_float_rows(lines[:1], path)
-    except ParseError:
+        [float(tok) for line in lines[:1] for tok in line.split(",")]
+    except ValueError:
         lines[0] = ""  # header row
     rows = read_float_rows(lines, path)
     if rows.shape[0] == 0:

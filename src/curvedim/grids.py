@@ -219,9 +219,9 @@ def read_float_rows(
     """Parse comma-separated lines (an open file or a list) as a float array.
 
     Blank lines are skipped. Every other line must hold ``columns`` fields
-    (by default as many as the first such line) that parse as floats; the
-    first line that does not raises ``ParseError`` naming ``path`` and its
-    line number, counted from ``first_line``.
+    (by default as many as the first such line) that parse as finite
+    floats; the first line that does not raises ``ParseError`` naming
+    ``path`` and its line number, counted from ``first_line``.
     """
     kept = [(n, s) for n, s in enumerate(map(str.strip, lines), start=first_line) if s]
     if not kept:
@@ -234,7 +234,7 @@ def read_float_rows(
         # One conversion for the whole file: building a list per row costs
         # more than parsing when rows are short, as tick files' are.
         text = ",".join(line for _, line in kept)
-        return np.array(text.split(","), dtype=np.float64).reshape(len(kept), columns)
+        rows = np.array(text.split(","), dtype=np.float64).reshape(len(kept), columns)
     except ValueError:
         for lineno, line in kept:
             parts = line.split(",")
@@ -245,6 +245,11 @@ def read_float_rows(
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         raise
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        lineno = kept[int(np.argmin(finite))][0]
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
+    return rows
 
 
 def read_panel_csv(path) -> CurvePanel:

@@ -5,14 +5,14 @@ operator, size and power of the bootstrap rank test, subspace estimation
 error against the true factor space, and the convergence-rate contrast
 between nonzero- and zero-eigenvalue estimates.
 
-Every study derives one RNG stream per replication from (seed, indices),
-so results are reproducible bit-for-bit and independent of execution
-order or the number of worker threads.
+Every study runs its replications in order in one loop, and derives one
+RNG stream per replication from (seed, indices), so results are
+reproducible bit-for-bit and the first k replications of a run do not
+depend on how many replications follow them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,14 +126,6 @@ def _check_replications(replications: int) -> None:
         raise ValidationError("replications must be >= 1")
 
 
-def _run_indexed(fn, count: int, threads: int) -> list:
-    """Run fn(i) for i in range(count); aggregation is by index."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 @dataclass(frozen=True)
 class EigenGapResult:
     """Mean of the 10 largest eigenvalues per (d, n) cell."""
@@ -155,7 +147,6 @@ def eigen_gap_study(
     p: int = 5,
     seed: int = 0,
     grid: Grid | None = None,
-    threads: int = 1,
 ) -> EigenGapResult:
     _check_replications(replications)
     grid = grid or default_grid()
@@ -165,17 +156,13 @@ def eigen_gap_study(
         for ni, n in enumerate(n_values):
             if n <= p:
                 raise ValidationError(f"n={n} must exceed p={p}")
-
-            def one(rep: int, d=d, n=n, di=di, ni=ni) -> np.ndarray:
+            rows = np.zeros((replications, top))
+            for rep in range(replications):
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
                 )
                 lam = operator_eigenvalues(generate_panel(spec), p)
-                padded = np.zeros(top)
-                padded[: min(top, lam.size)] = lam[:top]
-                return padded
-
-            rows = np.array(_run_indexed(one, replications, threads))
+                rows[rep, : min(top, lam.size)] = lam[:top]
             means[(d, n)] = rows.mean(axis=0)
     return EigenGapResult(
         d_values=tuple(d_values),
@@ -208,27 +195,24 @@ def bootstrap_power_study(
     p: int = 5,
     seed: int = 0,
     grid: Grid | None = None,
-    threads: int = 1,
 ) -> BootstrapPowerResult:
     _check_replications(replications)
     grid = grid or default_grid()
     out: dict[tuple[int, int], np.ndarray] = {}
     for ni, n in enumerate(n_values):
         for hi, d0 in enumerate((d - 1, d)):
-
-            def one(rep: int, n=n, d0=d0, ni=ni, hi=hi) -> float:
+            pvalues = []
+            for rep in range(replications):
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, ni, hi, rep, 0)
                 )
-                panel = generate_panel(spec)
                 cfg = BootstrapConfig(
                     n_draws=n_draws,
                     alpha=0.05,
                     seed=_child_seed(seed, ni, hi, rep, 1),
                 )
-                return bootstrap_test(panel, d0, p, cfg)
-
-            out[(n, d0 + 1)] = np.array(_run_indexed(one, replications, threads))
+                pvalues.append(bootstrap_test(generate_panel(spec), d0, p, cfg))
+            out[(n, d0 + 1)] = np.array(pvalues)
     return BootstrapPowerResult(
         d=d,
         n_values=tuple(n_values),
@@ -265,7 +249,6 @@ def subspace_error_study(
     p: int = 5,
     seed: int = 0,
     grid: Grid | None = None,
-    threads: int = 1,
 ) -> SubspaceErrorResult:
     _check_replications(replications)
     grid = grid or default_grid()
@@ -273,8 +256,7 @@ def subspace_error_study(
     for di, d in enumerate(d_values):
         truth = factor_curves(grid, d)
         for ni, n in enumerate(n_values):
-
-            def one(rep: int, d=d, n=n, di=di, ni=ni, truth=truth) -> dict:
+            for rep in range(replications):
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
                 )
@@ -290,16 +272,16 @@ def subspace_error_study(
                     dist_adaptive = subspace_distance_general(
                         grid, dec.eigenfunctions[:d_hat], truth
                     )
-                return {
-                    "d": d,
-                    "n": n,
-                    "replication": rep,
-                    "d_hat": d_hat,
-                    "dtilde": dist,
-                    "dtilde_adaptive": dist_adaptive,
-                }
-
-            records.extend(_run_indexed(one, replications, threads))
+                records.append(
+                    {
+                        "d": d,
+                        "n": n,
+                        "replication": rep,
+                        "d_hat": d_hat,
+                        "dtilde": dist,
+                        "dtilde_adaptive": dist_adaptive,
+                    }
+                )
     return SubspaceErrorResult(
         d_values=tuple(d_values),
         n_values=tuple(n_values),
@@ -357,13 +339,12 @@ class RateStudyResult:
     records: list[dict]  # n, replication, theta1, theta2
 
 
-def rate_study(spec: RateStudySpec, threads: int = 1) -> RateStudyResult:
+def rate_study(spec: RateStudySpec) -> RateStudyResult:
     theta_ref = reference_rate_eigenvalue(spec.grid, spec.ar_coefficient)
     gamma1 = spec.ar_coefficient / (1.0 - spec.ar_coefficient**2)
     records: list[dict] = []
     for ni, n in enumerate(spec.sample_sizes):
-
-        def one(rep: int, n=n, ni=ni) -> dict:
+        for rep in range(spec.replications):
             model = FactorModelSpec(
                 d=1,
                 n=n,
@@ -372,14 +353,14 @@ def rate_study(spec: RateStudySpec, threads: int = 1) -> RateStudyResult:
                 seed=_child_seed(spec.seed, ni, rep),
             )
             lam = operator_eigenvalues(generate_panel(model), spec.p)
-            return {
-                "n": n,
-                "replication": rep,
-                "theta1": float(lam[0]),
-                "theta2": float(lam[1]) if lam.size > 1 else 0.0,
-            }
-
-        records.extend(_run_indexed(one, spec.replications, threads))
+            records.append(
+                {
+                    "n": n,
+                    "replication": rep,
+                    "theta1": float(lam[0]),
+                    "theta2": float(lam[1]) if lam.size > 1 else 0.0,
+                }
+            )
     return RateStudyResult(
         spec=spec,
         theta_ref=theta_ref,

@@ -7,7 +7,6 @@ runtime budget, printing a single PASS/FAIL line. Run with
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -40,8 +39,6 @@ from curvedim.simulation import (
     _child_seed,
 )
 from curvedim.tsmodels import ljung_box, ljung_box_from_autocorrelations, multivariate_portmanteau
-
-THREADS = min(4, os.cpu_count() or 1)
 
 # Pre-registered eigenvalue-gap threshold: derivation runs of the d=2/4/6
 # benchmark at n=300 put the mean gap ratio at 7.9 / 5.4 / 3.9, so 3.0
@@ -179,7 +176,7 @@ def test_criterion_03_convergence_rates():
     spec = RateStudySpec(
         sample_sizes=(100, 200, 400, 800, 1600), replications=500, seed=303
     )
-    res = rate_study(spec, threads=THREADS)
+    res = rate_study(spec)
     slope_nonzero, slope_zero = rate_regression_slopes(res)
     # theta_ref comes from the quadrature oracle inside rate_study, never a constant
     ok = (-0.65 <= slope_nonzero <= -0.35) and (-1.2 <= slope_zero <= -0.8)
@@ -209,7 +206,7 @@ def test_criterion_03_convergence_rates():
 
 def test_criterion_04_eigenvalue_gap():
     start = time.time()
-    res = eigen_gap_study([2, 4, 6], [300], 100, p=5, seed=404, threads=THREADS)
+    res = eigen_gap_study([2, 4, 6], [300], 100, p=5, seed=404)
     ratios = {}
     for d in (2, 4, 6):
         lam = res.mean_eigenvalues[(d, 300)]
@@ -227,9 +224,7 @@ def test_criterion_04_eigenvalue_gap():
 
 def test_criterion_05_bootstrap_power_and_level():
     start = time.time()
-    res = bootstrap_power_study(
-        2, [600], 50, n_draws=200, p=5, seed=505, threads=THREADS
-    )
+    res = bootstrap_power_study(2, [600], 50, n_draws=200, p=5, seed=505)
     reject_false_null = float(np.mean(res.pvalues[(600, 2)] <= 0.05))
     reject_true_null = float(np.mean(res.pvalues[(600, 3)] <= 0.05))
     ok = reject_false_null >= 0.9 and reject_true_null <= 0.15
@@ -263,9 +258,7 @@ def test_criterion_06_threshold_consistency():
 
 def test_criterion_07_subspace_error():
     start = time.time()
-    res = subspace_error_study(
-        [2, 4, 6], [100, 300, 600], 100, p=5, seed=707, threads=THREADS
-    )
+    res = subspace_error_study([2, 4, 6], [100, 300, 600], 100, p=5, seed=707)
     monotone = True
     med_detail = []
     for d in (2, 4, 6):

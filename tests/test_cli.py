@@ -176,6 +176,24 @@ class TestSimulate:
             assert read_error(capsys)["kind"] == "validation"
             assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "study, flag",
+        [
+            ("rate", "--sample-sizes"),
+            ("eigen-gap", "--d-values"),
+            ("subspace-error", "--n-values"),
+            ("bootstrap-power", "--n-values"),
+        ],
+    )
+    def test_empty_integer_list_exits_one_with_validation_kind(
+        self, study, flag, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rc = main(["simulate", study, flag, ",", "--output-dir", str(out)])
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "validation"
+        assert not any(out.glob("*.csv"))
+
     def test_rate_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "rate"
         rc = main(
@@ -242,6 +260,16 @@ class TestSimulate:
         assert lines[0] == "d,n,replication,d_hat,dtilde,dtilde_adaptive"
         assert len(lines) == 3
         assert len(eigensolves) == 2  # one per replicate
+
+    def test_ignored_threads_flag_leaves_output_unchanged(self, tmp_path):
+        blobs = []
+        for extra in ([], ["--threads", "2"]):
+            out = tmp_path / f"sub{len(extra)}"
+            argv = ["simulate", "subspace-error", "--d-values", "2", "--n-values", "60",
+                    "--replications", "2", "--p", "3", "--output-dir", str(out)]
+            assert main(argv + extra) == 0
+            blobs.append((out / "figure3_dtilde.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_bootstrap_power_csv(self, tmp_path):
         out = tmp_path / "bp"
@@ -367,6 +395,21 @@ class TestVarFitCommand:
         assert fit["order"] >= 1
         mats = fit["coefficient_matrices"]
         assert np.asarray(mats["1"]).shape == (2, 2)
+
+    def test_nonfinite_loading_exits_one_with_parse_kind(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "loadings.csv"
+        rows = [",".join(repr(float(v)) for v in row) for row in rng.standard_normal((50, 2))]
+        rows[9] = "nan,0.5"
+        path.write_text("component_1,component_2\n" + "\n".join(rows) + "\n")
+        rc = main(
+            ["var-fit", "--loadings", str(path), "--max-order", "1",
+             "--output-dir", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = read_error(capsys)
+        assert err["kind"] == "parse"
+        assert f"{path}: line 11" in err["message"]
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = main(
