@@ -20,16 +20,13 @@ from .dimension import (
 from .eigen import (
     DualMatrix,
     EigenDecomposition,
-    LoadingsSeries,
     decompose,
     dual_matrix,
     eigen_dual,
     eigenfunctions_from_dual,
-    fit_panel,
     gram_schmidt,
     loadings,
     operator_eigenvalues,
-    reconstruct,
 )
 from .errors import CurveDimError
 from .grids import (
@@ -65,7 +62,6 @@ __all__ = [
     "EigenDecomposition",
     "Grid",
     "LagCovKernel",
-    "LoadingsSeries",
     "PortmanteauResult",
     "VarFit",
     "aic_select",
@@ -76,7 +72,6 @@ __all__ = [
     "dual_matrix",
     "eigen_dual",
     "eigenfunctions_from_dual",
-    "fit_panel",
     "fit_var_with_aic",
     "gram_matrix",
     "gram_schmidt",
@@ -88,7 +83,6 @@ __all__ = [
     "multivariate_portmanteau",
     "operator_eigenvalues",
     "read_panel_csv",
-    "reconstruct",
     "select_dimension",
     "subspace_distance",
     "subspace_distance_general",

@@ -65,6 +65,8 @@ DIAGNOSTIC_LAGS = (1, 3, 5)
 
 
 def _outdir(args) -> Path:
+    """Create --output-dir. Every command first validates its flags, reads
+    its inputs and computes, so a rejected command leaves no directory."""
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -106,22 +108,27 @@ def _epsilon_override(text: str) -> float | None:
     return value
 
 
-def _run_identify(panel, args, out: Path) -> dict:
+def _select(panel, args):
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
-    report = select_dimension(
+    return select_dimension(
         panel,
         p=args.p,
         cfg=cfg,
         d_max=args.d_max,
         epsilon=_epsilon_override(args.epsilon_rule),
     )
+
+
+def _write_identify(panel, report, out: Path) -> np.ndarray:
+    """Write the report, its decomposition, eigenfunctions and loadings;
+    return the loadings."""
     dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions)
     lam = loadings(panel, report.eigenfunctions)
     write_dimension_report_json(report, out / "dimension_report.json")
     write_decomposition_json(dec, out / "decomposition.json")
     write_curves_csv(panel.grid, report.eigenfunctions, out / "eigenfunctions.csv")
     write_loadings_csv(lam, out / "loadings.csv")
-    return {"d_hat": report.d_hat, "loadings": lam.values}
+    return lam
 
 
 def _run_var_fit(series: np.ndarray, max_order: int, out: Path) -> None:
@@ -147,9 +154,10 @@ def _run_var_fit(series: np.ndarray, max_order: int, out: Path) -> None:
 
 
 def cmd_identify(args) -> int:
-    out = _outdir(args)
     panel = read_panel_csv(args.panel)
-    _run_identify(panel, args, out)
+    report = _select(panel, args)
+    out = _outdir(args)
+    _write_identify(panel, report, out)
     _manifest(
         out,
         "identify",
@@ -167,19 +175,19 @@ def cmd_identify(args) -> int:
 
 
 def cmd_test_dim(args) -> int:
-    out = _outdir(args)
-    panel = read_panel_csv(args.panel)
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
-    pvalue = bootstrap_test(panel, args.d0, args.p, cfg)
-    observed = decompose(panel, args.p, n_components=0).eigenvalues[args.d0]
+    panel = read_panel_csv(args.panel)
+    dec = decompose(panel, args.p, n_components=args.d0)
+    pvalue = bootstrap_test(panel, dec, args.d0, args.p, cfg)
     payload = {
         "d0": args.d0,
         "tested_rank": args.d0 + 1,
         "p_value": pvalue,
-        "observed_eigenvalue": float(observed),
+        "observed_eigenvalue": float(dec.eigenvalues[args.d0]),
         "rejected_at_alpha": bool(pvalue <= args.alpha),
         "alpha": args.alpha,
     }
+    out = _outdir(args)
     write_json(out / "test_dim.json", payload)
     _manifest(
         out,
@@ -193,7 +201,6 @@ def cmd_test_dim(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
     study = args.study
     config: dict = {"study": study, "p": args.p, "replications": args.replications}
     if study == "eigen-gap":
@@ -202,7 +209,7 @@ def cmd_simulate(args) -> int:
         res = eigen_gap_study(
             d_values, n_values, args.replications, p=args.p, seed=args.seed
         )
-        write_eigen_gap_csv(res, out / "figure1_eigenvalues.csv")
+        write, name = write_eigen_gap_csv, "figure1_eigenvalues.csv"
         config.update({"d_values": d_values, "n_values": n_values})
     elif study == "bootstrap-power":
         n_values = _parse_int_list(args.n_values)
@@ -210,7 +217,7 @@ def cmd_simulate(args) -> int:
             args.d, n_values, args.replications, n_draws=args.B, p=args.p,
             seed=args.seed,
         )
-        write_bootstrap_power_csv(res, out / "figure2_pvalues.csv")
+        write, name = write_bootstrap_power_csv, "figure2_pvalues.csv"
         config.update({"d": args.d, "n_values": n_values, "B": args.B})
     elif study == "subspace-error":
         d_values = _parse_int_list(args.d_values)
@@ -218,7 +225,7 @@ def cmd_simulate(args) -> int:
         res = subspace_error_study(
             d_values, n_values, args.replications, p=args.p, seed=args.seed
         )
-        write_subspace_error_csv(res, out / "figure3_dtilde.csv")
+        write, name = write_subspace_error_csv, "figure3_dtilde.csv"
         config.update({"d_values": d_values, "n_values": n_values})
     elif study == "rate":
         spec = RateStudySpec(
@@ -228,7 +235,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
         res = rate_study(spec)
-        write_rate_study_csv(res, out / "rate_study.csv")
+        write, name = write_rate_study_csv, "rate_study.csv"
         config.update(
             {
                 "sample_sizes": list(spec.sample_sizes),
@@ -240,13 +247,13 @@ def cmd_simulate(args) -> int:
         )
     else:  # pragma: no cover - argparse choices guard this
         raise ValidationError(f"unknown study {study!r}")
+    out = _outdir(args)
+    write(res, out / name)
     _manifest(out, f"simulate {study}", config, args.seed)
     return 0
 
 
 def cmd_density(args) -> int:
-    out = _outdir(args)
-    days = read_tick_manifest(args.manifest)
     cfg = DensityConfig(
         session_open=args.session_open,
         session_close=args.session_close,
@@ -255,13 +262,16 @@ def cmd_density(args) -> int:
         bandwidth_multiplier=args.multiplier,
         grid_points=args.grid_points,
     )
+    days = read_tick_manifest(args.manifest)
     panel, metadata = build_density_panel(days, cfg, skip_bad_days=args.skip_bad_days)
+    report = _select(panel, args) if args.identify else None
+    out = _outdir(args)
     write_panel_csv(panel, out / "panel.csv")
     write_day_metadata_json(metadata, out / "day_metadata.json")
-    if args.identify:
-        result = _run_identify(panel, args, out)
-        if args.var_fit and result["d_hat"] > 0:
-            _run_var_fit(result["loadings"], args.max_order, out)
+    if report is not None:
+        lam = _write_identify(panel, report, out)
+        if args.var_fit and report.d_hat > 0:
+            _run_var_fit(lam, args.max_order, out)
     _manifest(
         out,
         "density",
@@ -282,8 +292,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_var_fit(args) -> int:
-    out = _outdir(args)
     series = read_loadings_csv(args.loadings)
+    out = _outdir(args)
     _run_var_fit(series, args.max_order, out)
     _manifest(
         out,

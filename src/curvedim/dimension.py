@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import decompose, fit_panel, operator_eigenvalues
+from .eigen import EigenDecomposition, decompose, loadings, operator_eigenvalues
 from .errors import BoundsError, ValidationError
-from .grids import CurvePanel, Grid, write_json
+from .grids import CurvePanel, Grid, mean_curve, write_json
 
 _ORTHONORMAL_TOL = 1e-6
 
@@ -54,25 +54,44 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
 
 
+def _fit(
+    panel: CurvePanel, dec: EigenDecomposition, d0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted curves (mean plus the leading d0 eigenfunctions of ``dec``)
+    and the residuals the bootstrap resamples."""
+    funcs = dec.eigenfunctions[:d0]
+    fitted = mean_curve(panel) + loadings(panel, funcs) @ funcs
+    return fitted, panel.values - fitted
+
+
 def bootstrap_test(
-    panel: CurvePanel, d0: int, p: int, cfg: BootstrapConfig
+    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig
 ) -> float:
     """Bootstrap p-value for the hypothesis that eigenvalue d0+1 is zero.
 
-    The panel is fitted with d0 components; each replicate resamples the
-    fitted residuals with replacement, adds them back to the fitted
-    curves, rebuilds the operator, and records its (d0+1)-th eigenvalue.
-    The p-value is the fraction of replicates whose eigenvalue strictly
-    exceeds the observed one (ties count as non-exceedance); the
-    hypothesis is rejected when the p-value is at most alpha. An observed
-    eigenvalue the clamp sets to zero is zero to working precision, so
-    the hypothesis is not rejected and the p-value is 1 without drawing
-    replicates.
+    ``dec`` is the panel's own decomposition, ``decompose(panel, p,
+    n_components=k)`` for some k >= d0: the observed eigenvalue is
+    ``dec.eigenvalues[d0]`` and the panel is fitted with the leading d0
+    eigenfunctions of ``dec``, so the test makes no solve of the observed
+    panel. A ``dec`` with fewer than d0 eigenfunctions raises
+    ``BoundsError``; one whose curves do not match the panel grid raises
+    ``GridMismatchError``.
+
+    Each replicate resamples the fitted residuals with replacement, adds
+    them back to the fitted curves, rebuilds the operator, and records
+    its (d0+1)-th eigenvalue. The p-value is the fraction of replicates
+    whose eigenvalue strictly exceeds the observed one (ties count as
+    non-exceedance); the hypothesis is rejected when the p-value is at
+    most alpha. An observed eigenvalue the clamp sets to zero is zero to
+    working precision, so the hypothesis is not rejected and the p-value
+    is 1 without drawing replicates.
     """
     n = panel.n
     if not 0 <= d0 < n - p:
         raise BoundsError(f"need 0 <= d0 < n - p, got d0={d0}, n={n}, p={p}")
-    fitted, residuals, dec, _ = fit_panel(panel, p, d0)
+    if dec.count < d0:
+        raise BoundsError(f"d0={d0} needs {d0} eigenfunctions, dec has {dec.count}")
+    fitted, residuals = _fit(panel, dec, d0)
     if d0 >= dec.eigenvalues.size:
         raise BoundsError(
             f"d0={d0} exceeds available eigenvalues ({dec.eigenvalues.size})"
@@ -86,7 +105,7 @@ def bootstrap_test(
     for b in range(cfg.n_draws):
         rng = _replicate_rng(cfg.seed, b)
         idx = rng.integers(0, n, size=n)
-        star = CurvePanel(grid=grid, values=fitted.values + residuals[idx])
+        star = CurvePanel(grid=grid, values=fitted + residuals[idx])
         theta_star = operator_eigenvalues(star, p)[d0]
         if theta_star > theta_obs:
             exceed += 1
@@ -157,7 +176,7 @@ def select_dimension(
     d_hat = d_max
     found = False
     for d0 in range(d_max):
-        pv = bootstrap_test(panel, d0, p, cfg)
+        pv = bootstrap_test(panel, dec, d0, p, cfg)
         pvalues[d0 + 1] = pv
         if not found and pv > cfg.alpha:
             d_hat = d0

@@ -7,12 +7,16 @@ the operator kernel is discretized there and the quadrature-weighted
 symmetric m x m eigenproblem is solved with a symmetric eigensolver, whose
 eigenvectors are quadrature-orthonormal eigenfunctions directly.
 
-``decompose`` is the entry point for an observed panel: it returns the
-spectrum with eigenvalues below EIGENVALUE_CLAMP of the leading one set
-to zero, which is the rule every report and decision applies, together
-with sign-fixed eigenfunctions. ``operator_eigenvalues`` is the raw,
-unclamped solve that bootstrap replicates and the Monte Carlo eigenvalue
-studies use. Both take the same grid route.
+``decompose`` is the entry point for an observed panel: one symmetric
+eigensolve gives the spectrum with eigenvalues below EIGENVALUE_CLAMP of
+the leading one set to zero, which is the rule every report and decision
+applies, together with the requested number of sign-fixed eigenfunctions.
+Callers solve an observed panel once and pass the ``EigenDecomposition``
+on: the bootstrap test reads its observed eigenvalue and fits the panel
+from it, and ``loadings`` projects the curves on its eigenfunctions.
+``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
+that bootstrap replicates and the Monte Carlo eigenvalue studies use.
+Both build the same grid operator.
 
 The (n-p) x (n-p) dual matrix ``K* = (n-p)^-2 (sum_k G_k) G_0`` built from
 lagged Gram matrices of centered curves is the exact dual of that problem
@@ -40,7 +44,6 @@ from .grids import (
     Grid,
     centered_values,
     check_lag_budget,
-    mean_curve,
     read_float_rows,
     write_curves_csv,  # eigenfunction CSVs use the panel layout
     write_json,
@@ -212,24 +215,14 @@ def _grid_operator_symmetric(panel: CurvePanel, p: int) -> np.ndarray:
     return (sym + sym.T) / 2.0
 
 
-def _decompose_grid(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and W-orthonormal eigenfunctions, grid route."""
-    sym = _grid_operator_symmetric(panel, p)
-    try:
-        lam, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"grid-operator eigensolver failed: {exc}") from exc
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    v = v[:, order]
-    funcs = (v / np.sqrt(panel.grid.weights)[:, None]).T
-    return lam, funcs
-
-
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     """Descending unclamped eigenvalues of the cumulative lag operator."""
-    lam, _ = _decompose_grid(panel, p)
-    return lam
+    sym = _grid_operator_symmetric(panel, p)
+    try:
+        lam = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"grid-operator eigensolver failed: {exc}") from exc
+    return lam[::-1]
 
 
 def decompose(
@@ -240,74 +233,38 @@ def decompose(
     The eigenfunctions are the leading ``n_components`` quadrature-
     orthonormal eigenvectors of the grid operator (by default, one per
     eigenvalue the clamp leaves nonzero). Eigenfunction signs follow the
-    positive-peak convention so output is deterministic.
+    positive-peak convention so output is deterministic. A count below 0
+    or above the grid size raises ``BoundsError``.
     """
-    lam, funcs = _decompose_grid(panel, p)
-    clamped = _clamp(lam)
+    sym = _grid_operator_symmetric(panel, p)
+    try:
+        lam, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"grid-operator eigensolver failed: {exc}") from exc
+    order = np.argsort(lam)[::-1]
+    clamped = _clamp(lam[order])
     if n_components is None:
         n_components = int(np.count_nonzero(clamped))
-    if n_components > lam.size:
+    if not 0 <= n_components <= lam.size:
         raise BoundsError(
             f"requested {n_components} components, spectrum has {lam.size}"
         )
+    funcs = (v[:, order] / np.sqrt(panel.grid.weights)[:, None]).T
     funcs = _fix_signs(funcs[:n_components])
     return EigenDecomposition(eigenvalues=clamped, eigenfunctions=funcs)
 
 
-@dataclass(frozen=True)
-class LoadingsSeries:
-    """Loadings of each curve on the estimated eigenfunctions.
+def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:
+    """Project centered curves on orthonormal eigenfunctions.
 
-    ``values[t, j]`` is the quadrature inner product of the centered curve
-    t with eigenfunction j; columns have mean zero by construction because
+    Entry [t, j] is the quadrature inner product of the centered curve t
+    with eigenfunction j; columns have mean zero by construction because
     the centered curves sum to zero over all n.
     """
-
-    values: np.ndarray
-    eigenfunctions: np.ndarray
-
-
-def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> LoadingsSeries:
-    """Project centered curves on orthonormal eigenfunctions."""
     funcs = np.asarray(eigenfunctions, dtype=np.float64)
     if funcs.ndim != 2 or funcs.shape[1] != len(panel.grid):
         raise GridMismatchError("eigenfunctions do not match the panel grid")
-    c = centered_values(panel)
-    vals = (c * panel.grid.weights) @ funcs.T
-    return LoadingsSeries(values=vals, eigenfunctions=funcs)
-
-
-def reconstruct(
-    panel: CurvePanel,
-    eigenfunctions: np.ndarray,
-    loadings_values: np.ndarray,
-) -> CurvePanel:
-    """Fitted curves: mean curve plus loading-weighted eigenfunctions."""
-    funcs = np.asarray(eigenfunctions, dtype=np.float64)
-    lam = np.asarray(loadings_values, dtype=np.float64)
-    if funcs.ndim != 2 or funcs.shape[1] != len(panel.grid):
-        raise GridMismatchError("eigenfunctions do not match the panel grid")
-    if lam.ndim != 2 or lam.shape != (panel.n, funcs.shape[0]):
-        raise ValidationError(
-            f"loadings shape {lam.shape} inconsistent with "
-            f"({panel.n}, {funcs.shape[0]})"
-        )
-    fitted = mean_curve(panel) + lam @ funcs
-    return CurvePanel(grid=panel.grid, values=fitted)
-
-
-def fit_panel(
-    panel: CurvePanel, p: int, n_components: int
-) -> tuple[CurvePanel, np.ndarray, EigenDecomposition, LoadingsSeries]:
-    """Decompose, project, and reconstruct with a fixed component count.
-
-    Returns (fitted panel, residual matrix, decomposition, loadings).
-    """
-    dec = decompose(panel, p, n_components=n_components)
-    lam = loadings(panel, dec.eigenfunctions)
-    fitted = reconstruct(panel, dec.eigenfunctions, lam.values)
-    residuals = panel.values - fitted.values
-    return fitted, residuals, dec, lam
+    return (centered_values(panel) * panel.grid.weights) @ funcs.T
 
 
 def write_decomposition_json(dec: EigenDecomposition, path) -> None:
@@ -318,11 +275,11 @@ def write_decomposition_json(dec: EigenDecomposition, path) -> None:
     write_json(path, payload)
 
 
-def write_loadings_csv(series: LoadingsSeries, path) -> None:
-    ncols = series.values.shape[1]
+def write_loadings_csv(values: np.ndarray, path) -> None:
+    ncols = values.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"component_{j + 1}" for j in range(ncols)) + "\n")
-        for row in series.values:
+        for row in values:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 

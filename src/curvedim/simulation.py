@@ -211,7 +211,9 @@ def bootstrap_power_study(
                     alpha=0.05,
                     seed=_child_seed(seed, ni, hi, rep, 1),
                 )
-                pvalues.append(bootstrap_test(generate_panel(spec), d0, p, cfg))
+                panel = generate_panel(spec)
+                dec = decompose(panel, p, n_components=d0)
+                pvalues.append(bootstrap_test(panel, dec, d0, p, cfg))
             out[(n, d0 + 1)] = np.array(pvalues)
     return BootstrapPowerResult(
         d=d,

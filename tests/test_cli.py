@@ -24,15 +24,15 @@ def read_error(capsys):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Panels passed to the operator eigensolver, in call order."""
+    """Panels whose operator is built for an eigensolve, in call order."""
     panels = []
-    solve = eigen._decompose_grid
+    solve = eigen._grid_operator_symmetric
 
     def counted(panel, p):
         panels.append(panel)
         return solve(panel, p)
 
-    monkeypatch.setattr(eigen, "_decompose_grid", counted)
+    monkeypatch.setattr(eigen, "_grid_operator_symmetric", counted)
     return panels
 
 
@@ -68,9 +68,9 @@ class TestIdentify:
         loadings = (out / "loadings.csv").read_text().splitlines()
         assert loadings[0] == "component_1,component_2"
         assert len(loadings) == 601
-        # One solve for the report, then per hypothesis one for the fit and
-        # one per replicate; the output files reuse the report's solve.
-        assert len(eigensolves) == 1 + 4 * (1 + 100)
+        # One solve for the report, then one per replicate of each
+        # hypothesis; the tests and the output files reuse the report's solve.
+        assert len(eigensolves) == 1 + 4 * 100
 
     def test_malformed_panel_exits_one_with_parse_kind(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -78,6 +78,13 @@ class TestIdentify:
         rc = main(["identify", "--panel", str(bad), "--output-dir", str(tmp_path / "o")])
         assert rc == 1
         assert read_error(capsys)["kind"] == "parse"
+
+    def test_missing_panel_exits_one_and_leaves_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["identify", "--panel", str(tmp_path / "missing.csv"), "--output-dir", str(out)])
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "io"
+        assert not out.exists()
 
     def test_excessive_lag_exits_one_with_insufficient_kind(
         self, two_factor_panel_csv, tmp_path, capsys
@@ -124,11 +131,11 @@ class TestIdentify:
             )
             assert rc == 1
             assert read_error(capsys)["kind"] == "validation"
-            assert not (out / "dimension_report.json").exists()
+            assert not out.exists()
 
 
 class TestTestDim:
-    def test_writes_pvalue_json(self, two_factor_panel_csv, tmp_path, capsys):
+    def test_writes_pvalue_json(self, two_factor_panel_csv, tmp_path, capsys, eigensolves):
         out = tmp_path / "td"
         rc = main(
             [
@@ -144,6 +151,8 @@ class TestTestDim:
         assert payload["tested_rank"] == 3
         assert 0.0 <= payload["p_value"] <= 1.0
         assert "p-value" in capsys.readouterr().out
+        # One observed solve gives the eigenvalue and the fit; then one per replicate.
+        assert len(eigensolves) == 1 + 50
 
     def test_zero_observed_eigenvalue_reported_clamped(self, tmp_path):
         # Noise-free two-factor panel: eigenvalue 3 is zero to working
@@ -192,7 +201,7 @@ class TestSimulate:
         rc = main(["simulate", study, flag, ",", "--output-dir", str(out)])
         assert rc == 1
         assert read_error(capsys)["kind"] == "validation"
-        assert not any(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_rate_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "rate"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvedim.dimension import (
     BootstrapConfig,
+    _fit,
     bootstrap_test,
     default_epsilon,
     select_dimension,
@@ -15,14 +16,19 @@ from curvedim.dimension import (
     threshold_estimate,
     write_dimension_report_json,
 )
-from curvedim.eigen import gram_schmidt, operator_eigenvalues
-from curvedim.errors import BoundsError, ValidationError
-from curvedim.grids import CurvePanel, Grid
+from curvedim.eigen import decompose, gram_schmidt, operator_eigenvalues
+from curvedim.errors import BoundsError, GridMismatchError, ValidationError
+from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import FactorModelSpec, generate_panel
 
 
 def uniform_grid(m=101):
     return Grid.uniform(0.0, 1.0, m)
+
+
+def pvalue_at(panel, d0, p, cfg):
+    """bootstrap_test on the panel's own decomposition with d0 components."""
+    return bootstrap_test(panel, decompose(panel, p, n_components=d0), d0, p, cfg)
 
 
 def random_orthonormal_basis(grid, dim, seed):
@@ -35,30 +41,53 @@ def random_orthonormal_basis(grid, dim, seed):
 class TestBootstrapTest:
     def test_single_draw_pvalue_is_binary(self):
         panel = generate_panel(FactorModelSpec(d=1, n=60, seed=0))
-        pv = bootstrap_test(panel, 0, 2, BootstrapConfig(n_draws=1, seed=1))
+        pv = pvalue_at(panel, 0, 2, BootstrapConfig(n_draws=1, seed=1))
         assert pv in (0.0, 1.0)
 
     def test_deterministic_given_seed(self):
         panel = generate_panel(FactorModelSpec(d=1, n=80, seed=2))
         cfg = BootstrapConfig(n_draws=40, seed=9)
-        assert bootstrap_test(panel, 1, 2, cfg) == bootstrap_test(panel, 1, 2, cfg)
+        assert pvalue_at(panel, 1, 2, cfg) == pvalue_at(panel, 1, 2, cfg)
 
     def test_rejects_strong_factor_keeps_null(self):
         panel = generate_panel(FactorModelSpec(d=1, n=300, seed=3))
         cfg = BootstrapConfig(n_draws=100, seed=4)
-        assert bootstrap_test(panel, 0, 5, cfg) <= 0.05
-        assert bootstrap_test(panel, 1, 5, cfg) > 0.05
+        assert pvalue_at(panel, 0, 5, cfg) <= 0.05
+        assert pvalue_at(panel, 1, 5, cfg) > 0.05
 
     def test_d0_bounds(self):
         panel = generate_panel(FactorModelSpec(d=1, n=30, seed=5))
         with pytest.raises(BoundsError):
-            bootstrap_test(panel, 40, 2, BootstrapConfig(n_draws=5))
+            pvalue_at(panel, 40, 2, BootstrapConfig(n_draws=5))
         # d0 == m < n - p: the spectrum has only m eigenvalues
         coarse = generate_panel(FactorModelSpec(d=1, n=30, grid=uniform_grid(11), seed=5))
         with pytest.raises(BoundsError):
-            bootstrap_test(coarse, 11, 2, BootstrapConfig(n_draws=5))
+            pvalue_at(coarse, 11, 2, BootstrapConfig(n_draws=5))
         with pytest.raises(ValidationError):
             select_dimension(panel, p=2, cfg=BootstrapConfig(n_draws=5), d_max=-1)
+
+    def test_decomposition_needs_d0_eigenfunctions(self):
+        panel = generate_panel(FactorModelSpec(d=2, n=60, seed=5))
+        dec = decompose(panel, 2, n_components=1)
+        with pytest.raises(BoundsError):
+            bootstrap_test(panel, dec, 2, 2, BootstrapConfig(n_draws=5))
+
+    def test_decomposition_from_another_grid_rejected(self):
+        panel = generate_panel(FactorModelSpec(d=2, n=60, seed=5))
+        other = generate_panel(FactorModelSpec(d=2, n=60, grid=uniform_grid(51), seed=5))
+        for d0 in (0, 2):
+            dec = decompose(other, 2, n_components=d0)
+            with pytest.raises(GridMismatchError):
+                bootstrap_test(panel, dec, d0, 2, BootstrapConfig(n_draws=5))
+
+    def test_select_dimension_pvalues_match_single_tests(self):
+        # select_dimension hands every hypothesis its one d_max-component
+        # decomposition; a d0-component decomposition gives the same test.
+        panel = generate_panel(FactorModelSpec(d=2, n=150, seed=17))
+        cfg = BootstrapConfig(n_draws=30, seed=11)
+        report = select_dimension(panel, p=3, cfg=cfg, d_max=4)
+        for d0 in range(4):
+            assert report.pvalues[d0 + 1] == pvalue_at(panel, d0, 3, cfg)
 
     def test_zero_observed_eigenvalue_is_not_rejected(self):
         # Noise-free two-factor panel: eigenvalues 3 and 4 are zero to
@@ -66,8 +95,8 @@ class TestBootstrapTest:
         panel = generate_panel(FactorModelSpec(d=2, n=300, noise_terms=0, seed=0))
         for seed in (0, 1, 2):
             cfg = BootstrapConfig(seed=seed)
-            assert bootstrap_test(panel, 2, 5, cfg) == 1.0
-            assert bootstrap_test(panel, 3, 5, cfg) == 1.0
+            assert pvalue_at(panel, 2, 5, cfg) == 1.0
+            assert pvalue_at(panel, 3, 5, cfg) == 1.0
         report = select_dimension(panel, p=5, cfg=BootstrapConfig(seed=0), d_max=4)
         assert report.d_hat == 2
         assert report.pvalues[3] == report.pvalues[4] == 1.0
@@ -77,6 +106,35 @@ class TestBootstrapTest:
             BootstrapConfig(n_draws=0)
         with pytest.raises(ValidationError):
             BootstrapConfig(alpha=1.5)
+
+
+class TestBootstrapFit:
+    def test_zero_components_reproduce_mean(self):
+        rng = np.random.default_rng(3)
+        panel = CurvePanel(grid=uniform_grid(31), values=rng.standard_normal((10, 31)))
+        fitted, residuals = _fit(panel, decompose(panel, 3, n_components=0), 0)
+        assert np.allclose(fitted, mean_curve(panel)[None, :])
+        assert np.allclose(fitted + residuals, panel.values)
+
+    def test_noiseless_rank_two_exact(self):
+        g = uniform_grid(101)
+        rng = np.random.default_rng(8)
+        scores = rng.standard_normal((25, 2))
+        basis = np.vstack(
+            [np.sqrt(2) * np.cos(np.pi * g.points), np.sqrt(2) * np.cos(2 * np.pi * g.points)]
+        )
+        panel = CurvePanel(grid=g, values=scores @ basis)
+        _, residuals = _fit(panel, decompose(panel, 3, n_components=2), 2)
+        scale = np.max(np.abs(panel.values))
+        assert np.max(np.abs(residuals)) <= 1e-6 * scale
+
+    def test_residuals_orthogonal_to_eigenfunctions(self):
+        rng = np.random.default_rng(15)
+        panel = CurvePanel(grid=uniform_grid(51), values=rng.standard_normal((30, 51)))
+        dec = decompose(panel, 3, n_components=3)
+        _, residuals = _fit(panel, dec, 3)
+        proj = (residuals * panel.grid.weights) @ dec.eigenfunctions.T
+        assert np.max(np.abs(proj)) < 1e-8
 
 
 class TestThresholdEstimate:

@@ -6,11 +6,9 @@ from curvedim.eigen import (
     dual_matrix,
     eigen_dual,
     eigenfunctions_from_dual,
-    fit_panel,
     gram_schmidt,
     loadings,
     operator_eigenvalues,
-    reconstruct,
 )
 from curvedim.errors import BoundsError, InsufficientSampleError, ValidationError
 from curvedim.grids import (
@@ -237,7 +235,7 @@ class TestLoadings:
         panel = CurvePanel(grid=g, values=np.tile(np.sin(g.points), (5, 1)))
         psi = np.sqrt(2) * np.cos(np.pi * g.points)
         lam = loadings(panel, psi[None, :])
-        assert np.allclose(lam.values, 0.0, atol=1e-12)
+        assert np.allclose(lam, 0.0, atol=1e-12)
 
     def test_synthetic_inversion(self):
         g = uniform_grid(101)
@@ -248,45 +246,14 @@ class TestLoadings:
         base = 1.0 + 0.3 * np.sin(2 * np.pi * g.points)
         panel = CurvePanel(grid=g, values=base + np.outer(eta, psi))
         lam = loadings(panel, psi[None, :])
-        assert np.max(np.abs(lam.values[:, 0] - eta)) <= 1e-3 * np.max(np.abs(eta))
+        assert np.max(np.abs(lam[:, 0] - eta)) <= 1e-3 * np.max(np.abs(eta))
 
     def test_columns_have_mean_zero(self):
         panel = random_panel(30, 51, seed=14)
         dec = decompose(panel, 3, n_components=4)
         lam = loadings(panel, dec.eigenfunctions)
-        norms = np.linalg.norm(lam.values, axis=0)
-        assert np.all(np.abs(lam.values.sum(axis=0)) <= 1e-8 * np.maximum(norms, 1e-300))
-
-
-class TestReconstruct:
-    def test_zero_components_reproduce_mean(self):
-        panel = random_panel(10, 31, seed=3)
-        fitted = reconstruct(panel, np.empty((0, 31)), np.empty((10, 0)))
-        assert np.allclose(fitted.values, mean_curve(panel)[None, :])
-
-    def test_noiseless_rank_two_exact(self):
-        g = uniform_grid(101)
-        rng = np.random.default_rng(8)
-        scores = rng.standard_normal((25, 2))
-        basis = np.vstack(
-            [np.sqrt(2) * np.cos(np.pi * g.points), np.sqrt(2) * np.cos(2 * np.pi * g.points)]
-        )
-        panel = CurvePanel(grid=g, values=scores @ basis)
-        fitted, residuals, _, _ = fit_panel(panel, p=3, n_components=2)
-        scale = np.max(np.abs(panel.values))
-        assert np.max(np.abs(residuals)) <= 1e-6 * scale
-
-    def test_residuals_orthogonal_to_eigenfunctions(self):
-        panel = random_panel(30, 51, seed=15)
-        fitted, residuals, dec, _ = fit_panel(panel, p=3, n_components=3)
-        w = panel.grid.weights
-        proj = (residuals * w) @ dec.eigenfunctions.T
-        assert np.max(np.abs(proj)) < 1e-8
-
-    def test_shape_validation(self):
-        panel = random_panel(10, 31)
-        with pytest.raises(ValidationError):
-            reconstruct(panel, np.zeros((2, 31)), np.zeros((9, 2)))
+        norms = np.linalg.norm(lam, axis=0)
+        assert np.all(np.abs(lam.sum(axis=0)) <= 1e-8 * np.maximum(norms, 1e-300))
 
 
 class TestDecompose:
@@ -325,6 +292,17 @@ class TestDecompose:
         )
         for f1, f2 in zip(d1.eigenfunctions, d2.eigenfunctions):
             assert np.max(np.abs(f1 - f2)) < 1e-7
+
+    def test_component_count_bounds(self):
+        panel = random_panel(20, 31, seed=26)
+        assert decompose(panel, 3, n_components=0).count == 0
+        assert decompose(panel, 3, n_components=31).count == 31
+        for count in (-1, 32):
+            with pytest.raises(BoundsError):
+                decompose(panel, 3, n_components=count)
+        # The lag budget is checked first: an oversized p reports the sample.
+        with pytest.raises(InsufficientSampleError):
+            decompose(panel, 20, n_components=-1)
 
     def test_sign_convention_positive_peak(self):
         panel = random_panel(30, 51, seed=23)

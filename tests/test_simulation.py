@@ -114,6 +114,7 @@ class TestEigenGapStudy:
 class TestBootstrapPowerStudy:
     def test_power_degrades_at_small_sample_size(self):
         from curvedim.dimension import BootstrapConfig, bootstrap_test
+        from curvedim.eigen import decompose
         from curvedim.simulation import _child_seed
 
         rates = {}
@@ -124,7 +125,7 @@ class TestBootstrapPowerStudy:
                     FactorModelSpec(d=2, n=n, seed=_child_seed(515, n, rep, 0))
                 )
                 pv = bootstrap_test(
-                    panel, 1, 5,
+                    panel, decompose(panel, 5, n_components=1), 1, 5,
                     BootstrapConfig(n_draws=50, seed=_child_seed(515, n, rep, 1)),
                 )
                 rejections += pv <= 0.05
