@@ -293,14 +293,21 @@ def read_tick_manifest(path) -> list[TickDay]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    entries = payload.get("days")
+    entries = payload.get("days") if isinstance(payload, dict) else None
     if not isinstance(entries, list) or not entries:
-        raise ParseError(f"{path}: manifest must list day files under 'days'")
+        raise ParseError(f"{path}: manifest must be an object listing day files under 'days'")
     days = []
     for entry in entries:
-        if "id" not in entry or "file" not in entry:
-            raise ParseError(f"{path}: each day entry needs 'id' and 'file'")
-        days.append(read_tick_csv(path.parent / entry["file"], str(entry["id"])))
+        day_id = entry.get("id") if isinstance(entry, dict) else None
+        if not (
+            isinstance(day_id, (str, int))
+            and not isinstance(day_id, bool)
+            and isinstance(entry.get("file"), str)
+        ):
+            raise ParseError(
+                f"{path}: each day entry needs a string or integer 'id' and a string 'file'"
+            )
+        days.append(read_tick_csv(path.parent / entry["file"], str(day_id)))
     return days
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import EigenDecomposition, decompose, loadings, operator_eigenvalues
+from .eigen import (
+    EigenDecomposition,
+    _reduced_spectrum,
+    _span_projection,
+    decompose,
+    loadings,
+)
 from .errors import BoundsError, ValidationError
 from .grids import CurvePanel, Grid, mean_curve, write_json
 
@@ -79,12 +85,16 @@ def bootstrap_test(
 
     Each replicate resamples the fitted residuals with replacement, adds
     them back to the fitted curves, rebuilds the operator, and records
-    its (d0+1)-th eigenvalue. The p-value is the fraction of replicates
+    its (d0+1)-th eigenvalue. The replicate's centered curves lie in the
+    span of the panel's centered curves, so its operator is built and
+    solved as an r x r matrix in coordinates of that span, r being the
+    panel's numerical rank. The p-value is the fraction of replicates
     whose eigenvalue strictly exceeds the observed one (ties count as
     non-exceedance); the hypothesis is rejected when the p-value is at
-    most alpha. An observed eigenvalue the clamp sets to zero is zero to
-    working precision, so the hypothesis is not rejected and the p-value
-    is 1 without drawing replicates.
+    most alpha. An observed eigenvalue the clamp sets to zero, or one
+    past the numerical rank (d0 >= r), is zero to working precision, so
+    the hypothesis is not rejected and the p-value is 1 without drawing
+    replicates.
     """
     n = panel.n
     if not 0 <= d0 < n - p:
@@ -100,13 +110,16 @@ def bootstrap_test(
     if theta_obs == 0.0:
         return 1.0
 
+    proj, r = _span_projection(panel)
+    if d0 >= r:
+        return 1.0
+    fitted_z = fitted @ proj
+    residual_z = residuals @ proj
     exceed = 0
-    grid = panel.grid
     for b in range(cfg.n_draws):
         rng = _replicate_rng(cfg.seed, b)
         idx = rng.integers(0, n, size=n)
-        star = CurvePanel(grid=grid, values=fitted + residuals[idx])
-        theta_star = operator_eigenvalues(star, p)[d0]
+        theta_star = _reduced_spectrum(fitted_z + residual_z[idx], p)[d0]
         if theta_star > theta_obs:
             exceed += 1
     return exceed / cfg.n_draws

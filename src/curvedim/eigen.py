@@ -1,22 +1,34 @@
 """Eigenanalysis of the cumulative lag-autocovariance operator.
 
 The operator of interest is K(u, v) = sum over lags k = 1..p of the
-composition of the lag-k autocovariance kernel with its adjoint. Its
-nonzero spectrum and eigenfunctions are computed on the quadrature grid:
-the operator kernel is discretized there and the quadrature-weighted
-symmetric m x m eigenproblem is solved with a symmetric eigensolver, whose
-eigenvectors are quadrature-orthonormal eigenfunctions directly.
+composition of the lag-k autocovariance kernel with its adjoint.
+``_reduced_operator`` is the one build of it: for curves given as rows
+of coordinates with a diagonal inner product (weights w), it centers the
+rows and returns the symmetric matrix W^{1/2} K W^{1/2}, summing
+(M_k W) M_k^T with M_k = Z_0^T Z_k / (n-p).
 
-``decompose`` is the entry point for an observed panel: one symmetric
-eigensolve gives the spectrum with eigenvalues below EIGENVALUE_CLAMP of
-the leading one set to zero, which is the rule every report and decision
-applies, together with the requested number of sign-fixed eigenfunctions.
+On the grid, with the quadrature weights, that matrix is the m x m
+quadrature-weighted discretization, whose eigenvectors divided by
+sqrt(w) are quadrature-orthonormal eigenfunctions. ``decompose`` is the
+entry point for an observed panel: one symmetric eigensolve of it gives
+the spectrum with eigenvalues below EIGENVALUE_CLAMP of the leading one
+set to zero, which is the rule every report and decision applies,
+together with the requested number of sign-fixed eigenfunctions.
 Callers solve an observed panel once and pass the ``EigenDecomposition``
 on: the bootstrap test reads its observed eigenvalue and fits the panel
 from it, and ``loadings`` projects the curves on its eigenfunctions.
 ``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
-that bootstrap replicates and the Monte Carlo eigenvalue studies use.
-Both build the same grid operator.
+of the same m x m matrix, which the Monte Carlo eigenvalue studies use.
+
+Every curve a bootstrap replicate holds (fitted curves plus resampled
+residuals) lies in the span of the panel's centered curves, so its
+nonzero spectrum is that of an r x r matrix, r being the panel's
+numerical rank. ``_span_projection`` finds an orthonormal basis of that
+span with one symmetric eigensolve of the m x m second-moment matrix of
+the root-weighted centered curves, and ``_reduced_spectrum`` solves the
+operator in those coordinates, where the weights are one. Its spectrum
+agrees with the grid's to roundoff (about 1e-15 of the leading
+eigenvalue).
 
 The (n-p) x (n-p) dual matrix ``K* = (n-p)^-2 (sum_k G_k) G_0`` built from
 lagged Gram matrices of centered curves is the exact dual of that problem
@@ -198,15 +210,29 @@ def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _grid_operator_symmetric(panel: CurvePanel, p: int) -> np.ndarray:
-    """Quadrature-weighted symmetric discretization W^{1/2} K W^{1/2}."""
-    check_lag_budget(panel, p)
-    c = centered_values(panel)
-    n_eff = panel.n - p
-    w = panel.grid.weights
+def _symmetric_solve(a: np.ndarray, vectors: bool = False):
+    """Ascending ``eigvalsh`` (or ``eigh`` with ``vectors``) of a symmetric matrix."""
+    try:
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _reduced_operator(z: np.ndarray, p: int, w: np.ndarray | None = None) -> np.ndarray:
+    """The symmetric operator W^{1/2} K W^{1/2} for curves given as rows of ``z``.
+
+    ``w`` holds the diagonal weights of the coordinates' inner product:
+    the quadrature weights when ``z`` holds grid values, none (unit
+    weights) when it holds coordinates in an orthonormal basis of a space
+    holding every centered curve, such as ``_span_projection``'s. The
+    rows are centered here. An eigenvector v of the result on the grid
+    maps to the eigenfunction v / sqrt(w).
+    """
+    w = np.ones(z.shape[1]) if w is None else w
+    c = z - z.mean(axis=0)
+    n_eff = c.shape[0] - p
     c0 = c[:n_eff]
-    m = c.shape[1]
-    acc = np.zeros((m, m))
+    acc = np.zeros((c.shape[1], c.shape[1]))
     for k in range(1, p + 1):
         mk = c0.T @ c[k : k + n_eff] / n_eff
         acc += (mk * w) @ mk.T
@@ -215,14 +241,31 @@ def _grid_operator_symmetric(panel: CurvePanel, p: int) -> np.ndarray:
     return (sym + sym.T) / 2.0
 
 
+def _reduced_spectrum(z: np.ndarray, p: int, w: np.ndarray | None = None) -> np.ndarray:
+    """Descending unclamped eigenvalues of ``_reduced_operator(z, p, w)``."""
+    return _symmetric_solve(_reduced_operator(z, p, w))[::-1]
+
+
+def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
+    """The m x r matrix taking curves to span coordinates, and the rank r.
+
+    The span is that of the panel's root-weighted centered curves X. Its
+    basis is the eigenvectors of X^T X above m * eps of the largest
+    eigenvalue, and the matrix is those r columns times sqrt(w), so
+    ``values @ proj`` gives a panel's coordinates: the mean curve adds
+    the same row to each, which re-centering removes.
+    """
+    root = np.sqrt(panel.grid.weights)
+    x = centered_values(panel) * root
+    s, u = _symmetric_solve(x.T @ x, vectors=True)
+    r = int(np.count_nonzero(s > s.size * np.finfo(np.float64).eps * s[-1]))
+    return u[:, s.size - r :] * root[:, None], r
+
+
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     """Descending unclamped eigenvalues of the cumulative lag operator."""
-    sym = _grid_operator_symmetric(panel, p)
-    try:
-        lam = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"grid-operator eigensolver failed: {exc}") from exc
-    return lam[::-1]
+    check_lag_budget(panel, p)
+    return _reduced_spectrum(panel.values, p, panel.grid.weights)
 
 
 def decompose(
@@ -236,11 +279,9 @@ def decompose(
     positive-peak convention so output is deterministic. A count below 0
     or above the grid size raises ``BoundsError``.
     """
-    sym = _grid_operator_symmetric(panel, p)
-    try:
-        lam, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"grid-operator eigensolver failed: {exc}") from exc
+    check_lag_budget(panel, p)
+    w = panel.grid.weights
+    lam, v = _symmetric_solve(_reduced_operator(panel.values, p, w), vectors=True)
     order = np.argsort(lam)[::-1]
     clamped = _clamp(lam[order])
     if n_components is None:
@@ -249,7 +290,7 @@ def decompose(
         raise BoundsError(
             f"requested {n_components} components, spectrum has {lam.size}"
         )
-    funcs = (v[:, order] / np.sqrt(panel.grid.weights)[:, None]).T
+    funcs = (v[:, order] / np.sqrt(w)[:, None]).T
     funcs = _fix_signs(funcs[:n_components])
     return EigenDecomposition(eigenvalues=clamped, eigenfunctions=funcs)
 

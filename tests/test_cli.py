@@ -24,16 +24,21 @@ def read_error(capsys):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Panels whose operator is built for an eigensolve, in call order."""
-    panels = []
-    solve = eigen._grid_operator_symmetric
+    """Operators built for an eigensolve, in call order.
 
-    def counted(panel, p):
-        panels.append(panel)
-        return solve(panel, p)
+    Observed panels (on the grid) and bootstrap replicates (in span
+    coordinates) build their operator through the one kernel
+    ``eigen._reduced_operator``.
+    """
+    built = []
+    build = eigen._reduced_operator
 
-    monkeypatch.setattr(eigen, "_grid_operator_symmetric", counted)
-    return panels
+    def counted(*args):
+        built.append(args[0].shape)
+        return build(*args)
+
+    monkeypatch.setattr(eigen, "_reduced_operator", counted)
+    return built
 
 
 class TestIdentify:
@@ -71,6 +76,21 @@ class TestIdentify:
         # One solve for the report, then one per replicate of each
         # hypothesis; the tests and the output files reuse the report's solve.
         assert len(eigensolves) == 1 + 4 * 100
+
+    def test_zero_rank_hypotheses_draw_no_replicates(self, tmp_path, eigensolves):
+        # Noise-free two-factor panel: the curves span two dimensions, so
+        # eigenvalues 3 and 4 are exactly zero and their hypotheses are
+        # answered without a bootstrap replicate.
+        panel = tmp_path / "rank2.csv"
+        write_panel_csv(generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0)), panel)
+        out = tmp_path / "out"
+        rc = main(["identify", "--panel", str(panel), "--d-max", "4", "--B", "20",
+                   "--output-dir", str(out)])
+        assert rc == 0
+        report = json.loads((out / "dimension_report.json").read_text())
+        assert report["pvalues"]["3"] == report["pvalues"]["4"] == 1.0
+        assert report["d_hat"] == 2
+        assert len(eigensolves) == 1 + 2 * 20
 
     def test_malformed_panel_exits_one_with_parse_kind(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -378,6 +398,33 @@ class TestDensityCommand:
                 "--output-dir", str(out),
             ]
         )
+        assert rc == 0
+        assert read_panel_csv(out / "panel.csv").n == 4
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {"days": [{"id": "a", "file": 3}]}, {"days": [{"id": True, "file": "a.csv"}]}],
+        ids=["list", "file-not-string", "id-bool"],
+    )
+    def test_malformed_manifest_exits_one_with_parse_kind(self, tmp_path, capsys, payload):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        rc = main(["density", "--manifest", str(manifest), "--output-dir", str(out)])
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "parse"
+        assert not out.exists()
+
+    def test_integer_day_ids_are_accepted(self, tmp_path):
+        manifest = write_tick_manifest(
+            synthetic_tick_days(4, seed=8, ticks_per_day=100), tmp_path / "ticks"
+        )
+        payload = json.loads(manifest.read_text())
+        for i, entry in enumerate(payload["days"]):
+            entry["id"] = 20240102 + i
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        rc = main(["density", "--manifest", str(manifest), "--output-dir", str(out)])
         assert rc == 0
         assert read_panel_csv(out / "panel.csv").n == 4
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from curvedim.dimension import (
     BootstrapConfig,
     _fit,
+    _replicate_rng,
     bootstrap_test,
     default_epsilon,
     select_dimension,
@@ -16,7 +17,7 @@ from curvedim.dimension import (
     threshold_estimate,
     write_dimension_report_json,
 )
-from curvedim.eigen import decompose, gram_schmidt, operator_eigenvalues
+from curvedim.eigen import EigenDecomposition, decompose, gram_schmidt, operator_eigenvalues
 from curvedim.errors import BoundsError, GridMismatchError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import FactorModelSpec, generate_panel
@@ -29,6 +30,31 @@ def uniform_grid(m=101):
 def pvalue_at(panel, d0, p, cfg):
     """bootstrap_test on the panel's own decomposition with d0 components."""
     return bootstrap_test(panel, decompose(panel, p, n_components=d0), d0, p, cfg)
+
+
+def grid_reference_pvalue(panel, dec, d0, p, cfg):
+    """The bootstrap solved on the grid: a ``CurvePanel`` per replicate and
+    ``eigvalsh`` of its quadrature-weighted m x m operator."""
+    w = panel.grid.weights
+    root = np.sqrt(w)
+    theta_obs = dec.eigenvalues[d0]
+    if theta_obs == 0.0:
+        return 1.0
+    fitted, residuals = _fit(panel, dec, d0)
+    exceed = 0
+    for b in range(cfg.n_draws):
+        idx = _replicate_rng(cfg.seed, b).integers(0, panel.n, size=panel.n)
+        star = CurvePanel(grid=panel.grid, values=fitted + residuals[idx])
+        c = star.values - mean_curve(star)
+        n_eff = star.n - p
+        acc = 0.0
+        for k in range(1, p + 1):
+            mk = c[:n_eff].T @ c[k : k + n_eff] / n_eff
+            acc = acc + (mk * w) @ mk.T
+        sym = acc * root[:, None] * root[None, :]
+        theta = np.linalg.eigvalsh((sym + sym.T) / 2.0)[::-1][d0]
+        exceed += int(theta > theta_obs)
+    return exceed / cfg.n_draws
 
 
 def random_orthonormal_basis(grid, dim, seed):
@@ -89,6 +115,18 @@ class TestBootstrapTest:
         for d0 in range(4):
             assert report.pvalues[d0 + 1] == pvalue_at(panel, d0, 3, cfg)
 
+    def test_span_route_pvalues_equal_grid_reference(self):
+        # Replicates are solved in the span of the panel's curves; every
+        # p-value must equal the grid-operator bootstrap's exactly.
+        for panel_seed, boot_seed in ((41, 3), (42, 4)):
+            panel = generate_panel(FactorModelSpec(d=2, n=200, seed=panel_seed))
+            cfg = BootstrapConfig(n_draws=50, seed=boot_seed)
+            report = select_dimension(panel, p=5, cfg=cfg, d_max=4)
+            dec = decompose(panel, 5, n_components=4)
+            grid = {d0 + 1: grid_reference_pvalue(panel, dec, d0, 5, cfg) for d0 in range(4)}
+            assert report.pvalues == grid
+            assert any(0.0 < pv < 1.0 for pv in grid.values())
+
     def test_zero_observed_eigenvalue_is_not_rejected(self):
         # Noise-free two-factor panel: eigenvalues 3 and 4 are zero to
         # working precision, so their p-values must not depend on roundoff.
@@ -100,6 +138,16 @@ class TestBootstrapTest:
         report = select_dimension(panel, p=5, cfg=BootstrapConfig(seed=0), d_max=4)
         assert report.d_hat == 2
         assert report.pvalues[3] == report.pvalues[4] == 1.0
+
+    def test_eigenvalue_past_numerical_rank_is_not_rejected(self):
+        # The curves span two dimensions, so a replicate has no third
+        # eigenvalue to compare; a nonzero observed one is roundoff.
+        panel = generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0, seed=4))
+        dec = decompose(panel, 5, n_components=2)
+        lam = dec.eigenvalues.copy()
+        lam[2] = 1e-11 * lam[0]
+        roundoff = EigenDecomposition(eigenvalues=lam, eigenfunctions=dec.eigenfunctions)
+        assert bootstrap_test(panel, roundoff, 2, 5, BootstrapConfig(n_draws=20)) == 1.0
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from curvedim.eigen import (
+    _reduced_spectrum,
+    _span_projection,
     decompose,
     dual_matrix,
     eigen_dual,
@@ -273,6 +275,23 @@ class TestDecompose:
         assert np.allclose(lam[:5], dec.eigenvalues[:5], rtol=1e-8, atol=1e-12)
         for f1, f2 in zip(funcs, dec.eigenfunctions):
             assert np.max(np.abs(f1 - f2)) < 1e-6
+
+    def test_span_route_matches_grid_operator(self):
+        # Bootstrap replicates are solved in span coordinates. On n < m,
+        # n > m (the span is the whole grid, r = m) and a noise-free
+        # rank-two panel, the r span eigenvalues are the grid spectrum's
+        # leading r and the rest of the grid spectrum is roundoff.
+        rank_two = generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0, seed=3))
+        cases = ((random_panel(40, 101, seed=31), 3, 40 - 1),
+                 (random_panel(90, 31, seed=32), 4, 31), (rank_two, 5, 2))
+        for panel, p, rank in cases:
+            proj, r = _span_projection(panel)
+            assert r == rank and proj.shape == (len(panel.grid), r)
+            lam = _reduced_spectrum(panel.values @ proj, p)
+            oracle = grid_operator_spectrum(panel, p)
+            assert np.all(np.diff(lam) <= 0)
+            assert np.max(np.abs(lam - oracle[:r])) <= 1e-12 * oracle[0]
+            assert np.max(np.abs(oracle[r:]), initial=0.0) <= 1e-12 * oracle[0]
 
     def test_eigenvalue_count_bounded(self):
         for n, m, p in ((20, 101, 3), (80, 31, 5)):
