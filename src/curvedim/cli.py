@@ -35,6 +35,7 @@ from .eigen import (
 from .errors import CurveDimError, ValidationError, exit_code_for
 from .grids import read_panel_csv, write_json, write_panel_csv
 from .simulation import (
+    RATE_AR_COEFFICIENT,
     RateStudySpec,
     bootstrap_power_study,
     eigen_gap_study,
@@ -47,6 +48,7 @@ from .simulation import (
     write_subspace_error_csv,
 )
 from .tsmodels import (
+    VarFit,
     fit_var_with_aic,
     ljung_box,
     multivariate_portmanteau,
@@ -119,21 +121,18 @@ def _select(panel, args):
     )
 
 
-def _write_identify(panel, report, out: Path) -> np.ndarray:
-    """Write the report, its decomposition, eigenfunctions and loadings;
-    return the loadings."""
+def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
+    """Write the report, its decomposition, eigenfunctions and loadings."""
     dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions)
-    lam = loadings(panel, report.eigenfunctions)
     write_dimension_report_json(report, out / "dimension_report.json")
     write_decomposition_json(dec, out / "decomposition.json")
     write_curves_csv(panel.grid, report.eigenfunctions, out / "eigenfunctions.csv")
     write_loadings_csv(lam, out / "loadings.csv")
-    return lam
 
 
-def _run_var_fit(series: np.ndarray, max_order: int, out: Path) -> None:
+def _var_fit(series: np.ndarray, max_order: int) -> tuple[VarFit, dict]:
+    """The AIC-selected VAR fit and its white-noise diagnostics."""
     fit = fit_var_with_aic(series, max_order)
-    write_var_fit_json(fit, out / "var_fit.json")
     diagnostics = {"ljung_box": {}, "portmanteau": {}}
     for j in range(series.shape[1]):
         col = {}
@@ -150,6 +149,11 @@ def _run_var_fit(series: np.ndarray, max_order: int, out: Path) -> None:
                 "dof": int(res.dof),
                 "pvalue": float(res.pvalue),
             }
+    return fit, diagnostics
+
+
+def _write_var_fit(fit: VarFit, diagnostics: dict, out: Path) -> None:
+    write_var_fit_json(fit, out / "var_fit.json")
     write_json(out / "diagnostics.json", diagnostics)
 
 
@@ -157,7 +161,7 @@ def cmd_identify(args) -> int:
     panel = read_panel_csv(args.panel)
     report = _select(panel, args)
     out = _outdir(args)
-    _write_identify(panel, report, out)
+    _write_identify(panel, report, loadings(panel, report.eigenfunctions), out)
     _manifest(
         out,
         "identify",
@@ -240,7 +244,7 @@ def cmd_simulate(args) -> int:
             {
                 "sample_sizes": list(spec.sample_sizes),
                 "p": spec.p,
-                "ar_coefficient": spec.ar_coefficient,
+                "ar_coefficient": RATE_AR_COEFFICIENT,
                 "reference_eigenvalue": res.theta_ref,
                 "reference_eigenvalue_analytic": res.theta_ref_analytic,
             }
@@ -265,13 +269,18 @@ def cmd_density(args) -> int:
     days = read_tick_manifest(args.manifest)
     panel, metadata = build_density_panel(days, cfg, skip_bad_days=args.skip_bad_days)
     report = _select(panel, args) if args.identify else None
+    lam = var = None
+    if report is not None:
+        lam = loadings(panel, report.eigenfunctions)
+        if args.var_fit and report.d_hat > 0:
+            var = _var_fit(lam, args.max_order)
     out = _outdir(args)
     write_panel_csv(panel, out / "panel.csv")
     write_day_metadata_json(metadata, out / "day_metadata.json")
     if report is not None:
-        lam = _write_identify(panel, report, out)
-        if args.var_fit and report.d_hat > 0:
-            _run_var_fit(lam, args.max_order, out)
+        _write_identify(panel, report, lam, out)
+    if var is not None:
+        _write_var_fit(*var, out)
     _manifest(
         out,
         "density",
@@ -293,8 +302,9 @@ def cmd_density(args) -> int:
 
 def cmd_var_fit(args) -> int:
     series = read_loadings_csv(args.loadings)
+    fit, diagnostics = _var_fit(series, args.max_order)
     out = _outdir(args)
-    _run_var_fit(series, args.max_order, out)
+    _write_var_fit(fit, diagnostics, out)
     _manifest(
         out,
         "var-fit",

@@ -25,13 +25,19 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .grids import CurvePanel, Grid, read_float_rows, write_json
+from .grids import CurvePanel, Grid, read_float_rows, write_csv_rows, write_json
 
 DEFAULT_SESSION_OPEN = 9.5 * 3600.0  # 09:30, seconds within the day
 DEFAULT_SESSION_CLOSE = 16.0 * 3600.0  # 16:00
 DEFAULT_INTERVAL_MINUTES = 5.0  # gives 78 returns per session
 DEFAULT_SUPPORT = (-0.002, 0.002)
 DEFAULT_GRID_POINTS = 201
+
+# Fixed design of ``synthetic_tick_days``.
+TICK_BASE_PRICE = 100.0
+TICK_DAILY_VOL = 0.01
+TICK_VOL_PERSISTENCE = 0.8
+TICK_VOL_INNOVATION_SD = 0.35
 
 
 @dataclass(frozen=True)
@@ -210,41 +216,34 @@ def build_density_panel(
 
 
 def synthetic_tick_days(
-    n_days: int,
-    seed: int = 0,
-    session_open: float = DEFAULT_SESSION_OPEN,
-    session_close: float = DEFAULT_SESSION_CLOSE,
-    ticks_per_day: int = 2000,
-    base_price: float = 100.0,
-    daily_vol: float = 0.01,
-    vol_persistence: float = 0.8,
-    vol_innovation_sd: float = 0.35,
+    n_days: int, seed: int = 0, ticks_per_day: int = 2000
 ) -> list[TickDay]:
     """Geometric-Brownian tick days with serially dependent daily volatility.
 
-    The log of each day's volatility follows an AR(1) across days, so the
-    resulting density curves carry dynamic structure; within a day, prices
-    follow a geometric random walk sampled at irregular tick times (with a
-    guaranteed tick at the open).
+    The log of each day's volatility follows an AR(1) across days
+    (coefficient ``TICK_VOL_PERSISTENCE`` = 0.8, innovation sd
+    ``TICK_VOL_INNOVATION_SD`` = 0.35, scaling ``TICK_DAILY_VOL`` = 1%),
+    so the resulting density curves carry dynamic structure; within a
+    day, prices start at ``TICK_BASE_PRICE`` = 100.0 and follow a
+    geometric random walk sampled at irregular tick times over the
+    default 09:30-16:00 session (with a guaranteed tick at the open).
     """
     if n_days < 1 or ticks_per_day < 2:
         raise ValidationError("need n_days >= 1 and ticks_per_day >= 2")
-    if abs(vol_persistence) >= 1.0:
-        raise ValidationError("volatility persistence must satisfy |a| < 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    session_len = session_close - session_open
-    v = rng.standard_normal() * vol_innovation_sd / np.sqrt(1 - vol_persistence**2)
+    session_len = DEFAULT_SESSION_CLOSE - DEFAULT_SESSION_OPEN
+    v = rng.standard_normal() * TICK_VOL_INNOVATION_SD / np.sqrt(1 - TICK_VOL_PERSISTENCE**2)
     days: list[TickDay] = []
     for i in range(n_days):
-        v = vol_persistence * v + vol_innovation_sd * rng.standard_normal()
-        sigma_day = daily_vol * np.exp(v)
+        v = TICK_VOL_PERSISTENCE * v + TICK_VOL_INNOVATION_SD * rng.standard_normal()
+        sigma_day = TICK_DAILY_VOL * np.exp(v)
         offsets = np.sort(rng.uniform(0.0, session_len, size=ticks_per_day - 1))
-        times = session_open + np.concatenate([[0.0], offsets])
-        gaps = np.diff(times, append=session_close) / session_len
+        times = DEFAULT_SESSION_OPEN + np.concatenate([[0.0], offsets])
+        gaps = np.diff(times, append=DEFAULT_SESSION_CLOSE) / session_len
         steps = rng.standard_normal(ticks_per_day) * sigma_day * np.sqrt(
             np.maximum(gaps, 1e-12)
         )
-        prices = base_price * np.exp(np.cumsum(steps) - steps[0])
+        prices = TICK_BASE_PRICE * np.exp(np.cumsum(steps) - steps[0])
         days.append(TickDay(day_id=f"day{i + 1:03d}", times=times, prices=prices))
     return days
 
@@ -253,10 +252,7 @@ def synthetic_tick_days(
 # manifest listing day files in panel order.
 
 def write_tick_csv(day: TickDay, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch_seconds,price\n")
-        for t, x in zip(day.times, day.prices):
-            fh.write(f"{repr(float(t))},{repr(float(x))}\n")
+    write_csv_rows(path, zip(day.times, day.prices), ["epoch_seconds", "price"])
 
 
 def read_tick_csv(path, day_id: str) -> TickDay:
@@ -272,8 +268,9 @@ def read_tick_csv(path, day_id: str) -> TickDay:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def write_tick_manifest(days: list[TickDay], directory, manifest_name="ticks.json") -> Path:
-    """Write per-day CSVs plus a manifest into a directory; returns its path."""
+def write_tick_manifest(days: list[TickDay], directory) -> Path:
+    """Write per-day CSVs plus a ``ticks.json`` manifest into a directory;
+    returns the manifest's path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -281,7 +278,7 @@ def write_tick_manifest(days: list[TickDay], directory, manifest_name="ticks.jso
         fname = f"{day.day_id}.csv"
         write_tick_csv(day, directory / fname)
         entries.append({"id": day.day_id, "file": fname})
-    manifest = directory / manifest_name
+    manifest = directory / "ticks.json"
     write_json(manifest, {"days": entries})
     return manifest
 

@@ -96,6 +96,15 @@ def bootstrap_test(
     the hypothesis is not rejected and the p-value is 1 without drawing
     replicates.
     """
+    return _bootstrap_pvalue(panel, dec, d0, p, cfg)
+
+
+def _bootstrap_pvalue(
+    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig,
+    span: tuple[np.ndarray, int] | None = None,
+) -> float:
+    """``bootstrap_test`` with the panel's ``_span_projection``, built here
+    when not given, so that one basis can serve every hypothesis."""
     n = panel.n
     if not 0 <= d0 < n - p:
         raise BoundsError(f"need 0 <= d0 < n - p, got d0={d0}, n={n}, p={p}")
@@ -110,7 +119,7 @@ def bootstrap_test(
     if theta_obs == 0.0:
         return 1.0
 
-    proj, r = _span_projection(panel)
+    proj, r = span or _span_projection(panel)
     if d0 >= r:
         return 1.0
     fitted_z = fitted @ proj
@@ -186,10 +195,11 @@ def select_dimension(
     dec = decompose(panel, p, n_components=d_max)
     lam = dec.eigenvalues
     pvalues: dict[int, float] = {}
+    span = _span_projection(panel) if d_max else None
     d_hat = d_max
     found = False
     for d0 in range(d_max):
-        pv = bootstrap_test(panel, dec, d0, p, cfg)
+        pv = _bootstrap_pvalue(panel, dec, d0, p, cfg, span)
         pvalues[d0 + 1] = pv
         if not found and pv > cfg.alpha:
             d_hat = d0

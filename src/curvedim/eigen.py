@@ -57,6 +57,7 @@ from .grids import (
     centered_values,
     check_lag_budget,
     read_float_rows,
+    write_csv_rows,
     write_curves_csv,  # eigenfunction CSVs use the panel layout
     write_json,
 )
@@ -317,11 +318,8 @@ def write_decomposition_json(dec: EigenDecomposition, path) -> None:
 
 
 def write_loadings_csv(values: np.ndarray, path) -> None:
-    ncols = values.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"component_{j + 1}" for j in range(ncols)) + "\n")
-        for row in values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    header = [f"component_{j + 1}" for j in range(values.shape[1])]
+    write_csv_rows(path, values, header)
 
 
 def read_loadings_csv(path) -> np.ndarray:

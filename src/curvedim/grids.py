@@ -198,15 +198,29 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _csv_cell(x) -> str:
+    return str(x) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+
+def write_csv_rows(path, rows, header: list[str] | None = None) -> None:
+    """Write the header line, if given, then one comma-separated line per
+    row: integer cells as ``str``, others as the ``repr`` of their float.
+
+    Every CSV of the package goes through here, so all share one format.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 # Panel file format: CSV, first row = grid points, one curve per subsequent
-# row, values in round-trip decimal form.
+# row.
 
 def write_curves_csv(grid: Grid, curves: np.ndarray, path) -> None:
     """Write curves on ``grid`` in the panel CSV layout (any number of rows)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(repr(float(x)) for x in grid.points) + "\n")
-        for row in np.asarray(curves, dtype=np.float64):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_csv_rows(path, [grid.points, *np.asarray(curves, dtype=np.float64)])
 
 
 def write_panel_csv(panel: CurvePanel, path) -> None:

@@ -5,6 +5,11 @@ operator, size and power of the bootstrap rank test, subspace estimation
 error against the true factor space, and the convergence-rate contrast
 between nonzero- and zero-eigenvalue estimates.
 
+The design is the paper's and is fixed: AR(1) factor scores after a
+``tsmodels.BURN_IN`` (500) step burn-in, on cosine curves; sine noise
+with weights 2^-(j-1); the 101-point grid of [0, 1] (``default_grid``);
+and AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) in the rate study.
+
 Every study runs its replications in order in one loop, and derives one
 RNG stream per replication from (seed, indices), so results are
 reproducible bit-for-bit and the first k replications of a run do not
@@ -26,10 +31,11 @@ from .dimension import (
 )
 from .eigen import decompose, operator_eigenvalues
 from .errors import ValidationError
-from .grids import CurvePanel, Grid, write_json
+from .grids import CurvePanel, Grid, write_csv_rows, write_json
 from .tsmodels import ar1_simulate
 
 DEFAULT_GRID_POINTS = 101
+RATE_AR_COEFFICIENT = 0.5
 
 
 def default_grid() -> Grid:
@@ -63,8 +69,10 @@ class FactorModelSpec:
     """Curve model: AR(1) factor paths on cosine curves plus sine noise.
 
     Each curve is sum_i xi_ti * sqrt(2) cos(pi i u) plus
-    sum_j w_j Z_tj * sqrt(2) sin(pi j u) with iid standard normal Z and
-    geometrically decaying weights w_j = 2^-(j-1).
+    sum_j w_j Z_tj * sqrt(2) sin(pi j u), j = 1..noise_terms, with iid
+    standard normal Z and the fixed weights w_j = 2^-(j-1). The factor
+    scores xi are stationary AR(1) paths drawn by ``ar1_simulate``, with
+    its fixed burn-in of ``tsmodels.BURN_IN`` (500) steps.
     """
 
     d: int
@@ -72,9 +80,7 @@ class FactorModelSpec:
     grid: Grid = field(default_factory=default_grid)
     ar_coefficients: tuple[float, ...] | None = None
     noise_terms: int = 10
-    noise_weights: tuple[float, ...] | None = None
     seed: int = 0
-    burn_in: int = 500
 
     def __post_init__(self):
         if self.d < 1:
@@ -90,34 +96,17 @@ class FactorModelSpec:
         if any(abs(a) >= 1.0 for a in coeffs):
             raise ValidationError("all AR coefficients must satisfy |a| < 1")
         object.__setattr__(self, "ar_coefficients", coeffs)
-        weights = self.noise_weights
-        if weights is None:
-            weights = tuple(2.0 ** -(j - 1) for j in range(1, self.noise_terms + 1))
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != self.noise_terms:
-            raise ValidationError("need one weight per noise term")
-        if any(w < 0 for w in weights) or any(
-            weights[j + 1] > weights[j] for j in range(len(weights) - 1)
-        ):
-            raise ValidationError("noise weights must be nonnegative and nonincreasing")
-        object.__setattr__(self, "noise_weights", weights)
 
 
 def generate_panel(spec: FactorModelSpec) -> CurvePanel:
     """Draw one panel of n curves from the factor model."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
-    xi = np.column_stack(
-        [
-            ar1_simulate(a, spec.n, burn_in=spec.burn_in, rng=rng)
-            for a in spec.ar_coefficients
-        ]
-    )
+    xi = np.column_stack([ar1_simulate(a, spec.n, rng) for a in spec.ar_coefficients])
     values = xi @ factor_curves(spec.grid, spec.d)
     if spec.noise_terms:
         z = rng.standard_normal((spec.n, spec.noise_terms))
-        values = values + (z * np.array(spec.noise_weights)) @ noise_curves(
-            spec.grid, spec.noise_terms
-        )
+        weights = np.array([2.0 ** -(j - 1) for j in range(1, spec.noise_terms + 1)])
+        values = values + (z * weights) @ noise_curves(spec.grid, spec.noise_terms)
     return CurvePanel(grid=spec.grid, values=values)
 
 
@@ -146,10 +135,9 @@ def eigen_gap_study(
     replications: int,
     p: int = 5,
     seed: int = 0,
-    grid: Grid | None = None,
 ) -> EigenGapResult:
     _check_replications(replications)
-    grid = grid or default_grid()
+    grid = default_grid()
     top = EigenGapResult.TOP
     means: dict[tuple[int, int], np.ndarray] = {}
     for di, d in enumerate(d_values):
@@ -194,10 +182,9 @@ def bootstrap_power_study(
     n_draws: int = 200,
     p: int = 5,
     seed: int = 0,
-    grid: Grid | None = None,
 ) -> BootstrapPowerResult:
     _check_replications(replications)
-    grid = grid or default_grid()
+    grid = default_grid()
     out: dict[tuple[int, int], np.ndarray] = {}
     for ni, n in enumerate(n_values):
         for hi, d0 in enumerate((d - 1, d)):
@@ -250,10 +237,9 @@ def subspace_error_study(
     replications: int,
     p: int = 5,
     seed: int = 0,
-    grid: Grid | None = None,
 ) -> SubspaceErrorResult:
     _check_replications(replications)
-    grid = grid or default_grid()
+    grid = default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
         truth = factor_curves(grid, d)
@@ -296,19 +282,16 @@ def subspace_error_study(
 
 @dataclass(frozen=True)
 class RateStudySpec:
-    """Single-factor model used to contrast eigenvalue convergence rates."""
+    """Single-factor model (``RATE_AR_COEFFICIENT``) used to contrast
+    eigenvalue convergence rates."""
 
     sample_sizes: tuple[int, ...] = (100, 200, 400, 800, 1600)
     replications: int = 100
-    ar_coefficient: float = 0.5
     p: int = 1
-    grid: Grid = field(default_factory=default_grid)
     seed: int = 0
 
     def __post_init__(self):
         _check_replications(self.replications)
-        if abs(self.ar_coefficient) >= 1.0:
-            raise ValidationError("AR coefficient must satisfy |a| < 1")
 
 
 def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:
@@ -342,16 +325,17 @@ class RateStudyResult:
 
 
 def rate_study(spec: RateStudySpec) -> RateStudyResult:
-    theta_ref = reference_rate_eigenvalue(spec.grid, spec.ar_coefficient)
-    gamma1 = spec.ar_coefficient / (1.0 - spec.ar_coefficient**2)
+    grid = default_grid()
+    theta_ref = reference_rate_eigenvalue(grid, RATE_AR_COEFFICIENT)
+    gamma1 = RATE_AR_COEFFICIENT / (1.0 - RATE_AR_COEFFICIENT**2)
     records: list[dict] = []
     for ni, n in enumerate(spec.sample_sizes):
         for rep in range(spec.replications):
             model = FactorModelSpec(
                 d=1,
                 n=n,
-                grid=spec.grid,
-                ar_coefficients=(spec.ar_coefficient,),
+                grid=grid,
+                ar_coefficients=(RATE_AR_COEFFICIENT,),
                 seed=_child_seed(spec.seed, ni, rep),
             )
             lam = operator_eigenvalues(generate_panel(model), spec.p)
@@ -392,42 +376,30 @@ def rate_regression_slopes(result: RateStudyResult) -> tuple[float, float]:
 
 def write_eigen_gap_csv(result: EigenGapResult, path) -> None:
     cols = [f"eigenvalue_{j + 1}" for j in range(EigenGapResult.TOP)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,n," + ",".join(cols) + "\n")
-        for d in result.d_values:
-            for n in result.n_values:
-                row = result.mean_eigenvalues[(d, n)]
-                fh.write(f"{d},{n}," + ",".join(repr(float(x)) for x in row) + "\n")
+    means = result.mean_eigenvalues
+    rows = ((d, n, *means[(d, n)]) for d in result.d_values for n in result.n_values)
+    write_csv_rows(path, rows, ["d", "n", *cols])
 
 
 def write_bootstrap_power_csv(result: BootstrapPowerResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,n,tested_rank,replication,p_value\n")
-        for n in result.n_values:
-            for rank in (result.d, result.d + 1):
-                for rep, pv in enumerate(result.pvalues[(n, rank)]):
-                    fh.write(f"{result.d},{n},{rank},{rep},{repr(float(pv))}\n")
+    rows = (
+        (result.d, n, rank, rep, pv)
+        for n in result.n_values
+        for rank in (result.d, result.d + 1)
+        for rep, pv in enumerate(result.pvalues[(n, rank)])
+    )
+    write_csv_rows(path, rows, ["d", "n", "tested_rank", "replication", "p_value"])
 
 
 def write_subspace_error_csv(result: SubspaceErrorResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,n,replication,d_hat,dtilde,dtilde_adaptive\n")
-        for r in result.records:
-            fh.write(
-                f"{r['d']},{r['n']},{r['replication']},{r['d_hat']},"
-                f"{repr(float(r['dtilde']))},{repr(float(r['dtilde_adaptive']))}\n"
-            )
+    cols = ["d", "n", "replication", "d_hat", "dtilde", "dtilde_adaptive"]
+    write_csv_rows(path, ([r[c] for c in cols] for r in result.records), cols)
 
 
 def write_rate_study_csv(result: RateStudyResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,replication,theta1,theta2,abs_err_theta1\n")
-        for r in result.records:
-            err = abs(r["theta1"] - result.theta_ref)
-            fh.write(
-                f"{r['n']},{r['replication']},{repr(float(r['theta1']))},"
-                f"{repr(float(r['theta2']))},{repr(float(err))}\n"
-            )
+    cols = ["n", "replication", "theta1", "theta2"]
+    rows = ([r[c] for c in cols] + [abs(r["theta1"] - result.theta_ref)] for r in result.records)
+    write_csv_rows(path, rows, [*cols, "abs_err_theta1"])
 
 
 def write_manifest(path, payload: dict) -> None:

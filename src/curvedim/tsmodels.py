@@ -8,7 +8,7 @@ autocorrelations/autocovariances as usual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -22,30 +22,26 @@ from .errors import (
 )
 from .grids import write_json
 
+# Steps drawn and discarded before an AR(1) path is returned.
+BURN_IN = 500
 
-def ar1_simulate(
-    coefficient: float,
-    length: int,
-    burn_in: int = 500,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+
+def ar1_simulate(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
     """Stationary AR(1) path with unit-variance Gaussian innovations.
 
-    The chain starts from its stationary law and a burn-in is discarded on
-    top, so the returned path is stationary from the first sample.
+    The chain starts from its stationary law and ``BURN_IN`` steps are
+    discarded on top, so the returned path is stationary from the first
+    sample.
     """
     a = float(coefficient)
     if abs(a) >= 1.0:
         raise NonstationarityError(f"AR(1) coefficient must satisfy |a| < 1, got {a}")
     if length < 1:
         raise ValidationError("length must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    innovations = rng.standard_normal(burn_in + length)
+    innovations = rng.standard_normal(BURN_IN + length)
     x0 = rng.standard_normal() / np.sqrt(1.0 - a * a)
     path, _ = lfilter([1.0], [1.0, -a], innovations, zi=np.array([a * x0]))
-    return path[burn_in:]
+    return path[BURN_IN:]
 
 
 @dataclass(frozen=True)
@@ -56,6 +52,12 @@ class VarFit:
     coefficient_matrices: list[np.ndarray]
     innovation_covariance: np.ndarray
     aic_table: dict[int, float] = field(default_factory=dict)
+
+
+def _as_columns(series) -> np.ndarray:
+    """The series as a float (T, d) array; a 1-d series becomes one column."""
+    x = np.asarray(series, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _autocovariances(series: np.ndarray, max_lag: int) -> list[np.ndarray]:
@@ -77,9 +79,7 @@ def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
     has no intercept). The innovation covariance is the Schur complement
     of the block-Toeplitz moment matrix, symmetrized against roundoff.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(series)
     t_len, d = x.shape
     if order < 0:
         raise ValidationError("order must be >= 0")
@@ -118,9 +118,7 @@ def aic_select(series: np.ndarray, max_order: int) -> tuple[int, dict[int, float
     Returns the argmin and the order -> AIC table centered at its minimum
     (the minimum maps to 0.0).
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(series)
     if max_order < 0:
         raise ValidationError("max_order must be >= 0")
     t_len, d = x.shape
@@ -141,20 +139,12 @@ def aic_select(series: np.ndarray, max_order: int) -> tuple[int, dict[int, float
 def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
     """AIC order selection followed by the Yule-Walker fit at that order."""
     best, table = aic_select(series, max_order)
-    fit = var_fit_yule_walker(series, best)
-    return VarFit(
-        order=fit.order,
-        coefficient_matrices=fit.coefficient_matrices,
-        innovation_covariance=fit.innovation_covariance,
-        aic_table=table,
-    )
+    return replace(var_fit_yule_walker(series, best), aic_table=table)
 
 
 def var_residuals(series: np.ndarray, fit: VarFit) -> np.ndarray:
     """One-step-ahead residuals of a fitted VAR on the given series."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(series)
     tau = fit.order
     if tau == 0:
         return x.copy()
@@ -229,9 +219,7 @@ def multivariate_portmanteau(
     to residuals of a fitted VAR(tau), pass ``fitted_order`` and the dof
     become d^2 (q - tau), clamped at 1.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(series)
     t_len, d = x.shape
     if q < 1:
         raise ValidationError("q must be >= 1")

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from curvedim import eigen
+from curvedim import dimension, eigen
 from curvedim.cli import main
 from curvedim.density import synthetic_tick_days, write_tick_manifest
+from curvedim.eigen import write_loadings_csv
 from curvedim.grids import read_panel_csv, write_panel_csv
 from curvedim.simulation import FactorModelSpec, generate_panel
 
@@ -41,9 +42,23 @@ def eigensolves(monkeypatch):
     return built
 
 
+@pytest.fixture
+def span_bases(monkeypatch):
+    """Span bases ``dimension`` built, as the panel size of each."""
+    built = []
+    build = dimension._span_projection
+
+    def counted(panel):
+        built.append(panel.n)
+        return build(panel)
+
+    monkeypatch.setattr(dimension, "_span_projection", counted)
+    return built
+
+
 class TestIdentify:
     def test_two_factor_panel_reports_dimension_two(
-        self, two_factor_panel_csv, tmp_path, eigensolves
+        self, two_factor_panel_csv, tmp_path, eigensolves, span_bases
     ):
         out = tmp_path / "out"
         rc = main(
@@ -76,8 +91,12 @@ class TestIdentify:
         # One solve for the report, then one per replicate of each
         # hypothesis; the tests and the output files reuse the report's solve.
         assert len(eigensolves) == 1 + 4 * 100
+        # One span basis serves every hypothesis.
+        assert span_bases == [600]
 
-    def test_zero_rank_hypotheses_draw_no_replicates(self, tmp_path, eigensolves):
+    def test_zero_rank_hypotheses_draw_no_replicates(
+        self, tmp_path, eigensolves, span_bases
+    ):
         # Noise-free two-factor panel: the curves span two dimensions, so
         # eigenvalues 3 and 4 are exactly zero and their hypotheses are
         # answered without a bootstrap replicate.
@@ -91,6 +110,7 @@ class TestIdentify:
         assert report["pvalues"]["3"] == report["pvalues"]["4"] == 1.0
         assert report["d_hat"] == 2
         assert len(eigensolves) == 1 + 2 * 20
+        assert len(span_bases) == 1
 
     def test_malformed_panel_exits_one_with_parse_kind(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -415,6 +435,16 @@ class TestDensityCommand:
         assert read_error(capsys)["kind"] == "parse"
         assert not out.exists()
 
+    def test_failed_var_fit_leaves_no_output_dir(self, tick_manifest, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            ["density", "--manifest", str(tick_manifest), "--identify", "--var-fit",
+             "--d-max", "3", "--B", "50", "--max-order", "-1", "--output-dir", str(out)]
+        )
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "validation"
+        assert not out.exists()
+
     def test_integer_day_ids_are_accepted(self, tmp_path):
         manifest = write_tick_manifest(
             synthetic_tick_days(4, seed=8, ticks_per_day=100), tmp_path / "ticks"
@@ -474,3 +504,23 @@ class TestVarFitCommand:
         )
         assert rc == 1
         assert read_error(capsys)["kind"] == "io"
+
+    @pytest.mark.parametrize(
+        "rows, max_order, kind",
+        [(50, "-1", "validation"), (3, "5", "validation"), (50, "1", "degenerate-series")],
+        ids=["negative-order", "too-short", "constant-column"],
+    )
+    def test_failed_fit_leaves_no_output_dir(self, tmp_path, capsys, rows, max_order, kind):
+        series = np.random.default_rng(8).standard_normal((rows, 2))
+        if kind == "degenerate-series":
+            series[:, 1] = 1.0  # fits, but its Ljung-Box diagnostic is undefined
+        path = tmp_path / "loadings.csv"
+        write_loadings_csv(series, path)
+        out = tmp_path / "o"
+        rc = main(
+            ["var-fit", "--loadings", str(path), "--max-order", max_order,
+             "--output-dir", str(out)]
+        )
+        assert rc == 1
+        assert read_error(capsys)["kind"] == kind
+        assert not out.exists()

@@ -341,8 +341,6 @@ class TestSubspaceDistanceGeneral:
 
 class TestDimensionEdgeCases:
     def test_threshold_on_rank_one_panel(self):
-        panel = generate_panel(
-            FactorModelSpec(d=1, n=200, seed=9, noise_weights=(0.0,) * 10)
-        )
+        panel = generate_panel(FactorModelSpec(d=1, n=200, seed=9, noise_terms=0))
         lam = operator_eigenvalues(panel, 2)
         assert threshold_estimate(lam, default_epsilon(lam, 200)) == 1

@@ -17,6 +17,7 @@ from curvedim.grids import (
     lag_cov_kernel,
     mean_curve,
     read_panel_csv,
+    write_csv_rows,
     write_panel_csv,
 )
 
@@ -230,3 +231,16 @@ class TestPanelCsv:
         path.write_text("0.0,1.0,0.5\n1,2,3\n4,5,6\n")
         with pytest.raises(ParseError):
             read_panel_csv(path)
+
+
+class TestCsvRows:
+    def test_integers_print_as_str_and_reals_round_trip(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        row = (1, np.int64(2), 0.1, np.float64(1 / 3), 2.0)
+        write_csv_rows(path, [row], ["a", "b", "c", "d", "e"])
+        assert path.read_text() == "a,b,c,d,e\n1,2,0.1,0.3333333333333333,2.0\n"
+
+    def test_zero_columns_keep_header_and_row_lines(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv_rows(path, np.empty((2, 0)), [])
+        assert path.read_text() == "\n\n\n"

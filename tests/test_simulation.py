@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from curvedim.eigen import operator_eigenvalues
 from curvedim.errors import ValidationError
 from curvedim.grids import Grid
 from curvedim.simulation import (
+    RATE_AR_COEFFICIENT,
     FactorModelSpec,
     RateStudySpec,
     bootstrap_power_study,
@@ -34,8 +37,12 @@ class TestFactorModelSpec:
         assert all(abs(c) < 1 for c in coeffs)
 
     def test_default_noise_weights_halve(self):
-        spec = FactorModelSpec(d=1, n=10)
-        assert spec.noise_weights == tuple(2.0 ** -(j - 1) for j in range(1, 11))
+        # The noise is sum_j w_j Z_tj sqrt(2) sin(pi j u), j = 1..10: its
+        # coordinates on the sine curves have standard deviations 2^-(j-1).
+        spec = FactorModelSpec(d=1, n=20000, seed=5)
+        noise = generate_panel(spec).values - generate_panel(replace(spec, noise_terms=0)).values
+        coords = noise @ np.linalg.pinv(noise_curves(spec.grid, 10))
+        assert np.allclose(coords.std(axis=0) / 2.0 ** -np.arange(10), 1.0, atol=0.05)
 
     def test_rejects_explosive_coefficient(self):
         with pytest.raises(ValidationError):
@@ -44,7 +51,7 @@ class TestFactorModelSpec:
 
 class TestGeneratePanel:
     def test_noiseless_single_factor_spans_cosine(self):
-        spec = FactorModelSpec(d=1, n=50, seed=1, noise_weights=(0.0,) * 10)
+        spec = FactorModelSpec(d=1, n=50, seed=1, noise_terms=0)
         panel = generate_panel(spec)
         phi = factor_curves(panel.grid, 1)[0]
         for row in panel.values:
@@ -64,7 +71,7 @@ class TestGeneratePanel:
         centered = load - load.mean(axis=0)
         cov = centered.T @ centered / panel.n
         cross = (nc * w) @ tf.T
-        wts = np.array(spec.noise_weights)
+        wts = 2.0 ** -np.arange(spec.noise_terms)
         leak = (cross * wts[:, None]**2).T @ cross
         expected = np.diag(
             [1 / (1 - a**2) for a in spec.ar_coefficients]
@@ -84,9 +91,7 @@ class TestEigenGapStudy:
         grid = default_grid()
         rows = []
         for rep in range(10):
-            spec = FactorModelSpec(
-                d=1, n=60, grid=grid, seed=rep, noise_weights=(0.0,) * 10
-            )
+            spec = FactorModelSpec(d=1, n=60, grid=grid, seed=rep, noise_terms=0)
             lam = operator_eigenvalues(generate_panel(spec), 5)
             padded = np.zeros(10)
             padded[: min(10, lam.size)] = lam[:10]
@@ -182,7 +187,7 @@ class TestRateStudy:
         spec = RateStudySpec(sample_sizes=(100, 200), replications=5, seed=2)
         res = rate_study(spec)
         assert len(res.records) == 10
-        assert res.theta_ref == reference_rate_eigenvalue(spec.grid, spec.ar_coefficient)
+        assert res.theta_ref == reference_rate_eigenvalue(default_grid(), RATE_AR_COEFFICIENT)
         assert res.theta_ref_analytic == pytest.approx(4.0 / 9.0)
 
     def test_zero_eigenvalue_shrinks_faster(self):

@@ -41,22 +41,22 @@ ZERO_ACF_PATTERN = np.tile([1.0, 0.0, 0.0, -1.0, 0.0, 0.0], 50)  # zero acf at l
 class TestAr1Simulate:
     def test_degenerate_coefficient_is_iid(self):
         t_len = 10000
-        x = ar1_simulate(0.0, t_len, seed=0)
+        x = ar1_simulate(0.0, t_len, np.random.default_rng(0))
         assert abs(x.var() - 1.0) <= 3 * np.sqrt(2 / t_len)
 
     def test_stationary_variance(self):
-        x = ar1_simulate(0.5, 100000, seed=1)
+        x = ar1_simulate(0.5, 100000, np.random.default_rng(1))
         assert abs(x.var() - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
 
     def test_lag_one_autocorrelation(self):
-        x = ar1_simulate(0.5, 100000, seed=2)
+        x = ar1_simulate(0.5, 100000, np.random.default_rng(2))
         c = x - x.mean()
         acf1 = (c[:-1] @ c[1:]) / (c @ c)
         assert abs(acf1 - 0.5) <= 0.02
 
     def test_rejects_nonstationary(self):
         with pytest.raises(NonstationarityError):
-            ar1_simulate(1.0, 10)
+            ar1_simulate(1.0, 10, np.random.default_rng(0))
 
 
 class TestVarFitYuleWalker:
