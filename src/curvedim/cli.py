@@ -36,6 +36,7 @@ from .errors import CurveDimError, ValidationError, exit_code_for
 from .grids import read_panel_csv, write_json, write_panel_csv
 from .simulation import (
     RATE_AR_COEFFICIENT,
+    RATE_LAG_BUDGET,
     RateStudySpec,
     bootstrap_power_study,
     eigen_gap_study,
@@ -55,12 +56,8 @@ from .tsmodels import (
     var_residuals,
     write_var_fit_json,
 )
-from .density import (
-    DensityConfig,
-    build_density_panel,
-    read_tick_manifest,
-    write_day_metadata_json,
-)
+from . import density
+from .density import build_density_panel, read_tick_manifest, write_day_metadata_json
 
 STUDIES = ("eigen-gap", "bootstrap-power", "subspace-error", "rate")
 DIAGNOSTIC_LAGS = (1, 3, 5)
@@ -93,6 +90,9 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:
         raise ValidationError(f"expected at least one integer, got {text!r}")
+    repeated = [v for v in values if values.count(v) > 1]
+    if repeated:
+        raise ValidationError(f"{repeated[0]} is listed more than once in {text!r}")
     return values
 
 
@@ -235,7 +235,6 @@ def cmd_simulate(args) -> int:
         spec = RateStudySpec(
             sample_sizes=tuple(_parse_int_list(args.sample_sizes)),
             replications=args.replications,
-            p=args.rate_p,
             seed=args.seed,
         )
         res = rate_study(spec)
@@ -243,7 +242,7 @@ def cmd_simulate(args) -> int:
         config.update(
             {
                 "sample_sizes": list(spec.sample_sizes),
-                "p": spec.p,
+                "p": RATE_LAG_BUDGET,
                 "ar_coefficient": RATE_AR_COEFFICIENT,
                 "reference_eigenvalue": res.theta_ref,
                 "reference_eigenvalue_analytic": res.theta_ref_analytic,
@@ -258,21 +257,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_density(args) -> int:
-    cfg = DensityConfig(
-        session_open=args.session_open,
-        session_close=args.session_close,
-        interval_minutes=args.interval_minutes,
-        support=(args.support_lo, args.support_hi),
-        bandwidth_multiplier=args.multiplier,
-        grid_points=args.grid_points,
-    )
+    if args.var_fit and not args.identify:
+        raise ValidationError("--var-fit fits the loadings of --identify; pass both")
     days = read_tick_manifest(args.manifest)
-    panel, metadata = build_density_panel(days, cfg, skip_bad_days=args.skip_bad_days)
+    panel, metadata = build_density_panel(
+        days, args.multiplier, skip_bad_days=args.skip_bad_days
+    )
     report = _select(panel, args) if args.identify else None
     lam = var = None
     if report is not None:
         lam = loadings(panel, report.eigenfunctions)
-        if args.var_fit and report.d_hat > 0:
+        if args.var_fit:
+            if report.d_hat == 0:
+                raise ValidationError("identify found no components; nothing to fit")
             var = _var_fit(lam, args.max_order)
     out = _outdir(args)
     write_panel_csv(panel, out / "panel.csv")
@@ -286,11 +283,11 @@ def cmd_density(args) -> int:
         "density",
         {
             "manifest": str(args.manifest),
-            "interval_minutes": args.interval_minutes,
-            "session": [args.session_open, args.session_close],
-            "support": [args.support_lo, args.support_hi],
+            "interval_minutes": density.INTERVAL_MINUTES,
+            "session": [density.SESSION_OPEN, density.SESSION_CLOSE],
+            "support": list(density.SUPPORT),
             "multiplier": args.multiplier,
-            "grid_points": args.grid_points,
+            "grid_points": density.GRID_POINTS,
             "skip_bad_days": args.skip_bad_days,
             "identify": args.identify,
             "var_fit": args.var_fit,
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n-values", default="100,300,600")
     p_sim.add_argument("--B", type=int, default=200, help="bootstrap replicates")
     p_sim.add_argument("--sample-sizes", default="100,200,400,800,1600")
-    p_sim.add_argument("--rate-p", type=int, default=1, help="lag budget (rate study)")
     # Accepted and ignored: studies run sequentially, but the benchmark's
     # study-n100 command line and its tests still pass --threads 2.
     p_sim.add_argument("--threads", type=int, help=argparse.SUPPRESS)
@@ -371,13 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="tick manifest to density panel")
     p_den.add_argument("--manifest", required=True)
-    p_den.add_argument("--session-open", type=float, default=9.5 * 3600)
-    p_den.add_argument("--session-close", type=float, default=16.0 * 3600)
-    p_den.add_argument("--interval-minutes", type=float, default=5.0)
-    p_den.add_argument("--support-lo", type=float, default=-0.002)
-    p_den.add_argument("--support-hi", type=float, default=0.002)
     p_den.add_argument("--multiplier", type=float, default=1.0)
-    p_den.add_argument("--grid-points", type=int, default=201)
     p_den.add_argument("--skip-bad-days", action="store_true")
     p_den.add_argument("--identify", action="store_true", help="chain into identify")
     p_den.add_argument("--var-fit", action="store_true", help="chain into var-fit")

@@ -1,11 +1,16 @@
 """Tick data to daily return-density curves.
 
-Pipeline per trading day: sample prices at fixed intraday times by the
-previous-tick rule, take log returns, and turn them into a density curve
-by Gaussian kernel estimation with a Silverman-rule bandwidth (optionally
-scaled). Densities are evaluated on a fixed support grid and stacked into
-a curve panel for the eigenanalysis front end. The support truncates the
-density; no renormalization is applied after truncation.
+The design is fixed: every day is sampled at 5-minute steps over the
+09:30-16:00 session (``SESSION_OPEN`` to ``SESSION_CLOSE`` in seconds
+within the day, ``INTERVAL_MINUTES``), which gives 79 sampling times and
+78 log returns. Each sampled price is the one of the latest tick not
+after its sampling time. The returns become a density curve by Gaussian
+kernel estimation with a Silverman-rule bandwidth, scaled by the one
+setting, the bandwidth multiplier. Densities are evaluated at
+``GRID_POINTS`` = 201 equally spaced points of ``SUPPORT`` =
+[-0.002, 0.002] and stacked into a curve panel for the eigenanalysis
+front end. The support truncates the density; no renormalization is
+applied after truncation.
 """
 
 from __future__ import annotations
@@ -27,11 +32,16 @@ from .errors import (
 )
 from .grids import CurvePanel, Grid, read_float_rows, write_csv_rows, write_json
 
-DEFAULT_SESSION_OPEN = 9.5 * 3600.0  # 09:30, seconds within the day
-DEFAULT_SESSION_CLOSE = 16.0 * 3600.0  # 16:00
-DEFAULT_INTERVAL_MINUTES = 5.0  # gives 78 returns per session
-DEFAULT_SUPPORT = (-0.002, 0.002)
-DEFAULT_GRID_POINTS = 201
+SESSION_OPEN = 9.5 * 3600.0  # 09:30, seconds within the day
+SESSION_CLOSE = 16.0 * 3600.0  # 16:00
+INTERVAL_MINUTES = 5.0  # gives 78 returns per session
+SUPPORT = (-0.002, 0.002)
+GRID_POINTS = 201
+
+# 09:30, 09:35, ..., 16:00
+SAMPLING_TIMES = SESSION_OPEN + INTERVAL_MINUTES * 60.0 * np.arange(79)
+SAMPLING_TIMES.setflags(write=False)
+DENSITY_GRID = Grid(np.linspace(SUPPORT[0], SUPPORT[1], GRID_POINTS))
 
 # Fixed design of ``synthetic_tick_days``.
 TICK_BASE_PRICE = 100.0
@@ -63,65 +73,13 @@ class TickDay:
         object.__setattr__(self, "prices", x)
 
 
-@dataclass(frozen=True)
-class DensityConfig:
-    """Sampling session, density support, and smoothing options."""
-
-    session_open: float = DEFAULT_SESSION_OPEN
-    session_close: float = DEFAULT_SESSION_CLOSE
-    interval_minutes: float = DEFAULT_INTERVAL_MINUTES
-    support: tuple[float, float] = DEFAULT_SUPPORT
-    bandwidth_multiplier: float = 1.0
-    grid_points: int = DEFAULT_GRID_POINTS
-
-    def __post_init__(self):
-        settings = (
-            self.session_open,
-            self.session_close,
-            self.interval_minutes,
-            *self.support,
-            self.bandwidth_multiplier,
-        )
-        if not np.all(np.isfinite(settings)):
-            raise ValidationError("density settings must be finite")
-        if not self.session_close > self.session_open:
-            raise ValidationError("session close must follow session open")
-        step = self.interval_minutes * 60.0
-        if step <= 0:
-            raise ValidationError("interval must be positive")
-        count = (self.session_close - self.session_open) / step
-        if abs(count - round(count)) > 1e-9 or round(count) < 1:
-            raise ValidationError("interval must divide the session length")
-        lo, hi = self.support
-        if not hi > lo:
-            raise ValidationError("support must satisfy lo < hi")
-        if self.bandwidth_multiplier <= 0:
-            raise ValidationError("bandwidth multiplier must be positive")
-        if self.grid_points < 2:
-            raise ValidationError("grid needs at least 2 points")
-
-    @property
-    def n_returns(self) -> int:
-        return int(round((self.session_close - self.session_open) / (self.interval_minutes * 60.0)))
-
-    def sampling_times(self) -> np.ndarray:
-        """Session open plus every interval boundary through the close."""
-        step = self.interval_minutes * 60.0
-        return self.session_open + step * np.arange(self.n_returns + 1)
-
-    def density_grid(self) -> Grid:
-        lo, hi = self.support
-        return Grid(np.linspace(lo, hi, self.grid_points))
-
-
-def previous_tick_prices(day: TickDay, cfg: DensityConfig) -> np.ndarray:
-    """Price at the latest tick not after each sampling time.
+def previous_tick_prices(day: TickDay) -> np.ndarray:
+    """Price at the latest tick not after each of the ``SAMPLING_TIMES``.
 
     Ticks sharing a timestamp resolve to the last one recorded. A day
-    with no tick at or before the first sampling time cannot be priced.
+    with no tick at or before the session open cannot be priced.
     """
-    taus = cfg.sampling_times()
-    idx = np.searchsorted(day.times, taus, side="right") - 1
+    idx = np.searchsorted(day.times, SAMPLING_TIMES, side="right") - 1
     if idx[0] < 0:
         raise MissingOpeningTickError(
             f"day {day.day_id}: no tick at or before the first sampling time"
@@ -162,13 +120,11 @@ def kde_curve(returns: np.ndarray, bandwidth: float, grid: Grid) -> np.ndarray:
     return dens
 
 
-def day_density(day: TickDay, cfg: DensityConfig, grid: Grid | None = None):
+def day_density(day: TickDay, multiplier: float):
     """One day through the full pipeline; returns (curve, metadata)."""
-    grid = grid or cfg.density_grid()
-    prices = previous_tick_prices(day, cfg)
-    returns = log_returns(prices)
+    returns = log_returns(previous_tick_prices(day))
     sigma = float(np.std(returns, ddof=1))
-    bandwidth = silverman_bandwidth(returns, cfg.bandwidth_multiplier)
+    bandwidth = silverman_bandwidth(returns, multiplier)
     meta = {
         "day_id": day.day_id,
         "tick_count": int(day.times.size),
@@ -176,26 +132,29 @@ def day_density(day: TickDay, cfg: DensityConfig, grid: Grid | None = None):
         "bandwidth": bandwidth,
         "skipped": False,
     }
-    return kde_curve(returns, bandwidth, grid), meta
+    return kde_curve(returns, bandwidth, DENSITY_GRID), meta
 
 
 def build_density_panel(
-    days: list[TickDay], cfg: DensityConfig, skip_bad_days: bool = False
+    days: list[TickDay], multiplier: float = 1.0, skip_bad_days: bool = False
 ) -> tuple[CurvePanel, list[dict]]:
     """Stack per-day density curves into a panel, in input order.
 
+    ``multiplier`` scales every day's Silverman bandwidth; a value that
+    is not positive and finite is rejected before any day is processed.
     A day failing its preconditions aborts the build with an error naming
     the day unless ``skip_bad_days`` is set, in which case it is recorded
     in the metadata and left out of the panel.
     """
+    if not (np.isfinite(multiplier) and multiplier > 0):
+        raise ValidationError("bandwidth multiplier must be positive and finite")
     if len(days) < 2:
         raise ValidationError("need at least 2 days to build a panel")
-    grid = cfg.density_grid()
     curves: list[np.ndarray] = []
     metadata: list[dict] = []
     for day in days:
         try:
-            curve, meta = day_density(day, cfg, grid)
+            curve, meta = day_density(day, multiplier)
         except CurveDimError as exc:
             if not skip_bad_days:
                 raise DayProcessingError(day.day_id, exc) from exc
@@ -212,7 +171,7 @@ def build_density_panel(
         metadata.append(meta)
     if len(curves) < 2:
         raise ValidationError("fewer than 2 days survived the pipeline")
-    return CurvePanel(grid=grid, values=np.array(curves)), metadata
+    return CurvePanel(grid=DENSITY_GRID, values=np.array(curves)), metadata
 
 
 def synthetic_tick_days(
@@ -226,20 +185,20 @@ def synthetic_tick_days(
     so the resulting density curves carry dynamic structure; within a
     day, prices start at ``TICK_BASE_PRICE`` = 100.0 and follow a
     geometric random walk sampled at irregular tick times over the
-    default 09:30-16:00 session (with a guaranteed tick at the open).
+    fixed 09:30-16:00 session (with a guaranteed tick at the open).
     """
     if n_days < 1 or ticks_per_day < 2:
         raise ValidationError("need n_days >= 1 and ticks_per_day >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    session_len = DEFAULT_SESSION_CLOSE - DEFAULT_SESSION_OPEN
+    session_len = SESSION_CLOSE - SESSION_OPEN
     v = rng.standard_normal() * TICK_VOL_INNOVATION_SD / np.sqrt(1 - TICK_VOL_PERSISTENCE**2)
     days: list[TickDay] = []
     for i in range(n_days):
         v = TICK_VOL_PERSISTENCE * v + TICK_VOL_INNOVATION_SD * rng.standard_normal()
         sigma_day = TICK_DAILY_VOL * np.exp(v)
         offsets = np.sort(rng.uniform(0.0, session_len, size=ticks_per_day - 1))
-        times = DEFAULT_SESSION_OPEN + np.concatenate([[0.0], offsets])
-        gaps = np.diff(times, append=DEFAULT_SESSION_CLOSE) / session_len
+        times = SESSION_OPEN + np.concatenate([[0.0], offsets])
+        gaps = np.diff(times, append=SESSION_CLOSE) / session_len
         steps = rng.standard_normal(ticks_per_day) * sigma_day * np.sqrt(
             np.maximum(gaps, 1e-12)
         )

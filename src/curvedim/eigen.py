@@ -325,6 +325,10 @@ def write_loadings_csv(values: np.ndarray, path) -> None:
 def read_loadings_csv(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    if lines and not any(map(str.strip, lines)):
+        # write_loadings_csv's file for a report with d_hat = 0: a blank
+        # header and one blank line per curve.
+        raise ParseError(f"{path}: holds no components (the report found d_hat = 0)")
     try:
         [float(tok) for line in lines[:1] for tok in line.split(",")]
     except ValueError:

@@ -8,7 +8,8 @@ between nonzero- and zero-eigenvalue estimates.
 The design is the paper's and is fixed: AR(1) factor scores after a
 ``tsmodels.BURN_IN`` (500) step burn-in, on cosine curves; sine noise
 with weights 2^-(j-1); the 101-point grid of [0, 1] (``default_grid``);
-and AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) in the rate study.
+and in the rate study, AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) and
+lag budget ``RATE_LAG_BUDGET`` (1).
 
 Every study runs its replications in order in one loop, and derives one
 RNG stream per replication from (seed, indices), so results are
@@ -36,6 +37,7 @@ from .tsmodels import ar1_simulate
 
 DEFAULT_GRID_POINTS = 101
 RATE_AR_COEFFICIENT = 0.5
+RATE_LAG_BUDGET = 1
 
 
 def default_grid() -> Grid:
@@ -121,9 +123,6 @@ class EigenGapResult:
 
     d_values: tuple[int, ...]
     n_values: tuple[int, ...]
-    replications: int
-    p: int
-    seed: int
     mean_eigenvalues: dict[tuple[int, int], np.ndarray]
 
     TOP = 10
@@ -153,12 +152,7 @@ def eigen_gap_study(
                 rows[rep, : min(top, lam.size)] = lam[:top]
             means[(d, n)] = rows.mean(axis=0)
     return EigenGapResult(
-        d_values=tuple(d_values),
-        n_values=tuple(n_values),
-        replications=replications,
-        p=p,
-        seed=seed,
-        mean_eigenvalues=means,
+        d_values=tuple(d_values), n_values=tuple(n_values), mean_eigenvalues=means
     )
 
 
@@ -168,10 +162,6 @@ class BootstrapPowerResult:
 
     d: int
     n_values: tuple[int, ...]
-    replications: int
-    n_draws: int
-    p: int
-    seed: int
     pvalues: dict[tuple[int, int], np.ndarray]  # (n, tested_rank) -> samples
 
 
@@ -202,15 +192,7 @@ def bootstrap_power_study(
                 dec = decompose(panel, p, n_components=d0)
                 pvalues.append(bootstrap_test(panel, dec, d0, p, cfg))
             out[(n, d0 + 1)] = np.array(pvalues)
-    return BootstrapPowerResult(
-        d=d,
-        n_values=tuple(n_values),
-        replications=replications,
-        n_draws=n_draws,
-        p=p,
-        seed=seed,
-        pvalues=out,
-    )
+    return BootstrapPowerResult(d=d, n_values=tuple(n_values), pvalues=out)
 
 
 @dataclass(frozen=True)
@@ -223,11 +205,6 @@ class SubspaceErrorResult:
     estimate recorded in ``d_hat``.
     """
 
-    d_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    replications: int
-    p: int
-    seed: int
     records: list[dict]  # d, n, replication, d_hat, dtilde, dtilde_adaptive
 
 
@@ -270,24 +247,16 @@ def subspace_error_study(
                         "dtilde_adaptive": dist_adaptive,
                     }
                 )
-    return SubspaceErrorResult(
-        d_values=tuple(d_values),
-        n_values=tuple(n_values),
-        replications=replications,
-        p=p,
-        seed=seed,
-        records=records,
-    )
+    return SubspaceErrorResult(records=records)
 
 
 @dataclass(frozen=True)
 class RateStudySpec:
     """Single-factor model (``RATE_AR_COEFFICIENT``) used to contrast
-    eigenvalue convergence rates."""
+    eigenvalue convergence rates at lag budget ``RATE_LAG_BUDGET``."""
 
     sample_sizes: tuple[int, ...] = (100, 200, 400, 800, 1600)
     replications: int = 100
-    p: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -318,7 +287,6 @@ def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:
 
 @dataclass(frozen=True)
 class RateStudyResult:
-    spec: RateStudySpec
     theta_ref: float
     theta_ref_analytic: float
     records: list[dict]  # n, replication, theta1, theta2
@@ -338,7 +306,7 @@ def rate_study(spec: RateStudySpec) -> RateStudyResult:
                 ar_coefficients=(RATE_AR_COEFFICIENT,),
                 seed=_child_seed(spec.seed, ni, rep),
             )
-            lam = operator_eigenvalues(generate_panel(model), spec.p)
+            lam = operator_eigenvalues(generate_panel(model), RATE_LAG_BUDGET)
             records.append(
                 {
                     "n": n,
@@ -348,10 +316,7 @@ def rate_study(spec: RateStudySpec) -> RateStudyResult:
                 }
             )
     return RateStudyResult(
-        spec=spec,
-        theta_ref=theta_ref,
-        theta_ref_analytic=gamma1**2,
-        records=records,
+        theta_ref=theta_ref, theta_ref_analytic=gamma1**2, records=records
     )
 
 

@@ -232,16 +232,23 @@ class TestSimulate:
             ("eigen-gap", "--d-values"),
             ("subspace-error", "--n-values"),
             ("bootstrap-power", "--n-values"),
+            ("eigen-gap", "--n-values"),
         ],
     )
     def test_empty_integer_list_exits_one_with_validation_kind(
         self, study, flag, tmp_path, capsys
     ):
-        out = tmp_path / "out"
-        rc = main(["simulate", study, flag, ",", "--output-dir", str(out)])
-        assert rc == 1
-        assert read_error(capsys)["kind"] == "validation"
-        assert not out.exists()
+        # A repeated value would give two cells the same key, and the
+        # second would overwrite the first.
+        for text, named in ((",", ","), ("80,80", "80")):
+            out = tmp_path / "out"
+            rc = main(["simulate", study, flag, text, "--replications", "1", "--B", "10",
+                       "--output-dir", str(out)])
+            assert rc == 1
+            err = read_error(capsys)
+            assert err["kind"] == "validation"
+            assert named in err["message"]
+            assert not out.exists()
 
     def test_rate_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "rate"
@@ -445,6 +452,29 @@ class TestDensityCommand:
         assert read_error(capsys)["kind"] == "validation"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--var-fit"],
+            ["--identify", "--var-fit", "--d-max", "0"],
+            ["--multiplier", "0", "--skip-bad-days"],
+            ["--multiplier", "-1", "--skip-bad-days"],
+            ["--multiplier", "nan", "--skip-bad-days"],
+            ["--multiplier", "inf", "--skip-bad-days"],
+        ],
+        ids=["var-fit-without-identify", "var-fit-no-components", "multiplier-zero",
+             "multiplier-negative", "multiplier-nan", "multiplier-inf"],
+    )
+    def test_invalid_request_exits_one_and_leaves_no_output_dir(
+        self, tick_manifest, tmp_path, capsys, extra
+    ):
+        out = tmp_path / "o"
+        rc = main(["density", "--manifest", str(tick_manifest), *extra, "--B", "20",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "validation"
+        assert not out.exists()
+
     def test_integer_day_ids_are_accepted(self, tmp_path):
         manifest = write_tick_manifest(
             synthetic_tick_days(4, seed=8, ticks_per_day=100), tmp_path / "ticks"
@@ -524,3 +554,21 @@ class TestVarFitCommand:
         assert rc == 1
         assert read_error(capsys)["kind"] == kind
         assert not out.exists()
+
+    def test_zero_component_loadings_exit_one_naming_no_components(
+        self, two_factor_panel_csv, tmp_path, capsys
+    ):
+        report = tmp_path / "report"
+        assert main(["identify", "--panel", str(two_factor_panel_csv), "--d-max", "0",
+                     "--output-dir", str(report)]) == 0
+        rc = main(["var-fit", "--loadings", str(report / "loadings.csv"),
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = read_error(capsys)
+        assert err["kind"] == "parse"
+        assert "holds no components" in err["message"]
+        # An empty file is still told apart from a zero-component one.
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main(["var-fit", "--loadings", str(empty), "--output-dir", str(tmp_path / "o")]) == 1
+        assert "no loading rows" in read_error(capsys)["message"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from curvedim.density import (
-    DensityConfig,
+    DENSITY_GRID,
+    SAMPLING_TIMES,
     TickDay,
     build_density_panel,
     day_density,
@@ -30,44 +31,41 @@ def minutes(h, m):
 
 
 class TestPreviousTickPrices:
-    # session 9:31-9:39 at 4-minute spacing puts sampling times at
-    # 9:31, 9:35 and 9:39
-    CFG = DensityConfig(
-        session_open=minutes(9, 31), session_close=minutes(9, 39), interval_minutes=4.0
-    )
+    # The fixed sampling times run from 9:30 to 16:00 in 5-minute steps,
+    # so the first three are 9:30, 9:35 and 9:40.
 
     def test_latest_tick_not_after_rule(self):
         day = TickDay(
             day_id="d1",
-            times=np.array([minutes(9, 31), minutes(9, 34), minutes(9, 37)]),
+            times=np.array([minutes(9, 30), minutes(9, 34), minutes(9, 37)]),
             prices=np.array([100.0, 101.0, 102.0]),
         )
-        sampled = previous_tick_prices(day, self.CFG)
+        sampled = previous_tick_prices(day)
         assert sampled[1] == 101.0  # at 9:35 the latest tick is 9:34
-        assert sampled.tolist() == [100.0, 101.0, 102.0]
+        assert sampled.tolist() == [100.0, 101.0] + [102.0] * 77
 
     def test_single_early_tick_gives_constant_series(self):
-        day = TickDay(day_id="d2", times=np.array([minutes(9, 30)]), prices=np.array([99.5]))
-        assert np.all(previous_tick_prices(day, self.CFG) == 99.5)
+        day = TickDay(day_id="d2", times=np.array([minutes(9, 29)]), prices=np.array([99.5]))
+        assert np.all(previous_tick_prices(day) == 99.5)
 
     def test_ticks_exactly_at_sampling_times(self):
-        times = np.array([minutes(9, 31), minutes(9, 35), minutes(9, 39)])
+        times = np.array([minutes(9, 30), minutes(9, 35), minutes(9, 40)])
         prices = np.array([1.0, 2.0, 3.0])
         day = TickDay(day_id="d3", times=times, prices=prices)
-        assert previous_tick_prices(day, self.CFG).tolist() == [1.0, 2.0, 3.0]
+        assert previous_tick_prices(day).tolist() == [1.0, 2.0] + [3.0] * 77
 
     def test_last_tick_wins_on_timestamp_tie(self):
         day = TickDay(
             day_id="d4",
-            times=np.array([minutes(9, 31), minutes(9, 35), minutes(9, 35)]),
+            times=np.array([minutes(9, 30), minutes(9, 35), minutes(9, 35)]),
             prices=np.array([100.0, 101.0, 103.0]),
         )
-        assert previous_tick_prices(day, self.CFG)[1] == 103.0
+        assert previous_tick_prices(day)[1] == 103.0
 
     def test_missing_opening_tick(self):
-        day = TickDay(day_id="d5", times=np.array([minutes(9, 32)]), prices=np.array([5.0]))
+        day = TickDay(day_id="d5", times=np.array([minutes(9, 31)]), prices=np.array([5.0]))
         with pytest.raises(MissingOpeningTickError):
-            previous_tick_prices(day, self.CFG)
+            previous_tick_prices(day)
 
     def test_idempotent_under_late_tick_refinement(self):
         day = TickDay(
@@ -77,12 +75,10 @@ class TestPreviousTickPrices:
         )
         refined = TickDay(
             day_id="d6",
-            times=np.append(day.times, minutes(9, 40)),
+            times=np.append(day.times, minutes(16, 1)),
             prices=np.append(day.prices, 12.0),
         )
-        assert np.array_equal(
-            previous_tick_prices(day, self.CFG), previous_tick_prices(refined, self.CFG)
-        )
+        assert np.array_equal(previous_tick_prices(day), previous_tick_prices(refined))
 
 
 class TestLogReturns:
@@ -151,7 +147,7 @@ class TestKdeCurve:
 class TestBuildDensityPanel:
     def test_panel_has_row_per_day(self):
         days = synthetic_tick_days(8, seed=0, ticks_per_day=300)
-        panel, meta = build_density_panel(days, DensityConfig())
+        panel, meta = build_density_panel(days)
         assert panel.n == 8
         assert len(meta) == 8
         assert all(not m["skipped"] for m in meta)
@@ -163,12 +159,12 @@ class TestBuildDensityPanel:
             TickDay(day_id=f"c{i}", times=base.times, prices=base.prices)
             for i in range(4)
         ]
-        panel, _ = build_density_panel(clones, DensityConfig())
+        panel, _ = build_density_panel(clones)
         assert np.allclose(dual_matrix(panel, 2).values, 0.0, atol=1e-20)
 
     def test_curves_nonnegative_with_bounded_mass(self):
         days = synthetic_tick_days(6, seed=2, ticks_per_day=300)
-        panel, _ = build_density_panel(days, DensityConfig())
+        panel, _ = build_density_panel(days)
         assert np.all(panel.values >= 0.0)
         mass = panel.values @ panel.grid.weights
         assert np.all(mass <= 1.0 + 1e-9)
@@ -182,7 +178,7 @@ class TestBuildDensityPanel:
         )
         days[2] = bad  # only one tick, at the close: no opening price
         with pytest.raises(DayProcessingError, match="day003"):
-            build_density_panel(days, DensityConfig())
+            build_density_panel(days)
 
     def test_skip_flag_records_and_drops_bad_day(self):
         days = synthetic_tick_days(4, seed=3, ticks_per_day=300)
@@ -191,7 +187,7 @@ class TestBuildDensityPanel:
             times=np.array([days[2].times[-1]]),
             prices=np.array([100.0]),
         )
-        panel, meta = build_density_panel(days, DensityConfig(), skip_bad_days=True)
+        panel, meta = build_density_panel(days, skip_bad_days=True)
         assert panel.n == 3
         skipped = [m for m in meta if m["skipped"]]
         assert len(skipped) == 1 and skipped[0]["day_id"] == "day003"
@@ -201,7 +197,7 @@ class TestBuildDensityPanel:
         days = synthetic_tick_days(5, seed=4, ticks_per_day=300)
         paths = []
         for tag in ("a", "b"):
-            panel, _ = build_density_panel(days, DensityConfig())
+            panel, _ = build_density_panel(days)
             path = tmp_path / f"panel_{tag}.csv"
             write_panel_csv(panel, path)
             paths.append(path.read_bytes())
@@ -210,29 +206,24 @@ class TestBuildDensityPanel:
     def test_needs_two_days(self):
         days = synthetic_tick_days(2, seed=5, ticks_per_day=300)
         with pytest.raises(ValidationError):
-            build_density_panel(days[:1], DensityConfig())
+            build_density_panel(days[:1])
 
 
 class TestDensityConfig:
+    """The fixed design, and the check on its one setting, the multiplier."""
+
     def test_default_gives_78_returns(self):
-        cfg = DensityConfig()
-        assert cfg.n_returns == 78
-        assert cfg.sampling_times().size == 79
-
-    def test_interval_must_divide_session(self):
-        for minutes in (7.0, float("nan")):
-            with pytest.raises(ValidationError):
-                DensityConfig(interval_minutes=minutes)
-
-    def test_support_must_be_ordered(self):
-        for support in ((0.002, -0.002), (-np.inf, 0.002)):
-            with pytest.raises(ValidationError):
-                DensityConfig(support=support)
+        assert SAMPLING_TIMES.tolist() == [minutes(9, 30) + 300.0 * k for k in range(79)]
+        assert SAMPLING_TIMES[-1] == minutes(16, 0)
+        day = synthetic_tick_days(1, seed=0, ticks_per_day=300)[0]
+        assert log_returns(previous_tick_prices(day)).size == 78
 
     def test_multiplier_must_be_positive_and_finite(self):
-        for multiplier in (0.0, float("nan"), np.inf):
-            with pytest.raises(ValidationError):
-                DensityConfig(bandwidth_multiplier=multiplier)
+        days = synthetic_tick_days(3, seed=0, ticks_per_day=300)
+        for multiplier in (0.0, -1.0, float("nan"), np.inf):
+            for skip in (False, True):
+                with pytest.raises(ValidationError, match="multiplier"):
+                    build_density_panel(days, multiplier, skip_bad_days=skip)
 
 
 class TestTickIo:
@@ -247,6 +238,7 @@ class TestTickIo:
 
     def test_day_pipeline_metadata(self):
         day = synthetic_tick_days(1, seed=7, ticks_per_day=200)[0]
-        curve, meta = day_density(day, DensityConfig())
+        curve, meta = day_density(day, 1.0)
         assert curve.shape == (201,)
+        assert DENSITY_GRID.interval == (-0.002, 0.002)
         assert meta["bandwidth"] > 0 and meta["sigma"] > 0
