@@ -121,6 +121,17 @@ def _select(panel, args):
     )
 
 
+def _identify_config(args) -> dict:
+    """The manifest record of the flags ``_select`` reads."""
+    return {
+        "p": args.p,
+        "B": args.B,
+        "alpha": args.alpha,
+        "d_max": args.d_max,
+        "epsilon_rule": args.epsilon_rule,
+    }
+
+
 def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
     """Write the report, its decomposition, eigenfunctions and loadings."""
     dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions)
@@ -165,14 +176,7 @@ def cmd_identify(args) -> int:
     _manifest(
         out,
         "identify",
-        {
-            "panel": str(args.panel),
-            "p": args.p,
-            "B": args.B,
-            "alpha": args.alpha,
-            "d_max": args.d_max,
-            "epsilon_rule": args.epsilon_rule,
-        },
+        {"panel": str(args.panel), **_identify_config(args)},
         args.seed,
     )
     return 0
@@ -181,8 +185,8 @@ def cmd_identify(args) -> int:
 def cmd_test_dim(args) -> int:
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
     panel = read_panel_csv(args.panel)
-    dec = decompose(panel, args.p, n_components=args.d0)
-    pvalue = bootstrap_test(panel, dec, args.d0, args.p, cfg)
+    dec = decompose(panel, args.p)
+    [pvalue] = bootstrap_test(panel, dec, [args.d0], args.p, cfg)
     payload = {
         "d0": args.d0,
         "tested_rank": args.d0 + 1,
@@ -291,6 +295,8 @@ def cmd_density(args) -> int:
             "skip_bad_days": args.skip_bad_days,
             "identify": args.identify,
             "var_fit": args.var_fit,
+            **_identify_config(args),
+            "max_order": args.max_order,
         },
         args.seed,
     )

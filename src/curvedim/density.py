@@ -97,13 +97,17 @@ def log_returns(prices: np.ndarray) -> np.ndarray:
     return np.diff(np.log(x))
 
 
+def _check_positive_finite(value: float, name: str) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite")
+
+
 def silverman_bandwidth(returns: np.ndarray, multiplier: float = 1.0) -> float:
     """Rule-of-thumb bandwidth 1.06 sigma m^(-1/5), scaled by the multiplier."""
     z = np.asarray(returns, dtype=np.float64)
     if z.size < 2:
         raise ValidationError("need at least 2 returns for a bandwidth")
-    if multiplier <= 0:
-        raise ValidationError("bandwidth multiplier must be positive")
+    _check_positive_finite(multiplier, "bandwidth multiplier")
     sigma = float(np.std(z, ddof=1))
     if sigma <= 0.0:
         raise DegenerateSeriesError("returns have zero variance")
@@ -113,8 +117,7 @@ def silverman_bandwidth(returns: np.ndarray, multiplier: float = 1.0) -> float:
 def kde_curve(returns: np.ndarray, bandwidth: float, grid: Grid) -> np.ndarray:
     """Gaussian kernel density of the returns evaluated on the grid."""
     z = np.asarray(returns, dtype=np.float64)
-    if bandwidth <= 0:
-        raise ValidationError("bandwidth must be positive")
+    _check_positive_finite(bandwidth, "bandwidth")
     u = (z[None, :] - grid.points[:, None]) / bandwidth
     dens = np.exp(-0.5 * u * u).sum(axis=1) / (z.size * bandwidth * np.sqrt(2.0 * np.pi))
     return dens
@@ -146,8 +149,9 @@ def build_density_panel(
     the day unless ``skip_bad_days`` is set, in which case it is recorded
     in the metadata and left out of the panel.
     """
-    if not (np.isfinite(multiplier) and multiplier > 0):
-        raise ValidationError("bandwidth multiplier must be positive and finite")
+    # Checked here as well as per day: under skip_bad_days a per-day error
+    # would skip every day rather than reject the call.
+    _check_positive_finite(multiplier, "bandwidth multiplier")
     if len(days) < 2:
         raise ValidationError("need at least 2 days to build a panel")
     curves: list[np.ndarray] = []

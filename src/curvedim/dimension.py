@@ -10,6 +10,7 @@ extension.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,8 @@ class BootstrapConfig:
             raise ValidationError("bootstrap needs at least 1 replicate")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -71,67 +74,66 @@ def _fit(
 
 
 def bootstrap_test(
-    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig
-) -> float:
-    """Bootstrap p-value for the hypothesis that eigenvalue d0+1 is zero.
+    panel: CurvePanel, dec: EigenDecomposition, d0s: Sequence[int], p: int,
+    cfg: BootstrapConfig,
+) -> list[float]:
+    """Bootstrap p-values for the hypotheses "eigenvalue d0+1 is zero",
+    one per d0 in ``d0s``, in the same order.
 
-    ``dec`` is the panel's own decomposition, ``decompose(panel, p,
-    n_components=k)`` for some k >= d0: the observed eigenvalue is
-    ``dec.eigenvalues[d0]`` and the panel is fitted with the leading d0
-    eigenfunctions of ``dec``, so the test makes no solve of the observed
-    panel. A ``dec`` with fewer than d0 eigenfunctions raises
-    ``BoundsError``; one whose curves do not match the panel grid raises
-    ``GridMismatchError``.
+    ``dec`` is the panel's own ``decompose(panel, p)``: each hypothesis
+    reads its observed eigenvalue ``dec.eigenvalues[d0]`` and fits the
+    panel with the leading d0 eigenfunctions of ``dec``, so the test
+    makes no solve of the observed panel. Every d0 must satisfy
+    ``0 <= d0 < min(n - p, m)``; one that does not raises ``BoundsError``
+    before any replicate is drawn. A ``dec`` whose curves do not match
+    the panel grid raises ``GridMismatchError``.
 
     Each replicate resamples the fitted residuals with replacement, adds
     them back to the fitted curves, rebuilds the operator, and records
     its (d0+1)-th eigenvalue. The replicate's centered curves lie in the
     span of the panel's centered curves, so its operator is built and
     solved as an r x r matrix in coordinates of that span, r being the
-    panel's numerical rank. The p-value is the fraction of replicates
-    whose eigenvalue strictly exceeds the observed one (ties count as
-    non-exceedance); the hypothesis is rejected when the p-value is at
-    most alpha. An observed eigenvalue the clamp sets to zero, or one
-    past the numerical rank (d0 >= r), is zero to working precision, so
-    the hypothesis is not rejected and the p-value is 1 without drawing
-    replicates.
+    panel's numerical rank; the span basis is built once, for the first
+    hypothesis that draws replicates. The p-value is the fraction of
+    replicates whose eigenvalue strictly exceeds the observed one (ties
+    count as non-exceedance); the hypothesis is rejected when the p-value
+    is at most alpha. An observed eigenvalue the clamp sets to zero, or
+    one past the numerical rank (d0 >= r), is zero to working precision,
+    so the hypothesis is not rejected and the p-value is 1 without
+    drawing replicates.
     """
-    return _bootstrap_pvalue(panel, dec, d0, p, cfg)
-
-
-def _bootstrap_pvalue(
-    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig,
-    span: tuple[np.ndarray, int] | None = None,
-) -> float:
-    """``bootstrap_test`` with the panel's ``_span_projection``, built here
-    when not given, so that one basis can serve every hypothesis."""
     n = panel.n
-    if not 0 <= d0 < n - p:
-        raise BoundsError(f"need 0 <= d0 < n - p, got d0={d0}, n={n}, p={p}")
-    if dec.count < d0:
-        raise BoundsError(f"d0={d0} needs {d0} eigenfunctions, dec has {dec.count}")
-    fitted, residuals = _fit(panel, dec, d0)
-    if d0 >= dec.eigenvalues.size:
-        raise BoundsError(
-            f"d0={d0} exceeds available eigenvalues ({dec.eigenvalues.size})"
-        )
-    theta_obs = float(dec.eigenvalues[d0])
-    if theta_obs == 0.0:
-        return 1.0
-
-    proj, r = span or _span_projection(panel)
-    if d0 >= r:
-        return 1.0
-    fitted_z = fitted @ proj
-    residual_z = residuals @ proj
-    exceed = 0
-    for b in range(cfg.n_draws):
-        rng = _replicate_rng(cfg.seed, b)
-        idx = rng.integers(0, n, size=n)
-        theta_star = _reduced_spectrum(fitted_z + residual_z[idx], p)[d0]
-        if theta_star > theta_obs:
-            exceed += 1
-    return exceed / cfg.n_draws
+    limit = min(n - p, len(panel.grid))
+    for d0 in d0s:
+        if not 0 <= d0 < limit:
+            raise BoundsError(
+                f"need 0 <= d0 < min(n - p, m), got d0={d0}, n={n}, p={p}, "
+                f"m={len(panel.grid)}"
+            )
+    span = None
+    pvalues = []
+    for d0 in d0s:
+        fitted, residuals = _fit(panel, dec, d0)
+        theta_obs = float(dec.eigenvalues[d0])
+        if theta_obs == 0.0:
+            pvalues.append(1.0)
+            continue
+        span = span or _span_projection(panel)
+        proj, r = span
+        if d0 >= r:
+            pvalues.append(1.0)
+            continue
+        fitted_z = fitted @ proj
+        residual_z = residuals @ proj
+        exceed = 0
+        for b in range(cfg.n_draws):
+            rng = _replicate_rng(cfg.seed, b)
+            idx = rng.integers(0, n, size=n)
+            theta_star = _reduced_spectrum(fitted_z + residual_z[idx], p)[d0]
+            if theta_star > theta_obs:
+                exceed += 1
+        pvalues.append(exceed / cfg.n_draws)
+    return pvalues
 
 
 def threshold_estimate(eigenvalues: np.ndarray, epsilon: float) -> int:
@@ -192,18 +194,10 @@ def select_dimension(
     if d_max < 0:
         raise ValidationError(f"d_max must be >= 0, got {d_max}")
     d_max = min(d_max, len(panel.grid), panel.n - p - 1)
-    dec = decompose(panel, p, n_components=d_max)
+    dec = decompose(panel, p)
     lam = dec.eigenvalues
-    pvalues: dict[int, float] = {}
-    span = _span_projection(panel) if d_max else None
-    d_hat = d_max
-    found = False
-    for d0 in range(d_max):
-        pv = _bootstrap_pvalue(panel, dec, d0, p, cfg, span)
-        pvalues[d0 + 1] = pv
-        if not found and pv > cfg.alpha:
-            d_hat = d0
-            found = True
+    pvalues = bootstrap_test(panel, dec, range(d_max), p, cfg)
+    d_hat = next((d0 for d0, pv in enumerate(pvalues) if pv > cfg.alpha), d_max)
     if epsilon is None:
         eps = default_epsilon(lam, panel.n)
         threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0
@@ -212,7 +206,7 @@ def select_dimension(
         threshold_d = threshold_estimate(lam, eps)
     return DimensionReport(
         d_hat=d_hat,
-        pvalues=pvalues,
+        pvalues={d0 + 1: pv for d0, pv in enumerate(pvalues)},
         threshold_d=threshold_d,
         epsilon_used=eps,
         eigenvalues=lam,

@@ -13,7 +13,7 @@ sqrt(w) are quadrature-orthonormal eigenfunctions. ``decompose`` is the
 entry point for an observed panel: one symmetric eigensolve of it gives
 the spectrum with eigenvalues below EIGENVALUE_CLAMP of the leading one
 set to zero, which is the rule every report and decision applies,
-together with the requested number of sign-fixed eigenfunctions.
+together with one sign-fixed eigenfunction per eigenvalue.
 Callers solve an observed panel once and pass the ``EigenDecomposition``
 on: the bootstrap test reads its observed eigenvalue and fits the panel
 from it, and ``loadings`` projects the curves on its eigenfunctions.
@@ -190,7 +190,8 @@ class EigenDecomposition:
 
     ``eigenvalues`` holds the full computed spectrum (descending, entries
     below EIGENVALUE_CLAMP of the leading one clamped to zero);
-    ``eigenfunctions`` holds ``count`` orthonormal sign-fixed curves.
+    ``eigenfunctions`` holds ``count`` orthonormal sign-fixed curves, one
+    per eigenvalue from ``decompose`` and the leading ``d_hat`` in a report.
     """
 
     eigenvalues: np.ndarray
@@ -269,31 +270,20 @@ def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     return _reduced_spectrum(panel.values, p, panel.grid.weights)
 
 
-def decompose(
-    panel: CurvePanel, p: int = 5, n_components: int | None = None
-) -> EigenDecomposition:
+def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     """Full pipeline: spectrum plus orthonormal eigenfunction curves.
 
-    The eigenfunctions are the leading ``n_components`` quadrature-
-    orthonormal eigenvectors of the grid operator (by default, one per
-    eigenvalue the clamp leaves nonzero). Eigenfunction signs follow the
-    positive-peak convention so output is deterministic. A count below 0
-    or above the grid size raises ``BoundsError``.
+    The eigenfunctions are the quadrature-orthonormal eigenvectors of the
+    grid operator, one per eigenvalue and in the same order; callers keep
+    the leading k with ``eigenfunctions[:k]``. Eigenfunction signs follow
+    the positive-peak convention so output is deterministic.
     """
     check_lag_budget(panel, p)
     w = panel.grid.weights
     lam, v = _symmetric_solve(_reduced_operator(panel.values, p, w), vectors=True)
     order = np.argsort(lam)[::-1]
-    clamped = _clamp(lam[order])
-    if n_components is None:
-        n_components = int(np.count_nonzero(clamped))
-    if not 0 <= n_components <= lam.size:
-        raise BoundsError(
-            f"requested {n_components} components, spectrum has {lam.size}"
-        )
     funcs = (v[:, order] / np.sqrt(w)[:, None]).T
-    funcs = _fix_signs(funcs[:n_components])
-    return EigenDecomposition(eigenvalues=clamped, eigenfunctions=funcs)
+    return EigenDecomposition(eigenvalues=_clamp(lam[order]), eigenfunctions=_fix_signs(funcs))
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:

@@ -112,9 +112,11 @@ def generate_panel(spec: FactorModelSpec) -> CurvePanel:
     return CurvePanel(grid=spec.grid, values=values)
 
 
-def _check_replications(replications: int) -> None:
+def _check_study(replications: int, seed: int) -> None:
     if replications < 1:
         raise ValidationError("replications must be >= 1")
+    if seed < 0:  # SeedSequence takes non-negative entropy only
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def eigen_gap_study(
     p: int = 5,
     seed: int = 0,
 ) -> EigenGapResult:
-    _check_replications(replications)
+    _check_study(replications, seed)
     grid = default_grid()
     top = EigenGapResult.TOP
     means: dict[tuple[int, int], np.ndarray] = {}
@@ -173,7 +175,7 @@ def bootstrap_power_study(
     p: int = 5,
     seed: int = 0,
 ) -> BootstrapPowerResult:
-    _check_replications(replications)
+    _check_study(replications, seed)
     grid = default_grid()
     out: dict[tuple[int, int], np.ndarray] = {}
     for ni, n in enumerate(n_values):
@@ -189,8 +191,7 @@ def bootstrap_power_study(
                     seed=_child_seed(seed, ni, hi, rep, 1),
                 )
                 panel = generate_panel(spec)
-                dec = decompose(panel, p, n_components=d0)
-                pvalues.append(bootstrap_test(panel, dec, d0, p, cfg))
+                pvalues += bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
             out[(n, d0 + 1)] = np.array(pvalues)
     return BootstrapPowerResult(d=d, n_values=tuple(n_values), pvalues=out)
 
@@ -215,7 +216,7 @@ def subspace_error_study(
     p: int = 5,
     seed: int = 0,
 ) -> SubspaceErrorResult:
-    _check_replications(replications)
+    _check_study(replications, seed)
     grid = default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
@@ -225,7 +226,7 @@ def subspace_error_study(
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
                 )
-                dec = decompose(generate_panel(spec), p, n_components=len(grid))
+                dec = decompose(generate_panel(spec), p)
                 lam = dec.eigenvalues
                 d_hat = threshold_estimate(lam, default_epsilon(lam, n))
                 dist = subspace_distance_general(
@@ -260,7 +261,7 @@ class RateStudySpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_replications(self.replications)
+        _check_study(self.replications, self.seed)
 
 
 def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:

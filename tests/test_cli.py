@@ -226,6 +226,33 @@ class TestSimulate:
             assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["identify", "--B", "2"],
+            ["test-dim", "--d0", "1", "--B", "2"],
+            ["simulate", "eigen-gap"],
+            ["simulate", "bootstrap-power"],
+            ["simulate", "subspace-error"],
+            ["simulate", "rate"],
+        ],
+        ids=["identify", "test-dim", "eigen-gap", "bootstrap-power", "subspace-error", "rate"],
+    )
+    def test_negative_seed_exits_one_with_validation_kind(
+        self, command, two_factor_panel_csv, tmp_path, capsys
+    ):
+        # SeedSequence rejects negative entropy; the command must say so as
+        # a JSON error, not a traceback.
+        if command[0] != "simulate":
+            command = [*command, "--panel", str(two_factor_panel_csv)]
+        out = tmp_path / "out"
+        rc = main([*command, "--seed", "-1", "--output-dir", str(out)])
+        assert rc == 1
+        err = read_error(capsys)
+        assert err["kind"] == "validation"
+        assert "seed" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "study, flag",
         [
             ("rate", "--sample-sizes"),
@@ -387,6 +414,21 @@ class TestDensityCommand:
         assert min(float(v) for v in fit["aic_table"].values()) == 0.0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert set(diag["portmanteau"]) <= {"1", "3", "5"}
+
+    def test_manifest_records_identify_and_var_fit_flags(self, tick_manifest, tmp_path):
+        # Two runs that differ only in --B must say so in their manifests.
+        configs = []
+        for b in ("20", "30"):
+            out = tmp_path / b
+            rc = main(["density", "--manifest", str(tick_manifest), "--identify",
+                       "--d-max", "2", "--B", b, "--output-dir", str(out)])
+            assert rc == 0
+            configs.append(json.loads((out / "manifest.json").read_text())["config"])
+        assert [c["B"] for c in configs] == [20, 30]
+        assert configs[0] | {"B": 30} == configs[1]
+        assert {k: configs[0][k] for k in
+                ("p", "alpha", "d_max", "epsilon_rule", "max_order")} == {
+            "p": 5, "alpha": 0.05, "d_max": 2, "epsilon_rule": "default", "max_order": 10}
 
     def test_missing_opening_names_day_and_exits_one(self, tmp_path, capsys):
         days = synthetic_tick_days(5, seed=8, ticks_per_day=100)

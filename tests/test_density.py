@@ -120,8 +120,18 @@ class TestSilvermanBandwidth:
         with pytest.raises(DegenerateSeriesError):
             silverman_bandwidth(np.zeros(10))
 
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, float("nan"), np.inf])
+    def test_multiplier_must_be_positive_and_finite(self, multiplier):
+        with pytest.raises(ValidationError, match="multiplier"):
+            silverman_bandwidth(np.arange(10.0), multiplier)
+
 
 class TestKdeCurve:
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.2, float("nan"), np.inf])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        with pytest.raises(ValidationError, match="bandwidth"):
+            kde_curve(np.array([0.0, 0.1]), bandwidth, Grid.uniform(-1.0, 1.0, 21))
+
     def test_single_observation_is_gaussian_density(self):
         grid = Grid.uniform(-1.0, 1.0, 201)
         h = 0.2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedim import eigen
 from curvedim.dimension import (
     BootstrapConfig,
     _fit,
@@ -28,8 +29,9 @@ def uniform_grid(m=101):
 
 
 def pvalue_at(panel, d0, p, cfg):
-    """bootstrap_test on the panel's own decomposition with d0 components."""
-    return bootstrap_test(panel, decompose(panel, p, n_components=d0), d0, p, cfg)
+    """bootstrap_test of the one hypothesis d0 on the panel's own decomposition."""
+    [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
+    return pvalue
 
 
 def grid_reference_pvalue(panel, dec, d0, p, cfg):
@@ -92,23 +94,42 @@ class TestBootstrapTest:
         with pytest.raises(ValidationError):
             select_dimension(panel, p=2, cfg=BootstrapConfig(n_draws=5), d_max=-1)
 
-    def test_decomposition_needs_d0_eigenfunctions(self):
-        panel = generate_panel(FactorModelSpec(d=2, n=60, seed=5))
-        dec = decompose(panel, 2, n_components=1)
+    def test_out_of_range_hypothesis_rejected_before_any_replicate(self, monkeypatch):
+        # n - p = 28 bounds d0: the valid 0 listed first must not draw its
+        # replicates before the 40 after it is rejected.
+        panel = generate_panel(FactorModelSpec(d=1, n=30, seed=5))
+        dec = decompose(panel, 2)
+        built = []
+        build = eigen._reduced_operator
+
+        def counted(*args):
+            built.append(args[0].shape)
+            return build(*args)
+
+        monkeypatch.setattr(eigen, "_reduced_operator", counted)
         with pytest.raises(BoundsError):
-            bootstrap_test(panel, dec, 2, 2, BootstrapConfig(n_draws=5))
+            bootstrap_test(panel, dec, [0, 40], 2, BootstrapConfig(n_draws=5))
+        assert built == []
+
+    def test_pvalues_follow_hypothesis_order(self):
+        panel = generate_panel(FactorModelSpec(d=2, n=150, seed=17))
+        cfg = BootstrapConfig(n_draws=30, seed=11)
+        dec = decompose(panel, 3)
+        pvalues = bootstrap_test(panel, dec, [2, 0, 1], 3, cfg)
+        assert pvalues == [pvalue_at(panel, d0, 3, cfg) for d0 in (2, 0, 1)]
+        assert bootstrap_test(panel, dec, [], 3, cfg) == []
 
     def test_decomposition_from_another_grid_rejected(self):
         panel = generate_panel(FactorModelSpec(d=2, n=60, seed=5))
         other = generate_panel(FactorModelSpec(d=2, n=60, grid=uniform_grid(51), seed=5))
+        dec = decompose(other, 2)
         for d0 in (0, 2):
-            dec = decompose(other, 2, n_components=d0)
             with pytest.raises(GridMismatchError):
-                bootstrap_test(panel, dec, d0, 2, BootstrapConfig(n_draws=5))
+                bootstrap_test(panel, dec, [d0], 2, BootstrapConfig(n_draws=5))
 
     def test_select_dimension_pvalues_match_single_tests(self):
-        # select_dimension hands every hypothesis its one d_max-component
-        # decomposition; a d0-component decomposition gives the same test.
+        # select_dimension tests every hypothesis in one bootstrap_test call;
+        # each p-value equals that of a call with the one hypothesis.
         panel = generate_panel(FactorModelSpec(d=2, n=150, seed=17))
         cfg = BootstrapConfig(n_draws=30, seed=11)
         report = select_dimension(panel, p=3, cfg=cfg, d_max=4)
@@ -122,7 +143,7 @@ class TestBootstrapTest:
             panel = generate_panel(FactorModelSpec(d=2, n=200, seed=panel_seed))
             cfg = BootstrapConfig(n_draws=50, seed=boot_seed)
             report = select_dimension(panel, p=5, cfg=cfg, d_max=4)
-            dec = decompose(panel, 5, n_components=4)
+            dec = decompose(panel, 5)
             grid = {d0 + 1: grid_reference_pvalue(panel, dec, d0, 5, cfg) for d0 in range(4)}
             assert report.pvalues == grid
             assert any(0.0 < pv < 1.0 for pv in grid.values())
@@ -143,24 +164,26 @@ class TestBootstrapTest:
         # The curves span two dimensions, so a replicate has no third
         # eigenvalue to compare; a nonzero observed one is roundoff.
         panel = generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0, seed=4))
-        dec = decompose(panel, 5, n_components=2)
+        dec = decompose(panel, 5)
         lam = dec.eigenvalues.copy()
         lam[2] = 1e-11 * lam[0]
         roundoff = EigenDecomposition(eigenvalues=lam, eigenfunctions=dec.eigenfunctions)
-        assert bootstrap_test(panel, roundoff, 2, 5, BootstrapConfig(n_draws=20)) == 1.0
+        assert bootstrap_test(panel, roundoff, [2], 5, BootstrapConfig(n_draws=20)) == [1.0]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             BootstrapConfig(n_draws=0)
         with pytest.raises(ValidationError):
             BootstrapConfig(alpha=1.5)
+        with pytest.raises(ValidationError):
+            BootstrapConfig(seed=-1)
 
 
 class TestBootstrapFit:
     def test_zero_components_reproduce_mean(self):
         rng = np.random.default_rng(3)
         panel = CurvePanel(grid=uniform_grid(31), values=rng.standard_normal((10, 31)))
-        fitted, residuals = _fit(panel, decompose(panel, 3, n_components=0), 0)
+        fitted, residuals = _fit(panel, decompose(panel, 3), 0)
         assert np.allclose(fitted, mean_curve(panel)[None, :])
         assert np.allclose(fitted + residuals, panel.values)
 
@@ -172,16 +195,16 @@ class TestBootstrapFit:
             [np.sqrt(2) * np.cos(np.pi * g.points), np.sqrt(2) * np.cos(2 * np.pi * g.points)]
         )
         panel = CurvePanel(grid=g, values=scores @ basis)
-        _, residuals = _fit(panel, decompose(panel, 3, n_components=2), 2)
+        _, residuals = _fit(panel, decompose(panel, 3), 2)
         scale = np.max(np.abs(panel.values))
         assert np.max(np.abs(residuals)) <= 1e-6 * scale
 
     def test_residuals_orthogonal_to_eigenfunctions(self):
         rng = np.random.default_rng(15)
         panel = CurvePanel(grid=uniform_grid(51), values=rng.standard_normal((30, 51)))
-        dec = decompose(panel, 3, n_components=3)
+        dec = decompose(panel, 3)
         _, residuals = _fit(panel, dec, 3)
-        proj = (residuals * panel.grid.weights) @ dec.eigenfunctions.T
+        proj = (residuals * panel.grid.weights) @ dec.eigenfunctions[:3].T
         assert np.max(np.abs(proj)) < 1e-8
 
 

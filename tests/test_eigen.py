@@ -256,8 +256,8 @@ class TestLoadings:
 
     def test_columns_have_mean_zero(self):
         panel = random_panel(30, 51, seed=14)
-        dec = decompose(panel, 3, n_components=4)
-        lam = loadings(panel, dec.eigenfunctions)
+        dec = decompose(panel, 3)
+        lam = loadings(panel, dec.eigenfunctions[:4])
         norms = np.linalg.norm(lam, axis=0)
         assert np.all(np.abs(lam.sum(axis=0)) <= 1e-8 * np.maximum(norms, 1e-300))
 
@@ -275,7 +275,7 @@ class TestDecompose:
     def test_routes_agree_on_eigenfunctions(self):
         panel = random_panel(40, 31, seed=21)
         lam, funcs = dual_reference(panel, 3, 2)
-        dec = decompose(panel, 3, n_components=2)
+        dec = decompose(panel, 3)
         assert np.allclose(lam[:5], dec.eigenvalues[:5], rtol=1e-8, atol=1e-12)
         for f1, f2 in zip(funcs, dec.eigenfunctions):
             assert np.max(np.abs(f1 - f2)) < 1e-6
@@ -307,29 +307,30 @@ class TestDecompose:
     def test_scaling_curves_scales_eigenvalues_fourth_power(self):
         panel = random_panel(25, 41, seed=22)
         scaled = CurvePanel(grid=panel.grid, values=3.0 * panel.values)
-        d1 = decompose(panel, 3, n_components=2)
-        d2 = decompose(scaled, 3, n_components=2)
+        d1 = decompose(panel, 3)
+        d2 = decompose(scaled, 3)
         keep = d1.eigenvalues > 1e-10 * d1.eigenvalues[0]
         assert np.allclose(
             d2.eigenvalues[keep], 3.0**4 * d1.eigenvalues[keep], rtol=1e-8
         )
-        for f1, f2 in zip(d1.eigenfunctions, d2.eigenfunctions):
+        for f1, f2 in zip(d1.eigenfunctions[:2], d2.eigenfunctions[:2]):
             assert np.max(np.abs(f1 - f2)) < 1e-7
 
-    def test_component_count_bounds(self):
+    def test_one_eigenfunction_per_eigenvalue(self):
+        # n - p = 17 < m = 31: the clamp zeroes most of the spectrum, and
+        # each clamped eigenvalue still has its eigenfunction.
         panel = random_panel(20, 31, seed=26)
-        assert decompose(panel, 3, n_components=0).count == 0
-        assert decompose(panel, 3, n_components=31).count == 31
-        for count in (-1, 32):
-            with pytest.raises(BoundsError):
-                decompose(panel, 3, n_components=count)
+        dec = decompose(panel, 3)
+        assert dec.eigenvalues.shape == (31,)
+        assert dec.eigenfunctions.shape == (31, 31)
+        assert np.count_nonzero(dec.eigenvalues) < dec.count
         # The lag budget is checked first: an oversized p reports the sample.
         with pytest.raises(InsufficientSampleError):
-            decompose(panel, 20, n_components=-1)
+            decompose(panel, 20)
 
     def test_sign_convention_positive_peak(self):
         panel = random_panel(30, 51, seed=23)
-        dec = decompose(panel, 3, n_components=3)
+        dec = decompose(panel, 3)
         for f in dec.eigenfunctions:
             assert f[np.argmax(np.abs(f))] > 0
 
@@ -341,8 +342,8 @@ class TestDecompose:
         assert np.all(lam >= 0.0)
 
     def test_eigenfunctions_orthonormal_both_routes(self):
-        # The noise-free one-factor panel asks for more components than
-        # its rank; every requested component must still be returned.
+        # The noise-free one-factor panel has rank one; the eigenfunctions
+        # past its rank must still be orthonormal.
         rank_one = generate_panel(FactorModelSpec(d=1, n=30, noise_terms=0, seed=0))
         cases = (
             ("dual", random_panel(25, 51, seed=25), 4),
@@ -353,9 +354,9 @@ class TestDecompose:
             if route == "dual":
                 _, funcs = dual_reference(panel, p, 3)
             else:
-                dec = decompose(panel, p, n_components=3)
-                assert dec.count == 3
-                funcs = dec.eigenfunctions
+                dec = decompose(panel, p)
+                assert dec.count == len(panel.grid)
+                funcs = dec.eigenfunctions[:3]
             w = panel.grid.weights
             gram = (funcs * w) @ funcs.T
             assert np.max(np.abs(gram - np.eye(3))) < 1e-8

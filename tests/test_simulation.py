@@ -129,8 +129,8 @@ class TestBootstrapPowerStudy:
                 panel = generate_panel(
                     FactorModelSpec(d=2, n=n, seed=_child_seed(515, n, rep, 0))
                 )
-                pv = bootstrap_test(
-                    panel, decompose(panel, 5, n_components=1), 1, 5,
+                [pv] = bootstrap_test(
+                    panel, decompose(panel, 5), [1], 5,
                     BootstrapConfig(n_draws=50, seed=_child_seed(515, n, rep, 1)),
                 )
                 rejections += pv <= 0.05
