@@ -18,13 +18,8 @@ from .dimension import (
     threshold_estimate,
 )
 from .eigen import (
-    DualMatrix,
     EigenDecomposition,
     decompose,
-    dual_matrix,
-    eigen_dual,
-    eigenfunctions_from_dual,
-    gram_schmidt,
     loadings,
     operator_eigenvalues,
 )
@@ -32,10 +27,6 @@ from .errors import CurveDimError
 from .grids import (
     CurvePanel,
     Grid,
-    LagCovKernel,
-    gram_matrix,
-    inner_product,
-    lag_cov_kernel,
     mean_curve,
     read_panel_csv,
     write_panel_csv,
@@ -58,10 +49,8 @@ __all__ = [
     "CurveDimError",
     "CurvePanel",
     "DimensionReport",
-    "DualMatrix",
     "EigenDecomposition",
     "Grid",
-    "LagCovKernel",
     "PortmanteauResult",
     "VarFit",
     "aic_select",
@@ -69,14 +58,7 @@ __all__ = [
     "bootstrap_test",
     "decompose",
     "default_epsilon",
-    "dual_matrix",
-    "eigen_dual",
-    "eigenfunctions_from_dual",
     "fit_var_with_aic",
-    "gram_matrix",
-    "gram_schmidt",
-    "inner_product",
-    "lag_cov_kernel",
     "ljung_box",
     "loadings",
     "mean_curve",

@@ -193,6 +193,8 @@ def synthetic_tick_days(
     """
     if n_days < 1 or ticks_per_day < 2:
         raise ValidationError("need n_days >= 1 and ticks_per_day >= 2")
+    if seed < 0:  # SeedSequence takes non-negative entropy only
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     session_len = SESSION_CLOSE - SESSION_OPEN
     v = rng.standard_normal() * TICK_VOL_INNOVATION_SD / np.sqrt(1 - TICK_VOL_PERSISTENCE**2)

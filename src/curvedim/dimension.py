@@ -150,7 +150,12 @@ def default_epsilon(eigenvalues: np.ndarray, n: int) -> float:
     """Scale-relative cutoff: half the leading eigenvalue times n^(-2/5).
 
     Relative to the leading eigenvalue so the rule is invariant to a
-    common rescaling of the curves.
+    common rescaling of the curves. The scale (``DEFAULT_EPSILON_SCALE``,
+    0.5) and exponent (``DEFAULT_EPSILON_EXPONENT``, 0.4) were calibrated
+    at d = 2. On ``FactorModelSpec`` panels with p = 5 and n = 600 the
+    rule recovers d = 2, 4 and 6 in 98, 47 and 5 of 100 panels, while the
+    bootstrap ``d_hat`` of ``select_dimension`` (B = 200) recovers them in
+    27, 28 and 27 of 30. Past d = 2, trust the bootstrap ``d_hat``.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     theta1 = float(lam[0]) if lam.size else 0.0
@@ -164,6 +169,12 @@ class DimensionReport:
     ``eigenvalues`` is the observed panel's clamped spectrum and
     ``eigenfunctions`` its ``d_hat`` leading eigenfunctions, both from the
     one ``decompose`` call the report is built on.
+
+    ``threshold_d`` counts the eigenvalues at or above ``epsilon_used``.
+    The default cutoff (``default_epsilon``) was calibrated at d = 2: at
+    n = 600 it recovers d = 2, 4 and 6 in 98, 47 and 5 of 100 panels,
+    against 27, 28 and 27 of 30 for the bootstrap ``d_hat``. Past d = 2,
+    ``d_hat`` is the estimate to trust.
     """
 
     d_hat: int

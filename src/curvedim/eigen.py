@@ -30,12 +30,10 @@ operator in those coordinates, where the weights are one. Its spectrum
 agrees with the grid's to roundoff (about 1e-15 of the leading
 eigenvalue).
 
-The (n-p) x (n-p) dual matrix ``K* = (n-p)^-2 (sum_k G_k) G_0`` built from
-lagged Gram matrices of centered curves is the exact dual of that problem
-(same quadrature, same nonzero spectrum), and its eigenvectors weight the
-centered curves into eigenfunctions. ``dual_matrix``, ``eigen_dual``,
-``eigenfunctions_from_dual`` and ``gram_schmidt`` compute it as the
-reference the duality tests compare against.
+This is the package's only eigen route. The paper's (n-p) x (n-p) dual
+matrix, built from lagged Gram matrices of the centered curves, has the
+same nonzero spectrum; it lives in the test suite's ``tests/reference.py``,
+which acceptance criterion 1 checks this module against.
 """
 
 from __future__ import annotations
@@ -44,16 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundsError,
-    GridMismatchError,
-    NumericalFailureError,
-    ParseError,
-    ValidationError,
-)
+from .errors import GridMismatchError, NumericalFailureError, ParseError
 from .grids import (
     CurvePanel,
-    Grid,
     centered_values,
     check_lag_budget,
     read_float_rows,
@@ -65,117 +56,6 @@ from .grids import (
 # Eigenvalues this far below the leading one are numerical noise and are
 # clamped to zero in reports.
 EIGENVALUE_CLAMP = 1e-12
-
-_DROP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DualMatrix:
-    """The (n-p) x (n-p) matrix sharing the operator's nonzero spectrum.
-
-    ``values`` is K* = (n-p)^-2 S G_0 and ``lag_sum`` is S = sum_{k=1..p} G_k.
-    """
-
-    values: np.ndarray
-    lag_sum: np.ndarray
-    p: int
-    n: int
-
-
-def dual_matrix(panel: CurvePanel, p: int) -> DualMatrix:
-    """Build K* = (n-p)^-2 (sum_{k=1..p} G_k) G_0 from lagged Gram matrices.
-
-    G_k[t, s] is the quadrature inner product of the centered curves t+k
-    and s+k, so each G_k is a diagonal block of the one n x n Gram matrix
-    of the centered curves.
-    """
-    check_lag_budget(panel, p)
-    c = centered_values(panel)
-    g = (c * panel.grid.weights) @ c.T
-    g = (g + g.T) / 2.0
-    n_eff = panel.n - p
-    s = sum(g[k : k + n_eff, k : k + n_eff] for k in range(1, p + 1))
-    g0 = g[:n_eff, :n_eff]
-    return DualMatrix(values=(s @ g0) / n_eff**2, lag_sum=s, p=p, n=panel.n)
-
-
-def eigen_dual(dm: DualMatrix, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of the dual matrix, descending, with eigenvectors.
-
-    ``g0`` must be the lag-0 Gram matrix of the panel the dual matrix was
-    built from. With H the PSD square root of G0 and S the lag sum,
-    K* = (n-p)^-2 (S H) H has the nonzero spectrum of the symmetric PSD
-    matrix (n-p)^-2 H S H, whether or not G0 is singular, and an
-    eigenvector v of the latter maps to the eigenvector S H v of K*. The
-    eigenvalues are clamped like every reported spectrum; the vectors of
-    clamped eigenvalues are zero and the others have unit length.
-    """
-    s = dm.lag_sum
-    g0 = np.asarray(g0, dtype=np.float64)
-    if g0.shape != s.shape:
-        raise ValidationError("lag-0 Gram matrix does not match the dual matrix size")
-    try:
-        s0, u0 = np.linalg.eigh((g0 + g0.T) / 2.0)
-        h = (u0 * np.sqrt(np.clip(s0, 0.0, None))) @ u0.T
-        sym = h @ s @ h / (dm.n - dm.p) ** 2
-        lam, v = np.linalg.eigh((sym + sym.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"dual eigensolver failed: {exc}") from exc
-    lam = _clamp(lam[::-1])
-    vec = s @ h @ v[:, ::-1]
-    vec[:, lam == 0.0] = 0.0
-    norms = np.linalg.norm(vec, axis=0)
-    norms[norms == 0] = 1.0
-    return lam, vec / norms
-
-
-def eigenfunctions_from_dual(
-    panel: CurvePanel, dual_vectors: np.ndarray, count: int
-) -> np.ndarray:
-    """Raw (not yet orthonormal) eigenfunction curves.
-
-    Column j of ``dual_vectors`` weights the centered curves t = 1..n-p:
-    the j-th eigenfunction is sum_t gamma_tj (Y_t - Ybar).
-    """
-    if count > dual_vectors.shape[1]:
-        raise BoundsError(
-            f"requested {count} eigenfunctions, only {dual_vectors.shape[1]} vectors"
-        )
-    n_eff = dual_vectors.shape[0]
-    c = centered_values(panel)[:n_eff]
-    return dual_vectors[:, :count].T @ c
-
-
-def gram_schmidt(
-    grid: Grid, curves: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Orthonormalize curves under the quadrature inner product.
-
-    Modified Gram-Schmidt in the given order. A curve whose post-projection
-    norm falls below 1e-10 of its original norm is numerically in the span
-    of its predecessors; it is dropped and its index reported.
-
-    Returns (orthonormal curves, dropped input indices).
-    """
-    curves = np.asarray(curves, dtype=np.float64)
-    if curves.ndim != 2 or curves.shape[0] == 0:
-        raise ValidationError("gram_schmidt needs a nonempty 2-d array of curves")
-    if curves.shape[1] != len(grid):
-        raise GridMismatchError("curves do not match the grid")
-    w = grid.weights
-    kept: list[np.ndarray] = []
-    dropped: list[int] = []
-    for idx in range(curves.shape[0]):
-        f = curves[idx].copy()
-        orig = np.sqrt(max(float(np.sum(w * f * f)), 0.0))
-        for q in kept:
-            f -= float(np.sum(w * q * f)) * q
-        norm = np.sqrt(max(float(np.sum(w * f * f)), 0.0))
-        if norm < _DROP_TOL * orig or norm == 0.0:
-            dropped.append(idx)
-            continue
-        kept.append(f / norm)
-    return np.array(kept), dropped
 
 
 def _fix_signs(curves: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Grid-based curve panels and lag autocovariance estimation.
+"""Grid-based curve panels, their centering and lag budget, and file I/O.
 
 Curves are represented by their values on a shared strictly increasing
 grid over a compact interval. Integrals are approximated by the trapezoid
@@ -6,6 +6,11 @@ rule on that grid (second-order accurate, exact for the piecewise-linear
 interpolant, and valid for non-uniform spacing). Smoothing raw discrete
 observations into curves is the caller's job; this module accepts curves
 already evaluated on a common grid.
+
+The lag autocovariances are estimated inside ``eigen._reduced_operator``.
+Their kernel-by-kernel form and the lagged Gram matrices of the dual
+problem are the duality reference in the test suite's
+``tests/reference.py``, which acceptance criterion 1 checks.
 """
 
 from __future__ import annotations
@@ -72,22 +77,6 @@ class Grid:
         return Grid(np.linspace(a, b, m))
 
 
-def _check_curve(grid: Grid, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1 or f.size != len(grid):
-        raise GridMismatchError(
-            f"curve has {f.size} values but grid has {len(grid)} points"
-        )
-    return f
-
-
-def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """Trapezoid approximation of the L2 inner product of two curves."""
-    f = _check_curve(grid, f)
-    g = _check_curve(grid, g)
-    return float(np.sum(grid.weights * f * g))
-
-
 @dataclass(frozen=True)
 class CurvePanel:
     """``n`` observed curves sharing one grid; row ``t`` is curve ``t``."""
@@ -114,22 +103,6 @@ class CurvePanel:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class LagCovKernel:
-    """Discretized lag-k autocovariance kernel on grid x grid."""
-
-    grid: Grid
-    lag: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        m = len(self.grid)
-        if v.shape != (m, m) or not np.all(np.isfinite(v)):
-            raise ValidationError("kernel must be a finite m x m matrix")
-        object.__setattr__(self, "values", _as_readonly(v))
-
-
 def mean_curve(panel: CurvePanel) -> np.ndarray:
     """Pointwise average over all n curves of the panel."""
     return panel.values.mean(axis=0)
@@ -148,43 +121,6 @@ def check_lag_budget(panel: CurvePanel, p: int) -> None:
         raise InsufficientSampleError(
             f"lag budget p={p} requires more than p curves, panel has n={panel.n}"
         )
-
-
-def _check_lags(panel: CurvePanel, k: int, p: int) -> None:
-    if not 0 <= k <= p:
-        raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
-    check_lag_budget(panel, p)
-
-
-def lag_cov_kernel(panel: CurvePanel, k: int, p: int) -> LagCovKernel:
-    """Sample lag-k autocovariance kernel.
-
-    Centering subtracts the mean over all n curves, while the cross-product
-    sum runs over t = 1..n-p with divisor n-p for every k. Truncating at
-    n-p (not n-k) keeps the lag-0 and lag-k blocks the same size, which is
-    what makes the finite dual eigenproblem well defined.
-    """
-    _check_lags(panel, k, p)
-    c = centered_values(panel)
-    n_eff = panel.n - p
-    v = c[:n_eff].T @ c[k : k + n_eff] / n_eff
-    if k == 0:
-        v = (v + v.T) / 2.0  # enforce exact symmetry
-    return LagCovKernel(grid=panel.grid, lag=k, values=v)
-
-
-def gram_matrix(panel: CurvePanel, k: int, p: int) -> np.ndarray:
-    """(n-p) x (n-p) matrix of centered inner products at lag k.
-
-    Entry (t, s) is the quadrature inner product of the centered curves
-    t+k and s+k. Symmetric positive semidefinite by construction.
-    """
-    _check_lags(panel, k, p)
-    c = centered_values(panel)
-    n_eff = panel.n - p
-    block = c[k : k + n_eff]
-    g = (block * panel.grid.weights) @ block.T
-    return (g + g.T) / 2.0
 
 
 def write_json(path, payload) -> None:

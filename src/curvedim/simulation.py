@@ -89,6 +89,8 @@ class FactorModelSpec:
             raise ValidationError("d must be >= 1")
         if self.n < 2:
             raise ValidationError("n must be >= 2")
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         coeffs = self.ar_coefficients
         if coeffs is None:
             coeffs = default_ar_coefficients(self.d)
@@ -319,23 +321,6 @@ def rate_study(spec: RateStudySpec) -> RateStudyResult:
     return RateStudyResult(
         theta_ref=theta_ref, theta_ref_analytic=gamma1**2, records=records
     )
-
-
-def rate_regression_slopes(result: RateStudyResult) -> tuple[float, float]:
-    """Log-log slopes of the mean errors against sample size.
-
-    Returns (slope of mean |theta1 - theta_ref|, slope of mean theta2).
-    """
-    ns = np.array(sorted({r["n"] for r in result.records}), dtype=float)
-    err1 = []
-    err2 = []
-    for n in ns:
-        sel = [r for r in result.records if r["n"] == n]
-        err1.append(np.mean([abs(r["theta1"] - result.theta_ref) for r in sel]))
-        err2.append(np.mean([r["theta2"] for r in sel]))
-    slope1 = np.polyfit(np.log(ns), np.log(np.array(err1)), 1)[0]
-    slope2 = np.polyfit(np.log(ns), np.log(np.array(err2)), 1)[0]
-    return float(slope1), float(slope2)
 
 
 # CSV and manifest emission (plot-ready tidy data).

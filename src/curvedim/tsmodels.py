@@ -154,19 +154,6 @@ def var_residuals(series: np.ndarray, fit: VarFit) -> np.ndarray:
     return resid
 
 
-def companion_spectral_radius(fit: VarFit) -> float:
-    """Spectral radius of the companion matrix; < 1 means a stable VAR."""
-    if fit.order == 0:
-        return 0.0
-    d = fit.coefficient_matrices[0].shape[0]
-    tau = fit.order
-    comp = np.zeros((tau * d, tau * d))
-    comp[:d] = np.hstack(fit.coefficient_matrices)
-    if tau > 1:
-        comp[d:, : (tau - 1) * d] = np.eye((tau - 1) * d)
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
-
-
 @dataclass(frozen=True)
 class PortmanteauResult:
     statistic: float

@@ -19,26 +19,29 @@ from curvedim.dimension import (
     subspace_distance_general,
     threshold_estimate,
 )
-from curvedim.eigen import (
-    dual_matrix,
-    eigen_dual,
-    eigenfunctions_from_dual,
-    gram_schmidt,
-    operator_eigenvalues,
-)
-from curvedim.grids import CurvePanel, Grid, gram_matrix, inner_product, lag_cov_kernel, read_panel_csv
+from curvedim.eigen import operator_eigenvalues
+from curvedim.grids import CurvePanel, Grid, read_panel_csv
 from curvedim.simulation import (
     FactorModelSpec,
     RateStudySpec,
     bootstrap_power_study,
     eigen_gap_study,
     generate_panel,
-    rate_regression_slopes,
     rate_study,
     subspace_error_study,
     _child_seed,
 )
 from curvedim.tsmodels import ljung_box, ljung_box_from_autocorrelations, multivariate_portmanteau
+from reference import (
+    discretized_operator,
+    dual_matrix,
+    eigen_dual,
+    eigenfunctions_from_dual,
+    gram_matrix,
+    gram_schmidt,
+    inner_product,
+    rate_regression_slopes,
+)
 
 # Pre-registered eigenvalue-gap threshold: derivation runs of the d=2/4/6
 # benchmark at n=300 put the mean gap ratio at 7.9 / 5.4 / 3.9, so 3.0
@@ -52,18 +55,6 @@ def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> 
     print(f"[{status}] {name}: {detail} ({elapsed:.1f}s / budget {budget:.0f}s)")
     assert ok, f"{name}: {detail}"
     assert within, f"{name}: runtime {elapsed:.1f}s exceeded budget {budget:.0f}s"
-
-
-def discretized_operator(panel: CurvePanel, p: int) -> np.ndarray:
-    """Quadrature discretization of the operator kernel, built from the
-    lag covariance kernels directly (independent of the eigen module)."""
-    w = panel.grid.weights
-    m = len(panel.grid)
-    acc = np.zeros((m, m))
-    for k in range(1, p + 1):
-        mk = lag_cov_kernel(panel, k, p).values
-        acc += (mk * w) @ mk.T
-    return acc
 
 
 def test_criterion_01_duality_oracle():

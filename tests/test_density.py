@@ -15,7 +15,6 @@ from curvedim.density import (
     synthetic_tick_days,
     write_tick_manifest,
 )
-from curvedim.eigen import dual_matrix
 from curvedim.errors import (
     DayProcessingError,
     DegenerateSeriesError,
@@ -24,6 +23,7 @@ from curvedim.errors import (
     ValidationError,
 )
 from curvedim.grids import Grid, write_panel_csv
+from reference import dual_matrix
 
 
 def minutes(h, m):

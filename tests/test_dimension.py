@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedim import eigen
+from curvedim.density import synthetic_tick_days
 from curvedim.dimension import (
     BootstrapConfig,
     _fit,
@@ -18,10 +19,11 @@ from curvedim.dimension import (
     threshold_estimate,
     write_dimension_report_json,
 )
-from curvedim.eigen import EigenDecomposition, decompose, gram_schmidt, operator_eigenvalues
+from curvedim.eigen import EigenDecomposition, decompose, operator_eigenvalues
 from curvedim.errors import BoundsError, GridMismatchError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import FactorModelSpec, generate_panel
+from reference import gram_schmidt
 
 
 def uniform_grid(m=101):
@@ -177,6 +179,14 @@ class TestBootstrapTest:
             BootstrapConfig(alpha=1.5)
         with pytest.raises(ValidationError):
             BootstrapConfig(seed=-1)
+
+    def test_factor_model_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            generate_panel(FactorModelSpec(d=1, n=10, seed=-1))
+
+    def test_synthetic_tick_days_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            synthetic_tick_days(3, seed=-1, ticks_per_day=50)
 
 
 class TestBootstrapFit:

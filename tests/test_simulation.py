@@ -17,13 +17,13 @@ from curvedim.simulation import (
     factor_curves,
     generate_panel,
     noise_curves,
-    rate_regression_slopes,
     rate_study,
     reference_rate_eigenvalue,
     subspace_error_study,
     write_eigen_gap_csv,
     write_rate_study_csv,
 )
+from reference import rate_regression_slopes
 
 
 class TestFactorModelSpec:

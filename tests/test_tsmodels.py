@@ -13,7 +13,6 @@ from curvedim.tsmodels import (
     VarFit,
     aic_select,
     ar1_simulate,
-    companion_spectral_radius,
     fit_var_with_aic,
     ljung_box,
     ljung_box_from_autocorrelations,
@@ -22,6 +21,7 @@ from curvedim.tsmodels import (
     var_residuals,
     write_var_fit_json,
 )
+from reference import companion_spectral_radius
 
 
 def simulate_var(mats, t_len, rng, burn=500):
