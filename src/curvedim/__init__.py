@@ -34,7 +34,6 @@ from .grids import (
 from .tsmodels import (
     PortmanteauResult,
     VarFit,
-    aic_select,
     ar1_simulate,
     fit_var_with_aic,
     ljung_box,
@@ -53,7 +52,6 @@ __all__ = [
     "Grid",
     "PortmanteauResult",
     "VarFit",
-    "aic_select",
     "ar1_simulate",
     "bootstrap_test",
     "decompose",

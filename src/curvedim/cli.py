@@ -37,7 +37,6 @@ from .grids import read_panel_csv, write_json, write_panel_csv
 from .simulation import (
     RATE_AR_COEFFICIENT,
     RATE_LAG_BUDGET,
-    RateStudySpec,
     bootstrap_power_study,
     eigen_gap_study,
     rate_study,
@@ -96,40 +95,14 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _epsilon_override(text: str) -> float | None:
-    if text == "default":
-        return None
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ValidationError(
-            f"--epsilon-rule must be 'default' or a positive number, got {text!r}"
-        ) from exc
-    if not (np.isfinite(value) and value > 0):
-        raise ValidationError("--epsilon-rule value must be positive and finite")
-    return value
-
-
 def _select(panel, args):
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
-    return select_dimension(
-        panel,
-        p=args.p,
-        cfg=cfg,
-        d_max=args.d_max,
-        epsilon=_epsilon_override(args.epsilon_rule),
-    )
+    return select_dimension(panel, p=args.p, cfg=cfg, d_max=args.d_max)
 
 
 def _identify_config(args) -> dict:
     """The manifest record of the flags ``_select`` reads."""
-    return {
-        "p": args.p,
-        "B": args.B,
-        "alpha": args.alpha,
-        "d_max": args.d_max,
-        "epsilon_rule": args.epsilon_rule,
-    }
+    return {"p": args.p, "B": args.B, "alpha": args.alpha, "d_max": args.d_max}
 
 
 def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
@@ -236,16 +209,12 @@ def cmd_simulate(args) -> int:
         write, name = write_subspace_error_csv, "figure3_dtilde.csv"
         config.update({"d_values": d_values, "n_values": n_values})
     elif study == "rate":
-        spec = RateStudySpec(
-            sample_sizes=tuple(_parse_int_list(args.sample_sizes)),
-            replications=args.replications,
-            seed=args.seed,
-        )
-        res = rate_study(spec)
+        sample_sizes = _parse_int_list(args.sample_sizes)
+        res = rate_study(sample_sizes, args.replications, seed=args.seed)
         write, name = write_rate_study_csv, "rate_study.csv"
         config.update(
             {
-                "sample_sizes": list(spec.sample_sizes),
+                "sample_sizes": sample_sizes,
                 "p": RATE_LAG_BUDGET,
                 "ar_coefficient": RATE_AR_COEFFICIENT,
                 "reference_eigenvalue": res.theta_ref,
@@ -337,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_identify_flags(p):
         add_test_flags(p)
         p.add_argument("--d-max", type=int, default=10, help="largest rank to test")
-        p.add_argument(
-            "--epsilon-rule",
-            default="default",
-            help="'default' for the scale-relative cutoff or an explicit value",
-        )
 
     p_id = sub.add_parser("identify", help="dimension report for a panel CSV")
     p_id.add_argument("--panel", required=True)

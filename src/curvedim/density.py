@@ -222,9 +222,9 @@ def write_tick_csv(day: TickDay, path) -> None:
 
 def read_tick_csv(path, day_id: str) -> TickDay:
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if "epoch_seconds" not in header:
-            raise ParseError(f"{path}: expected header with epoch_seconds,price")
+        header = [field.strip() for field in fh.readline().split(",")]
+        if header != ["epoch_seconds", "price"]:
+            raise ParseError(f"{path}: expected header epoch_seconds,price")
         rows = read_float_rows(fh, path, first_line=2, columns=2)
     times, prices = rows.T.copy()
     try:

@@ -190,16 +190,16 @@ def select_dimension(
     p: int = 5,
     cfg: BootstrapConfig | None = None,
     d_max: int = 10,
-    epsilon: float | None = None,
 ) -> DimensionReport:
     """Scan hypotheses on eigenvalues 1..d_max and apply the threshold rule.
 
     P-values are reported for each hypothesized rank; the selected
     dimension is the smallest d0 whose hypothesis "eigenvalue d0+1 is
     zero" is not rejected at level alpha (d_max when every hypothesis is
-    rejected). The threshold rule runs alongside with the default
-    scale-relative cutoff unless an explicit epsilon is given; it counts
-    the clamped eigenvalues the report holds.
+    rejected). The threshold rule runs alongside at the scale-relative
+    cutoff ``default_epsilon``; it counts the clamped eigenvalues the
+    report holds. For another cutoff eps, call
+    ``threshold_estimate(report.eigenvalues, eps)``.
     """
     cfg = cfg or BootstrapConfig()
     if d_max < 0:
@@ -209,12 +209,8 @@ def select_dimension(
     lam = dec.eigenvalues
     pvalues = bootstrap_test(panel, dec, range(d_max), p, cfg)
     d_hat = next((d0 for d0, pv in enumerate(pvalues) if pv > cfg.alpha), d_max)
-    if epsilon is None:
-        eps = default_epsilon(lam, panel.n)
-        threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0
-    else:
-        eps = float(epsilon)
-        threshold_d = threshold_estimate(lam, eps)
+    eps = default_epsilon(lam, panel.n)
+    threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0
     return DimensionReport(
         d_hat=d_hat,
         pvalues={d0 + 1: pv for d0, pv in enumerate(pvalues)},

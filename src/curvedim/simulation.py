@@ -253,19 +253,6 @@ def subspace_error_study(
     return SubspaceErrorResult(records=records)
 
 
-@dataclass(frozen=True)
-class RateStudySpec:
-    """Single-factor model (``RATE_AR_COEFFICIENT``) used to contrast
-    eigenvalue convergence rates at lag budget ``RATE_LAG_BUDGET``."""
-
-    sample_sizes: tuple[int, ...] = (100, 200, 400, 800, 1600)
-    replications: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_study(self.replications, self.seed)
-
-
 def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:
     """Quadrature oracle for the single nonzero population eigenvalue.
 
@@ -295,19 +282,28 @@ class RateStudyResult:
     records: list[dict]  # n, replication, theta1, theta2
 
 
-def rate_study(spec: RateStudySpec) -> RateStudyResult:
+def rate_study(sample_sizes, replications: int, seed: int = 0) -> RateStudyResult:
+    """Contrast eigenvalue convergence rates on the single-factor model.
+
+    Each replication draws an n-curve panel with one AR(1) factor
+    (coefficient ``RATE_AR_COEFFICIENT``) and records the two leading
+    eigenvalues of its operator at lag budget ``RATE_LAG_BUDGET``:
+    theta1 estimates the nonzero eigenvalue ``theta_ref``, and theta2 an
+    eigenvalue that is zero.
+    """
+    _check_study(replications, seed)
     grid = default_grid()
     theta_ref = reference_rate_eigenvalue(grid, RATE_AR_COEFFICIENT)
     gamma1 = RATE_AR_COEFFICIENT / (1.0 - RATE_AR_COEFFICIENT**2)
     records: list[dict] = []
-    for ni, n in enumerate(spec.sample_sizes):
-        for rep in range(spec.replications):
+    for ni, n in enumerate(sample_sizes):
+        for rep in range(replications):
             model = FactorModelSpec(
                 d=1,
                 n=n,
                 grid=grid,
                 ar_coefficients=(RATE_AR_COEFFICIENT,),
-                seed=_child_seed(spec.seed, ni, rep),
+                seed=_child_seed(seed, ni, rep),
             )
             lam = operator_eigenvalues(generate_panel(model), RATE_LAG_BUDGET)
             records.append(

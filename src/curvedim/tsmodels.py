@@ -112,17 +112,19 @@ def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
     return VarFit(order=order, coefficient_matrices=mats, innovation_covariance=sigma)
 
 
-def aic_select(series: np.ndarray, max_order: int) -> tuple[int, dict[int, float]]:
-    """Pick the VAR order minimizing T log det(innovation cov) + 2 tau d^2.
+def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
+    """The Yule-Walker VAR fit of lowest AIC among orders 0..max_order.
 
-    Returns the argmin and the order -> AIC table centered at its minimum
-    (the minimum maps to 0.0).
+    Each order tau is fitted once with ``var_fit_yule_walker`` and scored
+    T log det(innovation cov) + 2 tau d^2; the fit of the lowest score is
+    returned as it is, with ``aic_table`` holding every order's score
+    centered at that minimum (the minimum maps to 0.0).
     """
     x = _as_columns(series)
     if max_order < 0:
         raise ValidationError("max_order must be >= 0")
     t_len, d = x.shape
-    raw: dict[int, float] = {}
+    fits, raw = [], {}
     for tau in range(max_order + 1):
         fit = var_fit_yule_walker(x, tau)
         sign, logdet = np.linalg.slogdet(fit.innovation_covariance)
@@ -130,16 +132,10 @@ def aic_select(series: np.ndarray, max_order: int) -> tuple[int, dict[int, float
             raise ConditioningError(
                 f"innovation covariance at order {tau} is not positive definite"
             )
+        fits.append(fit)
         raw[tau] = t_len * logdet + 2.0 * tau * d * d
     best = min(raw, key=raw.get)
-    table = {tau: raw[tau] - raw[best] for tau in raw}
-    return best, table
-
-
-def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
-    """AIC order selection followed by the Yule-Walker fit at that order."""
-    best, table = aic_select(series, max_order)
-    return replace(var_fit_yule_walker(series, best), aic_table=table)
+    return replace(fits[best], aic_table={tau: raw[tau] - raw[best] for tau in raw})
 
 
 def var_residuals(series: np.ndarray, fit: VarFit) -> np.ndarray:
@@ -157,7 +153,6 @@ def var_residuals(series: np.ndarray, fit: VarFit) -> np.ndarray:
 @dataclass(frozen=True)
 class PortmanteauResult:
     statistic: float
-    lags: int
     dof: int
     pvalue: float
 
@@ -183,9 +178,7 @@ def ljung_box_from_autocorrelations(acfs: np.ndarray, n: int) -> PortmanteauResu
     q = r.size
     ks = np.arange(1, q + 1)
     stat = float(n * (n + 2) * np.sum(r**2 / (n - ks)))
-    return PortmanteauResult(
-        statistic=stat, lags=q, dof=q, pvalue=float(chi2.sf(stat, q))
-    )
+    return PortmanteauResult(statistic=stat, dof=q, pvalue=float(chi2.sf(stat, q)))
 
 
 def ljung_box(series: np.ndarray, q: int) -> PortmanteauResult:
@@ -201,10 +194,11 @@ def multivariate_portmanteau(
     """Multivariate portmanteau test on a d-dimensional series.
 
     Q = T(T+2) sum_{k=1..q} tr(C_k' C_0^{-1} C_k C_0^{-1}) / (T-k) with
-    mean-removed divisor-T autocovariances C_k, so it reduces exactly to
-    the scalar test at d = 1. Degrees of freedom are d^2 q; when applied
-    to residuals of a fitted VAR(tau), pass ``fitted_order`` and the dof
-    become d^2 (q - tau), clamped at 1.
+    C_k the divisor-T autocovariances (``_autocovariances``) of the
+    mean-removed series, so it reduces exactly to the scalar test at
+    d = 1. Degrees of freedom are d^2 q; when applied to residuals of a
+    fitted VAR(tau), pass ``fitted_order`` and the dof become
+    d^2 (q - tau), clamped at 1.
     """
     x = _as_columns(series)
     t_len, d = x.shape
@@ -212,9 +206,7 @@ def multivariate_portmanteau(
         raise ValidationError("q must be >= 1")
     if t_len <= q:
         raise ValidationError(f"series length {t_len} must exceed q={q}")
-    c = x - x.mean(axis=0)
-    c0 = c.T @ c / t_len
-    c0 = (c0 + c0.T) / 2.0
+    c0, *lagged = _autocovariances(x - x.mean(axis=0), q)
     try:
         c0_inv = np.linalg.inv(c0)
     except np.linalg.LinAlgError as exc:
@@ -222,14 +214,11 @@ def multivariate_portmanteau(
     if np.linalg.cond(c0) > 1e12:
         raise ConditioningError("lag-0 covariance too ill-conditioned")
     total = 0.0
-    for k in range(1, q + 1):
-        ck = c[k:].T @ c[: t_len - k] / t_len
+    for k, ck in enumerate(lagged, start=1):
         total += float(np.trace(ck.T @ c0_inv @ ck @ c0_inv)) / (t_len - k)
     stat = t_len * (t_len + 2) * total
     dof = max(d * d * (q - fitted_order), 1) if fitted_order > 0 else d * d * q
-    return PortmanteauResult(
-        statistic=stat, lags=q, dof=dof, pvalue=float(chi2.sf(stat, dof))
-    )
+    return PortmanteauResult(statistic=stat, dof=dof, pvalue=float(chi2.sf(stat, dof)))
 
 
 def write_var_fit_json(fit: VarFit, path) -> None:

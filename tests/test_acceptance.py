@@ -23,7 +23,6 @@ from curvedim.eigen import operator_eigenvalues
 from curvedim.grids import CurvePanel, Grid, read_panel_csv
 from curvedim.simulation import (
     FactorModelSpec,
-    RateStudySpec,
     bootstrap_power_study,
     eigen_gap_study,
     generate_panel,
@@ -164,10 +163,7 @@ def test_criterion_02_metric_axioms():
 
 def test_criterion_03_convergence_rates():
     start = time.time()
-    spec = RateStudySpec(
-        sample_sizes=(100, 200, 400, 800, 1600), replications=500, seed=303
-    )
-    res = rate_study(spec)
+    res = rate_study((100, 200, 400, 800, 1600), 500, seed=303)
     slope_nonzero, slope_zero = rate_regression_slopes(res)
     # theta_ref comes from the quadrature oracle inside rate_study, never a constant
     ok = (-0.65 <= slope_nonzero <= -0.35) and (-1.2 <= slope_zero <= -0.8)

@@ -140,39 +140,6 @@ class TestIdentify:
         assert rc == 1
         assert read_error(capsys)["kind"] == "insufficient-sample"
 
-    def test_explicit_epsilon_rule(self, two_factor_panel_csv, tmp_path):
-        out = tmp_path / "eps"
-        rc = main(
-            [
-                "identify",
-                "--panel", str(two_factor_panel_csv),
-                "--d-max", "1",
-                "--B", "20",
-                "--epsilon-rule", "0.25",
-                "--output-dir", str(out),
-            ]
-        )
-        assert rc == 0
-        report = json.loads((out / "dimension_report.json").read_text())
-        assert report["epsilon"] == 0.25
-
-    def test_bad_epsilon_rule_exits_one_with_validation_kind(
-        self, two_factor_panel_csv, tmp_path, capsys
-    ):
-        for value in ("0", "-1", "nan", "inf"):
-            out = tmp_path / value
-            rc = main(
-                [
-                    "identify",
-                    "--panel", str(two_factor_panel_csv),
-                    "--epsilon-rule", value,
-                    "--output-dir", str(out),
-                ]
-            )
-            assert rc == 1
-            assert read_error(capsys)["kind"] == "validation"
-            assert not out.exists()
-
 
 class TestTestDim:
     def test_writes_pvalue_json(self, two_factor_panel_csv, tmp_path, capsys, eigensolves):
@@ -426,9 +393,8 @@ class TestDensityCommand:
             configs.append(json.loads((out / "manifest.json").read_text())["config"])
         assert [c["B"] for c in configs] == [20, 30]
         assert configs[0] | {"B": 30} == configs[1]
-        assert {k: configs[0][k] for k in
-                ("p", "alpha", "d_max", "epsilon_rule", "max_order")} == {
-            "p": 5, "alpha": 0.05, "d_max": 2, "epsilon_rule": "default", "max_order": 10}
+        assert {k: configs[0][k] for k in ("p", "alpha", "d_max", "max_order")} == {
+            "p": 5, "alpha": 0.05, "d_max": 2, "max_order": 10}
 
     def test_missing_opening_names_day_and_exits_one(self, tmp_path, capsys):
         days = synthetic_tick_days(5, seed=8, ticks_per_day=100)
@@ -447,6 +413,29 @@ class TestDensityCommand:
         err = read_error(capsys)
         assert err["kind"] == "missing-opening"
         assert "day003" in err["message"]
+
+    def test_swapped_tick_columns_exit_one_with_parse_kind(self, tmp_path, capsys):
+        from curvedim.density import TickDay
+
+        # Rising prices keep the swapped file's "timestamps" in order, so
+        # only the header can tell the columns apart.
+        days = synthetic_tick_days(5, seed=8, ticks_per_day=100)
+        times = days[2].times
+        days[2] = TickDay("day003", times, np.linspace(100.0, 101.0, times.size))
+        manifest = write_tick_manifest(days, tmp_path / "ticks")
+        day = manifest.parent / "day003.csv"
+        header, *rows = day.read_text().splitlines()
+        swapped = [",".join(reversed(line.split(","))) for line in [header, *rows]]
+        day.write_text("\n".join(swapped) + "\n")
+        for flags in ([], ["--skip-bad-days"]):
+            out = tmp_path / f"o{len(flags)}"
+            rc = main(["density", "--manifest", str(manifest), *flags,
+                       "--output-dir", str(out)])
+            assert rc == 1
+            err = read_error(capsys)
+            assert err["kind"] == "parse"
+            assert "day003.csv" in err["message"]
+            assert not out.exists()
 
     def test_skip_bad_days_continues(self, tmp_path):
         days = synthetic_tick_days(5, seed=8, ticks_per_day=100)

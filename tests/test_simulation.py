@@ -9,7 +9,6 @@ from curvedim.grids import Grid
 from curvedim.simulation import (
     RATE_AR_COEFFICIENT,
     FactorModelSpec,
-    RateStudySpec,
     bootstrap_power_study,
     default_ar_coefficients,
     default_grid,
@@ -184,21 +183,18 @@ class TestRateStudy:
         assert abs(fine - gamma1**2) < abs(ref - gamma1**2) + 1e-12
 
     def test_records_and_reference_wiring(self):
-        spec = RateStudySpec(sample_sizes=(100, 200), replications=5, seed=2)
-        res = rate_study(spec)
+        res = rate_study((100, 200), 5, seed=2)
         assert len(res.records) == 10
         assert res.theta_ref == reference_rate_eigenvalue(default_grid(), RATE_AR_COEFFICIENT)
         assert res.theta_ref_analytic == pytest.approx(4.0 / 9.0)
 
     def test_zero_eigenvalue_shrinks_faster(self):
-        spec = RateStudySpec(sample_sizes=(100, 400, 1600), replications=30, seed=5)
-        res = rate_study(spec)
+        res = rate_study((100, 400, 1600), 30, seed=5)
         slope_err1, slope_theta2 = rate_regression_slopes(res)
         assert slope_theta2 < slope_err1 < 0
 
     def test_csv_has_row_per_replication(self, tmp_path):
-        spec = RateStudySpec(sample_sizes=(100,), replications=4, seed=3)
-        res = rate_study(spec)
+        res = rate_study((100,), 4, seed=3)
         path = tmp_path / "rate.csv"
         write_rate_study_csv(res, path)
         lines = path.read_text().splitlines()
@@ -206,6 +202,6 @@ class TestRateStudy:
         assert len(lines) == 5
 
     def test_first_replications_match_a_shorter_run(self):
-        full = rate_study(RateStudySpec(sample_sizes=(100, 200), replications=5, seed=8))
-        short = rate_study(RateStudySpec(sample_sizes=(100, 200), replications=3, seed=8))
+        full = rate_study((100, 200), 5, seed=8)
+        short = rate_study((100, 200), 3, seed=8)
         assert [r for r in full.records if r["replication"] < 3] == short.records

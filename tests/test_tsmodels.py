@@ -11,7 +11,6 @@ from curvedim.errors import (
 )
 from curvedim.tsmodels import (
     VarFit,
-    aic_select,
     ar1_simulate,
     fit_var_with_aic,
     ljung_box,
@@ -115,7 +114,7 @@ class TestAicSelect:
         for s in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(8, s)))
             x = simulate_var([self.A1, self.A2, self.A3], 5000, rng)
-            best, _ = aic_select(x, 5)
+            best = fit_var_with_aic(x, 5).order
             hits += best == 3
         assert hits >= 0.8 * runs
 
@@ -124,14 +123,15 @@ class TestAicSelect:
         runs = 50
         for s in range(runs):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(7, s)))
-            best, _ = aic_select(rng.standard_normal((2000, 2)), 5)
+            best = fit_var_with_aic(rng.standard_normal((2000, 2)), 5).order
             hits += best == 0
         assert hits >= 0.8 * runs
 
     def test_centered_table_has_single_zero(self):
         rng = np.random.default_rng(14)
         x = simulate_var([self.A1], 3000, rng)
-        best, table = aic_select(x, 4)
+        fit = fit_var_with_aic(x, 4)
+        best, table = fit.order, fit.aic_table
         zeros = [tau for tau, v in table.items() if v == 0.0]
         assert zeros == [best]
         assert all(v >= 0.0 for v in table.values())
@@ -139,8 +139,8 @@ class TestAicSelect:
     def test_invariant_under_component_relabeling(self):
         rng = np.random.default_rng(15)
         x = simulate_var([self.A1, self.A2, self.A3], 4000, rng)
-        best_a, _ = aic_select(x, 5)
-        best_b, _ = aic_select(x[:, ::-1], 5)
+        best_a = fit_var_with_aic(x, 5).order
+        best_b = fit_var_with_aic(x[:, ::-1], 5).order
         assert best_a == best_b
 
 
@@ -240,6 +240,12 @@ class TestVarHelpers:
         fit = fit_var_with_aic(x, 4)
         assert set(fit.aic_table) == {0, 1, 2, 3, 4}
         assert fit.aic_table[fit.order] == 0.0
+        # The AIC winner is returned as fitted: the Yule-Walker fit of its order.
+        yw = var_fit_yule_walker(x, fit.order)
+        assert len(fit.coefficient_matrices) == len(yw.coefficient_matrices)
+        for a, b in zip(fit.coefficient_matrices, yw.coefficient_matrices):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fit.innovation_covariance, yw.innovation_covariance)
 
     def test_var_fit_export(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -260,4 +266,4 @@ class TestVarHelpers:
         with pytest.raises(ValidationError):
             var_fit_yule_walker(np.zeros((10, 2)), -1)
         with pytest.raises(ValidationError):
-            aic_select(np.zeros((10, 2)), -1)
+            fit_var_with_aic(np.zeros((10, 2)), -1)
