@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: identify, test-dim, simulate, density, var-fit. Every command
-is deterministic given its full flag set (including --seed), writes its
-outputs under --output-dir, and records a manifest with the resolved
-configuration. Exit codes: 0 success, 1 user/data error, 2 internal
-numerical failure; errors are emitted as JSON on stderr.
+Subcommands: identify, test-dim, simulate <study>, density, var-fit. Each
+study of simulate has its own sub-parser holding only the flags it reads.
+Every command is deterministic given its full flag set (including --seed),
+writes its outputs under --output-dir, and records in manifest.json every
+flag it parsed plus the fixed design values it applied. Exit codes: 0
+success, 1 user/data error (reported as JSON on stderr), 2 internal
+numerical failure (likewise) or a flag the command does not take.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ from .tsmodels import (
 from . import density
 from .density import build_density_panel, read_tick_manifest, write_day_metadata_json
 
-STUDIES = ("eigen-gap", "bootstrap-power", "subspace-error", "rate")
 DIAGNOSTIC_LAGS = (1, 3, 5)
+# Parsed values that are not configuration: the subcommand and its handler,
+# where outputs go, the seed (recorded on its own) and the ignored --threads.
+NOT_CONFIG = {"command", "func", "output_dir", "seed", "threads"}
 
 
 def _outdir(args) -> Path:
@@ -70,19 +74,24 @@ def _outdir(args) -> Path:
     return out
 
 
-def _manifest(out: Path, command: str, config: dict, seed) -> None:
+def _manifest(out: Path, args, **fixed) -> None:
+    """Write manifest.json: the command, its seed, and as ``config`` every
+    other flag the command parsed plus the ``fixed`` design values it applied."""
+    config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
     write_manifest(
         out / "manifest.json",
         {
             "artifact": {"name": "curvedim", "version": __version__},
-            "command": command,
-            "config": config,
-            "seed": seed,
+            "command": " ".join(filter(None, (args.command, config.get("study")))),
+            "config": config | fixed,
+            "seed": args.seed,
         },
     )
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
+    """Comma-separated distinct integers, the argparse type of list flags. Its
+    ``ValidationError`` passes through argparse to ``main``'s JSON report."""
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -98,11 +107,6 @@ def _parse_int_list(text: str) -> list[int]:
 def _select(panel, args):
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
     return select_dimension(panel, p=args.p, cfg=cfg, d_max=args.d_max)
-
-
-def _identify_config(args) -> dict:
-    """The manifest record of the flags ``_select`` reads."""
-    return {"p": args.p, "B": args.B, "alpha": args.alpha, "d_max": args.d_max}
 
 
 def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
@@ -146,12 +150,7 @@ def cmd_identify(args) -> int:
     report = _select(panel, args)
     out = _outdir(args)
     _write_identify(panel, report, loadings(panel, report.eigenfunctions), out)
-    _manifest(
-        out,
-        "identify",
-        {"panel": str(args.panel), **_identify_config(args)},
-        args.seed,
-    )
+    _manifest(out, args)
     return 0
 
 
@@ -170,62 +169,41 @@ def cmd_test_dim(args) -> int:
     }
     out = _outdir(args)
     write_json(out / "test_dim.json", payload)
-    _manifest(
-        out,
-        "test-dim",
-        {"panel": str(args.panel), "d0": args.d0, "p": args.p, "B": args.B,
-         "alpha": args.alpha},
-        args.seed,
-    )
+    _manifest(out, args)
     print(f"p-value: {pvalue}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    study = args.study
-    config: dict = {"study": study, "p": args.p, "replications": args.replications}
-    if study == "eigen-gap":
-        d_values = _parse_int_list(args.d_values)
-        n_values = _parse_int_list(args.n_values)
+    fixed = {}
+    if args.study == "eigen-gap":
         res = eigen_gap_study(
-            d_values, n_values, args.replications, p=args.p, seed=args.seed
+            args.d_values, args.n_values, args.replications, p=args.p, seed=args.seed
         )
         write, name = write_eigen_gap_csv, "figure1_eigenvalues.csv"
-        config.update({"d_values": d_values, "n_values": n_values})
-    elif study == "bootstrap-power":
-        n_values = _parse_int_list(args.n_values)
+    elif args.study == "bootstrap-power":
         res = bootstrap_power_study(
-            args.d, n_values, args.replications, n_draws=args.B, p=args.p,
+            args.d, args.n_values, args.replications, n_draws=args.B, p=args.p,
             seed=args.seed,
         )
         write, name = write_bootstrap_power_csv, "figure2_pvalues.csv"
-        config.update({"d": args.d, "n_values": n_values, "B": args.B})
-    elif study == "subspace-error":
-        d_values = _parse_int_list(args.d_values)
-        n_values = _parse_int_list(args.n_values)
+    elif args.study == "subspace-error":
         res = subspace_error_study(
-            d_values, n_values, args.replications, p=args.p, seed=args.seed
+            args.d_values, args.n_values, args.replications, p=args.p, seed=args.seed
         )
         write, name = write_subspace_error_csv, "figure3_dtilde.csv"
-        config.update({"d_values": d_values, "n_values": n_values})
-    elif study == "rate":
-        sample_sizes = _parse_int_list(args.sample_sizes)
-        res = rate_study(sample_sizes, args.replications, seed=args.seed)
+    else:
+        res = rate_study(args.sample_sizes, args.replications, seed=args.seed)
         write, name = write_rate_study_csv, "rate_study.csv"
-        config.update(
-            {
-                "sample_sizes": sample_sizes,
-                "p": RATE_LAG_BUDGET,
-                "ar_coefficient": RATE_AR_COEFFICIENT,
-                "reference_eigenvalue": res.theta_ref,
-                "reference_eigenvalue_analytic": res.theta_ref_analytic,
-            }
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValidationError(f"unknown study {study!r}")
+        fixed = {
+            "p": RATE_LAG_BUDGET,
+            "ar_coefficient": RATE_AR_COEFFICIENT,
+            "reference_eigenvalue": res.theta_ref,
+            "reference_eigenvalue_analytic": res.theta_ref_analytic,
+        }
     out = _outdir(args)
     write(res, out / name)
-    _manifest(out, f"simulate {study}", config, args.seed)
+    _manifest(out, args, **fixed)
     return 0
 
 
@@ -251,24 +229,9 @@ def cmd_density(args) -> int:
         _write_identify(panel, report, lam, out)
     if var is not None:
         _write_var_fit(*var, out)
-    _manifest(
-        out,
-        "density",
-        {
-            "manifest": str(args.manifest),
-            "interval_minutes": density.INTERVAL_MINUTES,
-            "session": [density.SESSION_OPEN, density.SESSION_CLOSE],
-            "support": list(density.SUPPORT),
-            "multiplier": args.multiplier,
-            "grid_points": density.GRID_POINTS,
-            "skip_bad_days": args.skip_bad_days,
-            "identify": args.identify,
-            "var_fit": args.var_fit,
-            **_identify_config(args),
-            "max_order": args.max_order,
-        },
-        args.seed,
-    )
+    _manifest(out, args, interval_minutes=density.INTERVAL_MINUTES,
+              session=[density.SESSION_OPEN, density.SESSION_CLOSE],
+              support=list(density.SUPPORT), grid_points=density.GRID_POINTS)
     return 0
 
 
@@ -277,12 +240,7 @@ def cmd_var_fit(args) -> int:
     fit, diagnostics = _var_fit(series, args.max_order)
     out = _outdir(args)
     _write_var_fit(fit, diagnostics, out)
-    _manifest(
-        out,
-        "var-fit",
-        {"loadings": str(args.loadings), "max_order": args.max_order},
-        args.seed,
-    )
+    _manifest(out, args)
     return 0
 
 
@@ -321,19 +279,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_td.set_defaults(func=cmd_test_dim)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
-    p_sim.add_argument("study", choices=STUDIES)
-    p_sim.add_argument("--replications", type=int, default=100)
-    p_sim.add_argument("--p", type=int, default=5, help="lag budget (panel studies)")
-    p_sim.add_argument("--d", type=int, default=2, help="true dimension (bootstrap-power)")
-    p_sim.add_argument("--d-values", default="2,4,6")
-    p_sim.add_argument("--n-values", default="100,300,600")
-    p_sim.add_argument("--B", type=int, default=200, help="bootstrap replicates")
-    p_sim.add_argument("--sample-sizes", default="100,200,400,800,1600")
-    # Accepted and ignored: studies run sequentially, but the benchmark's
-    # study-n100 command line and its tests still pass --threads 2.
-    p_sim.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
+    studies = p_sim.add_subparsers(dest="study", required=True)
+    study_flags = {
+        "--p": dict(type=int, default=5, help="lag budget"),
+        "--d": dict(type=int, default=2, help="true dimension"),
+        "--d-values": dict(type=_int_list, default="2,4,6"),
+        "--n-values": dict(type=_int_list, default="100,300,600"),
+        "--B": dict(type=int, default=200, help="bootstrap replicates"),
+        "--sample-sizes": dict(type=_int_list, default="100,200,400,800,1600"),
+        # Accepted and ignored: studies run sequentially, but the benchmark's
+        # study-n100 command line and its tests still pass --threads 2.
+        "--threads": dict(type=int, help=argparse.SUPPRESS),
+    }
+    for study, flags in (
+        ("eigen-gap", ("--p", "--d-values", "--n-values")),
+        ("bootstrap-power", ("--p", "--d", "--n-values", "--B")),
+        ("subspace-error", ("--p", "--d-values", "--n-values", "--threads")),
+        ("rate", ("--sample-sizes",)),
+    ):
+        p_study = studies.add_parser(study)
+        p_study.add_argument("--replications", type=int, default=100)
+        for flag in flags:
+            p_study.add_argument(flag, **study_flags[flag])
+        add_common(p_study)
 
     p_den = sub.add_parser("density", help="tick manifest to density panel")
     p_den.add_argument("--manifest", required=True)
@@ -356,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CurveDimError as err:
         json.dump(

@@ -199,11 +199,13 @@ def read_loadings_csv(path) -> np.ndarray:
         # write_loadings_csv's file for a report with d_hat = 0: a blank
         # header and one blank line per curve.
         raise ParseError(f"{path}: holds no components (the report found d_hat = 0)")
+    columns = None
     try:
         [float(tok) for line in lines[:1] for tok in line.split(",")]
     except ValueError:
+        columns = lines[0].count(",") + 1  # rows hold one value per header field
         lines[0] = ""  # header row
-    rows = read_float_rows(lines, path)
+    rows = read_float_rows(lines, path, columns=columns)
     if rows.shape[0] == 0:
         raise ParseError(f"{path}: no loading rows")
     return rows

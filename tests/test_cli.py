@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +322,23 @@ class TestSimulate:
             blobs.append((out / "figure3_dtilde.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize(
+        "study, flag, value",
+        [
+            ("rate", "--p", "3"),
+            ("eigen-gap", "--B", "10"),
+            ("bootstrap-power", "--d-values", "2"),
+            ("subspace-error", "--sample-sizes", "100"),
+        ],
+    )
+    def test_study_rejects_flag_it_does_not_read(self, study, flag, value, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", study, flag, value, "--replications", "1",
+                  "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_bootstrap_power_csv(self, tmp_path):
         out = tmp_path / "bp"
         rc = main(
@@ -558,6 +576,19 @@ class TestVarFitCommand:
         assert err["kind"] == "parse"
         assert f"{path}: line 11" in err["message"]
 
+    def test_rows_wider_than_header_exit_one_with_parse_kind(self, tmp_path, capsys):
+        path = tmp_path / "loadings.csv"
+        rows = np.random.default_rng(9).standard_normal((50, 3))
+        path.write_text("component_1,component_2\n"
+                        + "".join(",".join(map(repr, map(float, r))) + "\n" for r in rows))
+        out = tmp_path / "o"
+        rc = main(["var-fit", "--loadings", str(path), "--output-dir", str(out)])
+        assert rc == 1
+        err = read_error(capsys)
+        assert err["kind"] == "parse"
+        assert f"{path}: line 2: expected 2 columns" in err["message"]
+        assert not out.exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = main(
             ["var-fit", "--loadings", str(tmp_path / "none.csv"),
@@ -603,3 +634,98 @@ class TestVarFitCommand:
         empty.write_text("")
         assert main(["var-fit", "--loadings", str(empty), "--output-dir", str(tmp_path / "o")]) == 1
         assert "no loading rows" in read_error(capsys)["message"]
+
+
+@pytest.fixture(scope="module")
+def manifest_inputs(two_factor_panel_csv, tick_manifest, tmp_path_factory):
+    loadings = tmp_path_factory.mktemp("loadings") / "loadings.csv"
+    write_loadings_csv(np.random.default_rng(8).standard_normal((60, 2)), loadings)
+    return {"panel": str(two_factor_panel_csv), "manifest": str(tick_manifest),
+            "loadings": str(loadings)}
+
+
+# The rate study's operator eigenvalue on its grid; 4/9 analytically.
+REFERENCE_EIGENVALUE = 0.44444444444444464
+DENSITY_DESIGN = {"interval_minutes": 5.0, "session": [34200.0, 57600.0],
+                  "support": [-0.002, 0.002], "grid_points": 201}
+
+# Each command's whole manifest record, input paths by file name: the
+# flags it parsed, and the fixed design values it applied.
+MANIFEST_PINS = {
+    "identify": (
+        "identify --panel {panel} --d-max 2 --B 10 --seed 3",
+        "identify", 3,
+        {"panel": "panel.csv", "p": 5, "B": 10, "alpha": 0.05, "d_max": 2},
+    ),
+    "test-dim": (
+        "test-dim --panel {panel} --d0 1 --p 4 --B 10 --alpha 0.1",
+        "test-dim", 0,
+        {"panel": "panel.csv", "d0": 1, "p": 4, "B": 10, "alpha": 0.1},
+    ),
+    "var-fit": (
+        "var-fit --loadings {loadings} --max-order 2 --seed 7",
+        "var-fit", 7,
+        {"loadings": "loadings.csv", "max_order": 2},
+    ),
+    "density": (
+        "density --manifest {manifest} --multiplier 1.5",
+        "density", 0,
+        {"manifest": "ticks.json", "multiplier": 1.5, "skip_bad_days": False,
+         "identify": False, "var_fit": False, "p": 5, "B": 200, "alpha": 0.05,
+         "d_max": 10, "max_order": 10, **DENSITY_DESIGN},
+    ),
+    "density-identify-var-fit": (
+        "density --manifest {manifest} --skip-bad-days --identify --var-fit --p 3"
+        " --d-max 2 --B 20 --max-order 3 --seed 2",
+        "density", 2,
+        {"manifest": "ticks.json", "multiplier": 1.0, "skip_bad_days": True,
+         "identify": True, "var_fit": True, "p": 3, "B": 20, "alpha": 0.05,
+         "d_max": 2, "max_order": 3, **DENSITY_DESIGN},
+    ),
+    "eigen-gap": (
+        "simulate eigen-gap --p 2 --d-values 2 --n-values 60 --replications 1 --seed 1",
+        "simulate eigen-gap", 1,
+        {"study": "eigen-gap", "p": 2, "replications": 1, "d_values": [2],
+         "n_values": [60]},
+    ),
+    "bootstrap-power": (
+        "simulate bootstrap-power --p 2 --d 1 --n-values 80 --B 10 --replications 1",
+        "simulate bootstrap-power", 0,
+        {"study": "bootstrap-power", "p": 2, "replications": 1, "d": 1,
+         "n_values": [80], "B": 10},
+    ),
+    "subspace-error": (
+        "simulate subspace-error --p 3 --d-values 2,4 --n-values 60 --replications 1",
+        "simulate subspace-error", 0,
+        {"study": "subspace-error", "p": 3, "replications": 1, "d_values": [2, 4],
+         "n_values": [60]},
+    ),
+    "subspace-error-threads": (
+        "simulate subspace-error --p 3 --d-values 2,4 --n-values 60 --replications 1"
+        " --threads 2",
+        "simulate subspace-error", 0,
+        {"study": "subspace-error", "p": 3, "replications": 1, "d_values": [2, 4],
+         "n_values": [60]},
+    ),
+    "rate": (
+        "simulate rate --sample-sizes 100,200 --replications 1 --seed 4",
+        "simulate rate", 4,
+        {"study": "rate", "replications": 1, "sample_sizes": [100, 200], "p": 1,
+         "ar_coefficient": 0.5,
+         "reference_eigenvalue": pytest.approx(REFERENCE_EIGENVALUE, rel=1e-9),
+         "reference_eigenvalue_analytic": pytest.approx(4 / 9, rel=1e-12)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_PINS))
+def test_manifest_pins_command_seed_and_config(case, manifest_inputs, tmp_path):
+    line, command, seed, config = MANIFEST_PINS[case]
+    out = tmp_path / "out"
+    argv = [token.format(**manifest_inputs) for token in line.split()]
+    assert main([*argv, "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    got = manifest["config"]
+    assert {k: Path(v).name if k in manifest_inputs else v for k, v in got.items()} == config
