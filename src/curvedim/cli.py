@@ -104,6 +104,18 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+class _FlagBeforeStudy(argparse.Action):
+    """Rejects a study flag placed before the study name, where argparse
+    would otherwise read its value as the study."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(
+            None,
+            f"{option_string} comes before the study name; study flags follow it, "
+            f"as in 'curvedim simulate rate {option_string} ...'",
+        )
+
+
 def _select(panel, args):
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
     return select_dimension(panel, p=args.p, cfg=cfg, d_max=args.d_max)
@@ -303,6 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p_study.add_argument(flag, **study_flags[flag])
         add_common(p_study)
+    p_sim.add_argument(
+        "--replications",
+        "--seed",
+        "--output-dir",
+        *study_flags,
+        action=_FlagBeforeStudy,
+        default=argparse.SUPPRESS,
+        help=argparse.SUPPRESS,
+    )
 
     p_den = sub.add_parser("density", help="tick manifest to density panel")
     p_den.add_argument("--manifest", required=True)

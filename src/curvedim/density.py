@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # at start-up: numpy 2 would load it inside the first draw
 
 from .errors import (
     DayProcessingError,
@@ -217,7 +218,8 @@ def synthetic_tick_days(
 # manifest listing day files in panel order.
 
 def write_tick_csv(day: TickDay, path) -> None:
-    write_csv_rows(path, zip(day.times, day.prices), ["epoch_seconds", "price"])
+    rows = np.column_stack([day.times, day.prices])
+    write_csv_rows(path, rows, ["epoch_seconds", "price"])
 
 
 def read_tick_csv(path, day_id: str) -> TickDay:

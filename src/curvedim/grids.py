@@ -143,12 +143,17 @@ def write_csv_rows(path, rows, header: list[str] | None = None) -> None:
     row: integer cells as ``str``, others as the ``repr`` of their float.
 
     Every CSV of the package goes through here, so all share one format.
+    A row that is a float array is written through ``tolist``, which gives
+    the same cells without a per-cell type check.
     """
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
+            if isinstance(row, np.ndarray) and row.dtype == np.float64:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
+            else:
+                fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 # Panel file format: CSV, first row = grid points, one curve per subsequent
@@ -173,6 +178,23 @@ def read_float_rows(
     floats; the first line that does not raises ``ParseError`` naming
     ``path`` and its line number, counted from ``first_line``.
     """
+    lines = list(lines)
+    # np.loadtxt parses well-formed text in C; anything it rejects, or
+    # reads in another shape or as non-finite, goes through the checked
+    # line-by-line parse below, which names the offending line. The
+    # no-data check comes first because loadtxt warns on empty input.
+    if any(map(str.strip, lines)):
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if columns in (None, rows.shape[1]) and np.isfinite(rows).all():
+                return rows
+    return _read_float_rows_checked(lines, path, first_line, columns)
+
+
+def _read_float_rows_checked(lines, path, first_line, columns) -> np.ndarray:
     kept = [(n, s) for n, s in enumerate(map(str.strip, lines), start=first_line) if s]
     if not kept:
         return np.empty((0, columns or 0))

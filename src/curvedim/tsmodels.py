@@ -8,11 +8,10 @@ autocorrelations/autocovariances as usual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.stats import chi2
 
 from .errors import (
     ConditioningError,
@@ -38,10 +37,15 @@ def ar1_simulate(coefficient: float, length: int, rng: np.random.Generator) -> n
         raise NonstationarityError(f"AR(1) coefficient must satisfy |a| < 1, got {a}")
     if length < 1:
         raise ValidationError("length must be >= 1")
-    innovations = rng.standard_normal(BURN_IN + length)
-    x0 = rng.standard_normal() / np.sqrt(1.0 - a * a)
-    path, _ = lfilter([1.0], [1.0, -a], innovations, zi=np.array([a * x0]))
-    return path[BURN_IN:]
+    innovations = rng.standard_normal(BURN_IN + length).tolist()
+    prev = float(rng.standard_normal() / np.sqrt(1.0 - a * a))
+    for e in innovations[:BURN_IN]:
+        prev = e + a * prev
+    path = []
+    for e in innovations[BURN_IN:]:
+        prev = e + a * prev
+        path.append(prev)
+    return np.array(path)
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,48 @@ def var_residuals(series: np.ndarray, fit: VarFit) -> np.ndarray:
     return resid
 
 
+# Above this half-statistic, exp(-x/2) nears the bottom of the double range,
+# so the chi-square tail sums its terms in logs instead.
+_TAIL_LOG_FROM = 700.0
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square law with integer ``dof`` >= 1.
+
+    Closed form: with h = x/2 and dof = 2m + 2a (a = 0 or 1/2), the tail is
+    sum_{j<m} e^-h h^(j+a) / Gamma(j+a+1), plus erfc(sqrt(h)) when dof is
+    odd. Up to h = 700 the terms are summed forward from e^-h; beyond, the
+    largest (last) term is taken in logs and the others are summed backward
+    relative to it, so nothing underflows before the final product. Returns
+    1.0 at x = 0, 0.0 at inf and nan for nan or x < 0.
+    """
+    if not x >= 0.0:
+        return math.nan
+    if x == 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    h = x / 2.0
+    m, odd = divmod(dof, 2)
+    a = odd / 2.0
+    head = math.erfc(math.sqrt(h)) if odd else 0.0
+    if m == 0:
+        return head
+    if h <= _TAIL_LOG_FROM:
+        term = math.exp(-h) * h**a / math.gamma(a + 1.0)
+        total = term
+        for j in range(1, m):
+            term *= h / (j + a)
+            total += term
+        return head + total
+    last = m - 1 + a
+    term = total = 1.0
+    for j in range(m - 1, 0, -1):
+        term *= (j + a) / h
+        total += term
+    return head + total * math.exp(last * math.log(h) - h - math.lgamma(last + 1.0))
+
+
 @dataclass(frozen=True)
 class PortmanteauResult:
     statistic: float
@@ -178,7 +224,7 @@ def ljung_box_from_autocorrelations(acfs: np.ndarray, n: int) -> PortmanteauResu
     q = r.size
     ks = np.arange(1, q + 1)
     stat = float(n * (n + 2) * np.sum(r**2 / (n - ks)))
-    return PortmanteauResult(statistic=stat, dof=q, pvalue=float(chi2.sf(stat, q)))
+    return PortmanteauResult(statistic=stat, dof=q, pvalue=_chi2_sf(stat, q))
 
 
 def ljung_box(series: np.ndarray, q: int) -> PortmanteauResult:
@@ -218,7 +264,7 @@ def multivariate_portmanteau(
         total += float(np.trace(ck.T @ c0_inv @ ck @ c0_inv)) / (t_len - k)
     stat = t_len * (t_len + 2) * total
     dof = max(d * d * (q - fitted_order), 1) if fitted_order > 0 else d * d * q
-    return PortmanteauResult(statistic=stat, dof=dof, pvalue=float(chi2.sf(stat, dof)))
+    return PortmanteauResult(statistic=stat, dof=dof, pvalue=_chi2_sf(stat, dof))
 
 
 def write_var_fit_json(fit: VarFit, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from curvedim.eigen import _clamp
 from curvedim.grids import CurvePanel, Grid, centered_values, check_lag_budget
 from curvedim.simulation import RateStudyResult
-from curvedim.tsmodels import VarFit
+from curvedim.tsmodels import BURN_IN, VarFit
 
 _DROP_TOL = 1e-10
 
@@ -176,6 +176,18 @@ def gram_schmidt(
             continue
         kept.append(f / norm)
     return np.array(kept), dropped
+
+
+def ar1_lfilter(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
+    """``tsmodels.ar1_simulate`` as a linear filter: the same draws, run
+    through ``scipy.signal.lfilter`` with the stationary start as its state."""
+    from scipy.signal import lfilter  # scipy is a test-only dependency
+
+    a = float(coefficient)
+    innovations = rng.standard_normal(BURN_IN + length)
+    x0 = rng.standard_normal() / np.sqrt(1.0 - a * a)
+    path, _ = lfilter([1.0], [1.0, -a], innovations, zi=np.array([a * x0]))
+    return path[BURN_IN:]
 
 
 def companion_spectral_radius(fit: VarFit) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +340,16 @@ class TestSimulate:
             main(["simulate", study, flag, value, "--replications", "1",
                   "--output-dir", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--replications", "--output-dir"])
+    def test_flag_before_study_name_says_where_flags_go(self, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        value = str(out) if flag == "--output-dir" else "3"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, value, "rate", "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert "study flags follow" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bootstrap_power_csv(self, tmp_path):
@@ -729,3 +742,14 @@ def test_manifest_pins_command_seed_and_config(case, manifest_inputs, tmp_path):
     assert manifest["seed"] == seed
     got = manifest["config"]
     assert {k: Path(v).name if k in manifest_inputs else v for k, v in got.items()} == config
+
+
+def test_cli_import_loads_no_scipy():
+    # Every command starts on numpy alone; scipy is a test-only dependency.
+    code = "import sys, curvedim.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"

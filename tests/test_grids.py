@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from curvedim.grids import (
     CurvePanel,
     Grid,
     mean_curve,
+    read_float_rows,
     read_panel_csv,
     write_csv_rows,
     write_panel_csv,
@@ -218,12 +221,48 @@ class TestPanelCsv:
             read_panel_csv(path)
 
 
+class TestReadFloatRows:
+    def test_comment_marker_is_not_a_comment(self):
+        with pytest.raises(ParseError, match=r"^P: line 1: could not convert"):
+            read_float_rows(["1,2 # c\n"], "P")
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_non_finite_value_names_its_line(self, bad):
+        lines = ["1,2\n", "\n", f"3,{bad}\n"]
+        with pytest.raises(ParseError, match=r"^P: line 4: non-finite value$"):
+            read_float_rows(lines, "P", first_line=2)
+
+    def test_underscore_digits_parse_as_python_floats(self):
+        assert read_float_rows(["1_0,2\n"], "P").tolist() == [[10.0, 2.0]]
+
+    def test_single_row_keeps_two_dimensions(self):
+        assert read_float_rows(["0.5,1.5,2.5\n"], "P").shape == (1, 3)
+        assert read_float_rows(["7\n"], "P", columns=1).shape == (1, 1)
+
+    @pytest.mark.parametrize("lines", [[], ["\n"], ["  \n", "\t\n"]])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_no_data_gives_empty_rows_without_warning(self, lines, columns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = read_float_rows(lines, "P", columns=columns)
+        assert rows.shape == (0, columns or 0)
+
+
 class TestCsvRows:
     def test_integers_print_as_str_and_reals_round_trip(self, tmp_path):
         path = tmp_path / "rows.csv"
         row = (1, np.int64(2), 0.1, np.float64(1 / 3), 2.0)
         write_csv_rows(path, [row], ["a", "b", "c", "d", "e"])
         assert path.read_text() == "a,b,c,d,e\n1,2,0.1,0.3333333333333333,2.0\n"
+
+    def test_float_array_rows_match_cell_by_cell_format(self, tmp_path):
+        rows = np.random.default_rng(3).standard_normal((4, 7)) * 10.0 ** np.arange(-3, 4)
+        rows[0, 0] = -0.0
+        path = tmp_path / "rows.csv"
+        write_csv_rows(path, rows)
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        assert path.read_text() == want
+        assert np.array_equal(read_float_rows(path.read_text().splitlines(), "P"), rows)
 
     def test_zero_columns_keep_header_and_row_lines(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -11,6 +11,7 @@ from curvedim.errors import (
 )
 from curvedim.tsmodels import (
     VarFit,
+    _chi2_sf,
     ar1_simulate,
     fit_var_with_aic,
     ljung_box,
@@ -20,7 +21,7 @@ from curvedim.tsmodels import (
     var_residuals,
     write_var_fit_json,
 )
-from reference import companion_spectral_radius
+from reference import ar1_lfilter, companion_spectral_radius
 
 
 def simulate_var(mats, t_len, rng, burn=500):
@@ -56,6 +57,39 @@ class TestAr1Simulate:
     def test_rejects_nonstationary(self):
         with pytest.raises(NonstationarityError):
             ar1_simulate(1.0, 10, np.random.default_rng(0))
+
+    def test_matches_linear_filter_bit_for_bit(self):
+        draws = np.random.default_rng(19)
+        for _ in range(200):
+            a = float(draws.uniform(-0.99, 0.99))
+            length = int(draws.integers(1, 700))
+            seed = int(draws.integers(2**32))
+            got = ar1_simulate(a, length, np.random.default_rng(seed))
+            want = ar1_lfilter(a, length, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+class TestChi2Tail:
+    def test_matches_chdtrc(self):
+        from scipy.special import chdtrc  # scipy is a test-only dependency
+
+        rng = np.random.default_rng(20)
+        for dof in range(1, 201):
+            top = 8 * dof + 1500
+            xs = np.concatenate([np.linspace(0.0, top, 150), rng.uniform(0.0, top, 50)])
+            want = chdtrc(dof, xs)
+            got = np.array([_chi2_sf(float(x), dof) for x in xs])
+            kept = want >= 1e-300
+            np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
+            assert np.all(got[~kept] < 1e-299)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 50, 51])
+    def test_edges(self, dof):
+        assert _chi2_sf(0.0, dof) == 1.0
+        assert _chi2_sf(np.inf, dof) == 0.0
+        assert np.isnan(_chi2_sf(np.nan, dof))
+        assert np.isnan(_chi2_sf(-1.0, dof))
 
 
 class TestVarFitYuleWalker:
