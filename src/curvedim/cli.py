@@ -17,6 +17,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+# Loaded at start-up, not inside a command's first random draw, where
+# numpy 2 would load it lazily (about 40 ms).
+import numpy.random
 
 from . import __version__
 from .dimension import (

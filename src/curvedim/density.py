@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # at start-up: numpy 2 would load it inside the first draw
 
 from .errors import (
     DayProcessingError,

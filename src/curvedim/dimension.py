@@ -14,7 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # at start-up: numpy 2 would load it inside the first draw
 
 from .eigen import (
     EigenDecomposition,

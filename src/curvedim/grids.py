@@ -143,17 +143,15 @@ def write_csv_rows(path, rows, header: list[str] | None = None) -> None:
     row: integer cells as ``str``, others as the ``repr`` of their float.
 
     Every CSV of the package goes through here, so all share one format.
-    A row that is a float array is written through ``tolist``, which gives
-    the same cells without a per-cell type check.
+    An array row is first converted with ``tolist``: formatting Python
+    scalars is cheaper than formatting numpy ones.
     """
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            if isinstance(row, np.ndarray) and row.dtype == np.float64:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
-            else:
-                fh.write(",".join(map(_csv_cell, row)) + "\n")
+            cells = row.tolist() if isinstance(row, np.ndarray) else row
+            fh.write(",".join(map(_csv_cell, cells)) + "\n")
 
 
 # Panel file format: CSV, first row = grid points, one curve per subsequent
@@ -179,49 +177,40 @@ def read_float_rows(
     ``path`` and its line number, counted from ``first_line``.
     """
     lines = list(lines)
-    # np.loadtxt parses well-formed text in C; anything it rejects, or
-    # reads in another shape or as non-finite, goes through the checked
-    # line-by-line parse below, which names the offending line. The
-    # no-data check comes first because loadtxt warns on empty input.
+    rows = None
+    # np.loadtxt parses well-formed text in C; anything it rejects or reads
+    # with another width goes through the line-by-line parse below, which
+    # names the offending line. Input with no data skips loadtxt, which
+    # would warn on it.
     if any(map(str.strip, lines)):
         try:
             rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
-        else:
-            if columns in (None, rows.shape[1]) and np.isfinite(rows).all():
-                return rows
-    return _read_float_rows_checked(lines, path, first_line, columns)
-
-
-def _read_float_rows_checked(lines, path, first_line, columns) -> np.ndarray:
-    kept = [(n, s) for n, s in enumerate(map(str.strip, lines), start=first_line) if s]
-    if not kept:
-        return np.empty((0, columns or 0))
-    if columns is None:
-        columns = kept[0][1].count(",") + 1
-    try:
-        if any(line.count(",") + 1 != columns for _, line in kept):
-            raise ValueError("ragged rows")
-        # One conversion for the whole file: building a list per row costs
-        # more than parsing when rows are short, as tick files' are.
-        text = ",".join(line for _, line in kept)
-        rows = np.array(text.split(","), dtype=np.float64).reshape(len(kept), columns)
-    except ValueError:
+    if rows is None or columns not in (None, rows.shape[1]):
+        kept = _numbered_lines(lines, first_line)
+        if columns is None:
+            columns = kept[0][1].count(",") + 1 if kept else 0
+        values = []
         for lineno, line in kept:
             parts = line.split(",")
             if len(parts) != columns:
                 raise ParseError(f"{path}: line {lineno}: expected {columns} columns")
             try:
-                [float(tok) for tok in parts]
+                values.append([float(tok) for tok in parts])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        raise
+        rows = np.array(values, dtype=np.float64).reshape(len(kept), columns)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        lineno = kept[int(np.argmin(finite))][0]
+        lineno = _numbered_lines(lines, first_line)[int(np.argmin(finite))][0]
         raise ParseError(f"{path}: line {lineno}: non-finite value")
     return rows
+
+
+def _numbered_lines(lines, first_line: int) -> list[tuple[int, str]]:
+    """The non-blank lines, stripped, each with its line number."""
+    return [(n, s) for n, s in enumerate(map(str.strip, lines), start=first_line) if s]
 
 
 def read_panel_csv(path) -> CurvePanel:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # at start-up: numpy 2 would load it inside the first draw
 
 from .dimension import (
     BootstrapConfig,

@@ -84,6 +84,20 @@ class TestChi2Tail:
             np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
             assert np.all(got[~kept] < 1e-299)
 
+    @pytest.mark.parametrize("dof", [1000, 2001, 5000, 5001])
+    def test_dof_in_thousands_past_log_threshold(self, dof):
+        # x/2 just above 700 puts the largest term inside the sum, not at
+        # its end; var-fit reaches such dof with a wide loadings file.
+        from scipy.special import chdtrc
+
+        near = np.linspace(1400.5, 1600.0, 100)
+        xs = np.concatenate([near, np.linspace(1600.0, 2 * dof + 1500, 100)])
+        want = chdtrc(dof, xs)
+        got = np.array([_chi2_sf(float(x), dof) for x in xs])
+        assert np.all(got <= 1.0)
+        kept = want >= 1e-300
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-11, atol=0.0)
+
     @pytest.mark.parametrize("dof", [1, 2, 3, 50, 51])
     def test_edges(self, dof):
         assert _chi2_sf(0.0, dof) == 1.0
