@@ -85,22 +85,24 @@ def bootstrap_test(
     panel with the leading d0 eigenfunctions of ``dec``, so the test
     makes no solve of the observed panel. Every d0 must satisfy
     ``0 <= d0 < min(n - p, m)``; one that does not raises ``BoundsError``
-    before any replicate is drawn. A ``dec`` whose curves do not match
-    the panel grid raises ``GridMismatchError``.
+    before any replicate is drawn. Fitting a hypothesis with a ``dec``
+    whose curves do not match the panel grid raises ``GridMismatchError``.
 
-    Each replicate resamples the fitted residuals with replacement, adds
-    them back to the fitted curves, rebuilds the operator, and records
-    its (d0+1)-th eigenvalue. The replicate's centered curves lie in the
-    span of the panel's centered curves, so its operator is built and
-    solved as an r x r matrix in coordinates of that span, r being the
-    panel's numerical rank; the span basis is built once, for the first
-    hypothesis that draws replicates. The p-value is the fraction of
-    replicates whose eigenvalue strictly exceeds the observed one (ties
-    count as non-exceedance); the hypothesis is rejected when the p-value
-    is at most alpha. An observed eigenvalue the clamp sets to zero, or
-    one past the numerical rank (d0 >= r), is zero to working precision,
-    so the hypothesis is not rejected and the p-value is 1 without
-    drawing replicates.
+    The span basis and the B resamples are built once per call and
+    shared by every hypothesis: replicate b draws its n row indices from
+    the stream keyed by (seed, b), so a hypothesis gets the same p-value
+    whether it is tested alone or with others. Each replicate adds the
+    resampled fitted residuals back to the fitted curves, rebuilds the
+    operator, and records its (d0+1)-th eigenvalue. The replicate's
+    centered curves lie in the span of the panel's centered curves, so
+    its operator is built and solved as an r x r matrix in coordinates
+    of that span, r being the panel's numerical rank. The p-value is the
+    fraction of replicates whose eigenvalue strictly exceeds the
+    observed one (ties count as non-exceedance); the hypothesis is
+    rejected when the p-value is at most alpha. An observed eigenvalue
+    the clamp sets to zero, or one past the numerical rank (d0 >= r), is
+    zero to working precision, so the hypothesis is not rejected: its
+    p-value is 1 and it is neither fitted nor solved.
     """
     n = panel.n
     limit = min(n - p, len(panel.grid))
@@ -110,28 +112,23 @@ def bootstrap_test(
                 f"need 0 <= d0 < min(n - p, m), got d0={d0}, n={n}, p={p}, "
                 f"m={len(panel.grid)}"
             )
-    span = None
+    proj, r = _span_projection(panel)
+    draws = [
+        _replicate_rng(cfg.seed, b).integers(0, n, size=n) for b in range(cfg.n_draws)
+    ]
     pvalues = []
     for d0 in d0s:
-        fitted, residuals = _fit(panel, dec, d0)
         theta_obs = float(dec.eigenvalues[d0])
-        if theta_obs == 0.0:
+        if theta_obs == 0.0 or d0 >= r:
             pvalues.append(1.0)
             continue
-        span = span or _span_projection(panel)
-        proj, r = span
-        if d0 >= r:
-            pvalues.append(1.0)
-            continue
+        fitted, residuals = _fit(panel, dec, d0)
         fitted_z = fitted @ proj
         residual_z = residuals @ proj
-        exceed = 0
-        for b in range(cfg.n_draws):
-            rng = _replicate_rng(cfg.seed, b)
-            idx = rng.integers(0, n, size=n)
-            theta_star = _reduced_spectrum(fitted_z + residual_z[idx], p)[d0]
-            if theta_star > theta_obs:
-                exceed += 1
+        exceed = sum(
+            1 for idx in draws
+            if _reduced_spectrum(fitted_z + residual_z[idx], p)[d0] > theta_obs
+        )
         pvalues.append(exceed / cfg.n_draws)
     return pvalues
 

@@ -145,8 +145,6 @@ def eigen_gap_study(
     means: dict[tuple[int, int], np.ndarray] = {}
     for di, d in enumerate(d_values):
         for ni, n in enumerate(n_values):
-            if n <= p:
-                raise ValidationError(f"n={n} must exceed p={p}")
             rows = np.zeros((replications, top))
             for rep in range(replications):
                 spec = FactorModelSpec(

@@ -154,43 +154,31 @@ def var_residuals(series: np.ndarray, fit: VarFit) -> np.ndarray:
     return resid
 
 
-# Above this half-statistic, exp(-x/2) nears the bottom of the double range,
-# so the chi-square tail sums its terms in logs instead.
-_TAIL_LOG_FROM = 700.0
-
-
 def _chi2_sf(x: float, dof: int) -> float:
     """Upper tail P(X > x) of the chi-square law with integer ``dof`` >= 1.
 
     Closed form: with h = x/2 and dof = 2m + 2a (a = 0 or 1/2), the tail is
     sum_{j<m} e^-h h^(j+a) / Gamma(j+a+1), plus erfc(sqrt(h)) when dof is
-    odd. Up to h = 700 the terms are summed forward from e^-h; beyond, the
-    largest term is taken in logs and the others are summed outward from
-    it, relative to it, so nothing under- or overflows before the final
-    product. Rounding in that term's exponent makes the relative error
-    grow with h and dof: it stays below 1e-12 up to dof = 200 and nears
-    1e-11 at dof = 5000, h = 6000. The result never exceeds 1.0; it is 1.0
-    at x = 0, 0.0 at inf and nan for nan or x < 0.
+    odd. The largest term of the sum is taken in logs and the others are
+    summed outward from it, relative to it, so nothing under- or
+    overflows before the final product. Rounding in that term's exponent
+    makes the relative error grow with h and dof: it stays below 1e-12
+    up to dof = 200 and nears 1e-11 at dof = 5000, h = 6000. The result
+    never exceeds 1.0; it is 1.0 when h = x/2 is 0 (x = 0 or the
+    smallest subnormal), 0.0 at inf and nan for nan or x < 0.
     """
     if not x >= 0.0:
         return math.nan
-    if x == 0.0:
-        return 1.0
     if math.isinf(x):
         return 0.0
     h = x / 2.0
+    if h == 0.0:
+        return 1.0
     m, odd = divmod(dof, 2)
     a = odd / 2.0
     head = math.erfc(math.sqrt(h)) if odd else 0.0
     if m == 0:
         return head
-    if h <= _TAIL_LOG_FROM:
-        term = math.exp(-h) * h**a / math.gamma(a + 1.0)
-        total = term
-        for j in range(1, m):
-            term *= h / (j + a)
-            total += term
-        return min(1.0, head + total)
     # Term j grows while j + a <= h, so the largest has j = min(m - 1, h - a).
     top = min(m - 1, int(h - a))
     term = total = 1.0
@@ -251,14 +239,16 @@ def multivariate_portmanteau(
     Q = T(T+2) sum_{k=1..q} tr(C_k' C_0^{-1} C_k C_0^{-1}) / (T-k) with
     C_k the divisor-T autocovariances (``_autocovariances``) of the
     mean-removed series, so it reduces exactly to the scalar test at
-    d = 1. Degrees of freedom are d^2 q; when applied to residuals of a
-    fitted VAR(tau), pass ``fitted_order`` and the dof become
-    d^2 (q - tau), clamped at 1.
+    d = 1. Degrees of freedom are d^2 (q - tau), clamped at 1, where tau
+    is ``fitted_order``: pass the order of a fitted VAR when testing its
+    residuals, or leave it at 0 for a raw series (d^2 q).
     """
     x = _as_columns(series)
     t_len, d = x.shape
     if q < 1:
         raise ValidationError("q must be >= 1")
+    if fitted_order < 0:
+        raise ValidationError(f"fitted_order must be >= 0, got {fitted_order}")
     if t_len <= q:
         raise ValidationError(f"series length {t_len} must exceed q={q}")
     c0, *lagged = _autocovariances(x - x.mean(axis=0), q)
@@ -272,7 +262,7 @@ def multivariate_portmanteau(
     for k, ck in enumerate(lagged, start=1):
         total += float(np.trace(ck.T @ c0_inv @ ck @ c0_inv)) / (t_len - k)
     stat = t_len * (t_len + 2) * total
-    dof = max(d * d * (q - fitted_order), 1) if fitted_order > 0 else d * d * q
+    dof = max(d * d * (q - fitted_order), 1)
     return PortmanteauResult(statistic=stat, dof=dof, pvalue=_chi2_sf(stat, dof))
 
 

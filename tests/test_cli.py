@@ -352,6 +352,26 @@ class TestSimulate:
         assert "study flags follow" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "study, flags",
+        [
+            ("eigen-gap", ["--d-values", "2"]),
+            ("bootstrap-power", ["--d", "2", "--B", "10"]),
+            ("subspace-error", ["--d-values", "2"]),
+        ],
+    )
+    def test_sample_no_larger_than_lag_budget_exits_one_with_insufficient_kind(
+        self, study, flags, tmp_path, capsys
+    ):
+        # The lag budget is checked where the operator is built, the same
+        # way for every study as for identify.
+        out = tmp_path / "out"
+        rc = main(["simulate", study, *flags, "--n-values", "5", "--p", "5",
+                   "--replications", "1", "--output-dir", str(out)])
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "insufficient-sample"
+        assert not out.exists()
+
     def test_bootstrap_power_csv(self, tmp_path):
         out = tmp_path / "bp"
         rc = main(
@@ -573,6 +593,20 @@ class TestVarFitCommand:
         assert fit["order"] >= 1
         mats = fit["coefficient_matrices"]
         assert np.asarray(mats["1"]).shape == (2, 2)
+
+    def test_header_after_leading_blank_line(self, tmp_path):
+        series = np.random.default_rng(10).standard_normal((60, 2))
+        plain = tmp_path / "plain.csv"
+        write_loadings_csv(series, plain)
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n" + plain.read_text())
+        written = []
+        for path in (plain, padded):
+            out = tmp_path / path.stem
+            assert main(["var-fit", "--loadings", str(path), "--max-order", "2",
+                         "--output-dir", str(out)]) == 0
+            written.append((out / "var_fit.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_nonfinite_loading_exits_one_with_parse_kind(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedim import eigen
+from curvedim import dimension, eigen
 from curvedim.density import synthetic_tick_days
 from curvedim.dimension import (
     BootstrapConfig,
@@ -120,6 +120,22 @@ class TestBootstrapTest:
         pvalues = bootstrap_test(panel, dec, [2, 0, 1], 3, cfg)
         assert pvalues == [pvalue_at(panel, d0, 3, cfg) for d0 in (2, 0, 1)]
         assert bootstrap_test(panel, dec, [], 3, cfg) == []
+
+    def test_resamples_drawn_once_for_all_hypotheses(self, monkeypatch):
+        # Replicate b of every hypothesis resamples the same rows, so the
+        # B generators are built once per call, not once per hypothesis.
+        panel = generate_panel(FactorModelSpec(d=2, n=80, seed=6))
+        dec = decompose(panel, 2)
+        built = []
+
+        def counted(seed, replicate):
+            built.append(replicate)
+            return _replicate_rng(seed, replicate)
+
+        monkeypatch.setattr(dimension, "_replicate_rng", counted)
+        pvalues = bootstrap_test(panel, dec, [0, 1, 2], 2, BootstrapConfig(n_draws=7))
+        assert built == list(range(7))
+        assert all(type(pv) is float for pv in pvalues)
 
     def test_decomposition_from_another_grid_rejected(self):
         panel = generate_panel(FactorModelSpec(d=2, n=60, seed=5))

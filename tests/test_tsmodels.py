@@ -100,7 +100,11 @@ class TestChi2Tail:
 
     @pytest.mark.parametrize("dof", [1, 2, 3, 50, 51])
     def test_edges(self, dof):
+        from scipy.special import chdtrc
+
         assert _chi2_sf(0.0, dof) == 1.0
+        # The smallest subnormal: its half rounds to 0.0.
+        assert _chi2_sf(5e-324, dof) == chdtrc(dof, 5e-324)
         assert _chi2_sf(np.inf, dof) == 0.0
         assert np.isnan(_chi2_sf(np.nan, dof))
         assert np.isnan(_chi2_sf(-1.0, dof))
@@ -261,6 +265,11 @@ class TestMultivariatePortmanteau:
         assert multivariate_portmanteau(x, 5).dof == 20
         assert multivariate_portmanteau(x, 5, fitted_order=2).dof == 12
         assert multivariate_portmanteau(x, 1, fitted_order=3).dof == 1
+
+    def test_negative_fitted_order_rejected(self):
+        x = np.random.default_rng(18).standard_normal((400, 2))
+        with pytest.raises(ValidationError, match="fitted_order must be >= 0, got -1"):
+            multivariate_portmanteau(x, 3, fitted_order=-1)
 
     def test_empirical_size(self):
         rej = 0
