@@ -3,7 +3,7 @@
 Finds the finite number of scalar components driving the serial
 dependence of a sequence of curves, via eigenanalysis of an operator
 built from lag autocovariances, with a bootstrap test for the number of
-nonzero eigenvalues, subspace error metrics, VAR modeling of the
+nonzero eigenvalues, a subspace error metric, VAR modeling of the
 extracted loadings, and a tick-data-to-density front end.
 """
 
@@ -13,7 +13,6 @@ from .dimension import (
     bootstrap_test,
     default_epsilon,
     select_dimension,
-    subspace_distance,
     subspace_distance_general,
     threshold_estimate,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "operator_eigenvalues",
     "read_panel_csv",
     "select_dimension",
-    "subspace_distance",
     "subspace_distance_general",
     "threshold_estimate",
     "var_fit_yule_walker",

@@ -352,20 +352,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CurveDimError as err:
+    except (CurveDimError, OSError) as err:
         json.dump(
-            {"error": {"kind": err.kind, "message": str(err)}},
+            {"error": {"kind": getattr(err, "kind", "io"), "message": str(err)}},
             sys.stderr,
             sort_keys=True,
         )
         sys.stderr.write("\n")
         return exit_code_for(err)
-    except OSError as err:
-        json.dump(
-            {"error": {"kind": "io", "message": str(err)}}, sys.stderr, sort_keys=True
-        )
-        sys.stderr.write("\n")
-        return 1
 
 
 if __name__ == "__main__":

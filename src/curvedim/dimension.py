@@ -3,15 +3,14 @@
 The number of dynamic components is decided two ways: a residual
 bootstrap test of the hypothesis that a given ordered eigenvalue is zero,
 and a threshold rule that counts eigenvalues above a shrinking cutoff.
-Discrepancy between estimated and reference subspaces is measured with a
-projection-overlap metric (equal dimensions) and its unequal-dimension
-extension.
+Discrepancy between estimated and reference subspaces is measured with
+one projection-overlap metric, defined for unequal dimensions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,8 +177,8 @@ class DimensionReport:
     pvalues: dict[int, float]
     threshold_d: int
     epsilon_used: float
-    eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
-    eigenfunctions: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    eigenvalues: np.ndarray
+    eigenfunctions: np.ndarray
 
 
 def select_dimension(
@@ -235,40 +234,22 @@ def _validated_basis(grid: Grid, basis: np.ndarray, name: str) -> np.ndarray:
     return inv_root @ z
 
 
-def _overlap_energy(grid: Grid, b1: np.ndarray, b2: np.ndarray) -> float:
-    overlaps = (b1 * grid.weights) @ b2.T
-    return float(np.sum(overlaps**2))
-
-
-def subspace_distance(grid: Grid, basis1: np.ndarray, basis2: np.ndarray) -> float:
-    """Projection-overlap distance between equal-dimension subspaces.
-
-    Zero iff the spans coincide, one iff they are orthogonal; independent
-    of the orthonormal bases chosen. Requires both bases orthonormal
-    (within 1e-6) and of equal size.
-    """
-    b1 = _validated_basis(grid, basis1, "basis1")
-    b2 = _validated_basis(grid, basis2, "basis2")
-    if b1.shape[0] != b2.shape[0]:
-        raise ValidationError(
-            f"equal-dimension metric got dimensions {b1.shape[0]} and {b2.shape[0]}"
-        )
-    d = b1.shape[0]
-    return float(np.sqrt(max(0.0, 1.0 - _overlap_energy(grid, b1, b2) / d)))
-
-
 def subspace_distance_general(
     grid: Grid, basis1: np.ndarray, basis2: np.ndarray
 ) -> float:
-    """Extension of the subspace distance to unequal dimensions.
+    """Projection-overlap distance between subspaces of any dimensions.
 
-    Normalizes the overlap energy by the larger dimension; reduces to
-    ``subspace_distance`` when the dimensions agree.
+    One minus the overlap energy over the larger dimension, square-rooted:
+    zero iff the spans coincide, one iff they are orthogonal, and
+    sqrt(1 - d1/d2) for a d1-dimensional subspace of a d2-dimensional one;
+    independent of the orthonormal bases chosen. Requires both bases
+    orthonormal (within 1e-6).
     """
     b1 = _validated_basis(grid, basis1, "basis1")
     b2 = _validated_basis(grid, basis2, "basis2")
+    energy = float(np.sum(((b1 * grid.weights) @ b2.T) ** 2))
     dmax = max(b1.shape[0], b2.shape[0])
-    return float(np.sqrt(max(0.0, 1.0 - _overlap_energy(grid, b1, b2) / dmax)))
+    return float(np.sqrt(max(0.0, 1.0 - energy / dmax)))
 
 
 def write_dimension_report_json(report: DimensionReport, path) -> None:

@@ -95,5 +95,5 @@ USER_ERROR_EXIT = 1
 NUMERICAL_ERROR_EXIT = 2
 
 
-def exit_code_for(err: CurveDimError) -> int:
+def exit_code_for(err: Exception) -> int:
     return NUMERICAL_ERROR_EXIT if isinstance(err, NumericalFailureError) else USER_ERROR_EXIT

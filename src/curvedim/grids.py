@@ -66,10 +66,6 @@ class Grid:
     def __len__(self) -> int:
         return self.points.size
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return float(self.points[0]), float(self.points[-1])
-
     @staticmethod
     def uniform(a: float, b: float, m: int) -> "Grid":
         if m < 2 or not b > a:

@@ -84,14 +84,23 @@ def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
     of the block-Toeplitz moment matrix, symmetrized against roundoff.
     """
     x = _as_columns(series)
-    t_len, d = x.shape
     if order < 0:
         raise ValidationError("order must be >= 0")
+    t_len = x.shape[0]
+    return _yule_walker(_autocovariances(x, min(order, t_len)), t_len, order)
+
+
+def _yule_walker(gammas: list[np.ndarray], t_len: int, order: int) -> VarFit:
+    """VAR(order) from the moments Gamma(0..order) of a length-``t_len`` series.
+
+    The series must be longer than order * d + 1; that is checked before
+    ``gammas`` is read, so the list may stop at lag min(order, t_len).
+    """
+    d = gammas[0].shape[0]
     if t_len <= order * d + 1:
         raise ValidationError(
             f"series of length {t_len} too short for VAR({order}) in dimension {d}"
         )
-    gammas = _autocovariances(x, order)
     if order == 0:
         return VarFit(order=0, coefficient_matrices=[], innovation_covariance=gammas[0])
     big = np.empty((order * d, order * d))
@@ -119,7 +128,8 @@ def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
 def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
     """The Yule-Walker VAR fit of lowest AIC among orders 0..max_order.
 
-    Each order tau is fitted once with ``var_fit_yule_walker`` and scored
+    The lag moments are computed once, and each order tau is solved from
+    their prefix as ``var_fit_yule_walker`` would and scored
     T log det(innovation cov) + 2 tau d^2; the fit of the lowest score is
     returned as it is, with ``aic_table`` holding every order's score
     centered at that minimum (the minimum maps to 0.0).
@@ -128,9 +138,10 @@ def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
     if max_order < 0:
         raise ValidationError("max_order must be >= 0")
     t_len, d = x.shape
+    gammas = _autocovariances(x, min(max_order, t_len))
     fits, raw = [], {}
     for tau in range(max_order + 1):
-        fit = var_fit_yule_walker(x, tau)
+        fit = _yule_walker(gammas, t_len, tau)
         sign, logdet = np.linalg.slogdet(fit.innovation_covariance)
         if sign <= 0:
             raise ConditioningError(

@@ -178,6 +178,17 @@ def gram_schmidt(
     return np.array(kept), dropped
 
 
+def subspace_distance(grid: Grid, basis1: np.ndarray, basis2: np.ndarray) -> float:
+    """Projection-overlap distance between equal-dimension subspaces:
+    sqrt(1 - ||B1 W B2'||_F^2 / d) for orthonormal d-row bases B1, B2.
+
+    The package's ``subspace_distance_general`` normalizes by the larger
+    dimension instead, so at equal dimensions the two must agree.
+    """
+    overlaps = (basis1 * grid.weights) @ basis2.T
+    return float(np.sqrt(max(0.0, 1.0 - np.sum(overlaps**2) / basis1.shape[0])))
+
+
 def ar1_lfilter(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
     """``tsmodels.ar1_simulate`` as a linear filter: the same draws, run
     through ``scipy.signal.lfilter`` with the stationary start as its state."""

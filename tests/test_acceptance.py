@@ -12,10 +12,8 @@ import time
 import numpy as np
 
 from curvedim.cli import main as cli_main
-from curvedim.density import synthetic_tick_days, write_tick_manifest
 from curvedim.dimension import (
     default_epsilon,
-    subspace_distance,
     subspace_distance_general,
     threshold_estimate,
 )
@@ -31,6 +29,7 @@ from curvedim.simulation import (
     _child_seed,
 )
 from curvedim.tsmodels import ljung_box, ljung_box_from_autocorrelations, multivariate_portmanteau
+from fixtures import synthetic_tick_days, write_tick_manifest
 from reference import (
     discretized_operator,
     dual_matrix,
@@ -40,6 +39,7 @@ from reference import (
     gram_schmidt,
     inner_product,
     rate_regression_slopes,
+    subspace_distance,
 )
 
 # Pre-registered eigenvalue-gap threshold: derivation runs of the d=2/4/6

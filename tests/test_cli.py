@@ -9,10 +9,10 @@ import pytest
 
 from curvedim import dimension, eigen
 from curvedim.cli import main
-from curvedim.density import synthetic_tick_days, write_tick_manifest
 from curvedim.eigen import write_loadings_csv
 from curvedim.grids import read_panel_csv, write_panel_csv
 from curvedim.simulation import FactorModelSpec, generate_panel
+from fixtures import synthetic_tick_days, write_tick_manifest
 
 
 @pytest.fixture(scope="module")
@@ -646,8 +646,9 @@ class TestVarFitCommand:
 
     @pytest.mark.parametrize(
         "rows, max_order, kind",
-        [(50, "-1", "validation"), (3, "5", "validation"), (50, "1", "degenerate-series")],
-        ids=["negative-order", "too-short", "constant-column"],
+        [(50, "-1", "validation"), (3, "5", "validation"), (50, "1", "degenerate-series"),
+         (50, "1000000000", "validation")],
+        ids=["negative-order", "too-short", "constant-column", "order-past-length"],
     )
     def test_failed_fit_leaves_no_output_dir(self, tmp_path, capsys, rows, max_order, kind):
         series = np.random.default_rng(8).standard_normal((rows, 2))

@@ -12,8 +12,6 @@ from curvedim.density import (
     previous_tick_prices,
     read_tick_manifest,
     silverman_bandwidth,
-    synthetic_tick_days,
-    write_tick_manifest,
 )
 from curvedim.errors import (
     DayProcessingError,
@@ -23,6 +21,7 @@ from curvedim.errors import (
     ValidationError,
 )
 from curvedim.grids import Grid, write_panel_csv
+from fixtures import synthetic_tick_days, write_tick_manifest
 from reference import dual_matrix
 
 
@@ -250,5 +249,5 @@ class TestTickIo:
         day = synthetic_tick_days(1, seed=7, ticks_per_day=200)[0]
         curve, meta = day_density(day, 1.0)
         assert curve.shape == (201,)
-        assert DENSITY_GRID.interval == (-0.002, 0.002)
+        assert DENSITY_GRID.points[[0, -1]].tolist() == [-0.002, 0.002]
         assert meta["bandwidth"] > 0 and meta["sigma"] > 0

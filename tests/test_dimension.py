@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedim import dimension, eigen
-from curvedim.density import synthetic_tick_days
 from curvedim.dimension import (
     BootstrapConfig,
     _fit,
@@ -14,7 +13,6 @@ from curvedim.dimension import (
     bootstrap_test,
     default_epsilon,
     select_dimension,
-    subspace_distance,
     subspace_distance_general,
     threshold_estimate,
     write_dimension_report_json,
@@ -23,7 +21,8 @@ from curvedim.eigen import EigenDecomposition, decompose, operator_eigenvalues
 from curvedim.errors import BoundsError, GridMismatchError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import FactorModelSpec, generate_panel
-from reference import gram_schmidt
+from fixtures import synthetic_tick_days
+from reference import gram_schmidt, subspace_distance
 
 
 def uniform_grid(m=101):
@@ -311,13 +310,13 @@ class TestSubspaceDistance:
         # sqrt turns the ~1e-16 overlap-energy rounding into ~1e-8
         g = uniform_grid()
         b = random_orthonormal_basis(g, 2, seed=0)
-        assert subspace_distance(g, b, b) < 1e-7
+        assert subspace_distance_general(g, b, b) < 1e-7
 
     def test_orthogonal_one_dim(self):
         g = uniform_grid(201)
         f = np.sqrt(2) * np.cos(np.pi * g.points)
         h = np.sqrt(2) * np.sin(np.pi * g.points)
-        assert subspace_distance(g, f[None, :], h[None, :]) > 1 - 1e-4
+        assert subspace_distance_general(g, f[None, :], h[None, :]) > 1 - 1e-4
 
     def test_rotation_invariance(self):
         g = uniform_grid()
@@ -326,20 +325,15 @@ class TestSubspaceDistance:
         rot = np.array(
             [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
         )
-        assert subspace_distance(g, b, rot @ b) < 1e-8
+        assert subspace_distance_general(g, b, rot @ b) < 1e-8
 
     def test_rejects_non_orthonormal(self):
         g = uniform_grid()
         rng = np.random.default_rng(2)
         with pytest.raises(ValidationError):
-            subspace_distance(g, rng.standard_normal((2, len(g))), rng.standard_normal((2, len(g))))
-
-    def test_rejects_unequal_dimensions(self):
-        g = uniform_grid()
-        b1 = random_orthonormal_basis(g, 1, seed=3)
-        b2 = random_orthonormal_basis(g, 2, seed=4)
-        with pytest.raises(ValidationError):
-            subspace_distance(g, b1, b2)
+            subspace_distance_general(
+                g, rng.standard_normal((2, len(g))), rng.standard_normal((2, len(g)))
+            )
 
 
 class TestSubspaceDistanceGeneral:
@@ -378,13 +372,13 @@ class TestSubspaceDistanceGeneral:
             a = random_orthonormal_basis(g, dim, seed=3 * seed)
             b = random_orthonormal_basis(g, dim, seed=3 * seed + 1)
             c = random_orthonormal_basis(g, dim, seed=3 * seed + 2)
-            dab = subspace_distance(g, a, b)
-            dba = subspace_distance(g, b, a)
-            dac = subspace_distance(g, a, c)
-            dcb = subspace_distance(g, c, b)
+            dab = subspace_distance_general(g, a, b)
+            dba = subspace_distance_general(g, b, a)
+            dac = subspace_distance_general(g, a, c)
+            dcb = subspace_distance_general(g, c, b)
             assert dab >= 0
             assert abs(dab - dba) <= 1e-10
-            assert subspace_distance(g, a, a) <= 1e-7
+            assert subspace_distance_general(g, a, a) <= 1e-7
             assert dac + dcb - dab >= -1e-10
 
 

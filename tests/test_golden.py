@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from curvedim.cli import main
-from curvedim.density import synthetic_tick_days, write_tick_manifest
 from curvedim.eigen import read_loadings_csv
 from curvedim.grids import read_panel_csv, write_panel_csv
 from curvedim.simulation import FactorModelSpec, generate_panel, subspace_error_study
+from fixtures import synthetic_tick_days, write_tick_manifest
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 GOLDEN_DENSITY = Path(__file__).parent / "data" / "golden_density.json"

@@ -40,10 +40,6 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid(np.array([0.0, 0.5, 0.5, 1.0]))
 
-    def test_interval_endpoints(self):
-        g = Grid(np.array([-1.0, 0.0, 2.0]))
-        assert g.interval == (-1.0, 2.0)
-
     def test_trapezoid_weights_sum_to_length(self):
         g = Grid(np.array([0.0, 0.1, 0.4, 1.0]))
         assert np.isclose(g.weights.sum(), 1.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedim import tsmodels
 from curvedim.errors import (
     ConditioningError,
     DegenerateSeriesError,
@@ -303,6 +304,33 @@ class TestVarHelpers:
         for a, b in zip(fit.coefficient_matrices, yw.coefficient_matrices):
             assert np.array_equal(a, b)
         assert np.array_equal(fit.innovation_covariance, yw.innovation_covariance)
+
+    @pytest.fixture
+    def moment_lags(self, monkeypatch):
+        """The max_lag of every ``_autocovariances`` call; a lag past T fails
+        the test at once instead of running a loop of that length."""
+        real, lags = tsmodels._autocovariances, []
+
+        def counted(series, max_lag):
+            assert max_lag <= series.shape[0], f"lag {max_lag} past T = {series.shape[0]}"
+            lags.append(max_lag)
+            return real(series, max_lag)
+
+        monkeypatch.setattr(tsmodels, "_autocovariances", counted)
+        return lags
+
+    def test_order_past_series_length_rejected(self, moment_lags):
+        x = np.random.default_rng(22).standard_normal((50, 2))
+        with pytest.raises(ValidationError, match=r"too short for VAR\(1000000000\)"):
+            var_fit_yule_walker(x, 10**9)
+        with pytest.raises(ValidationError, match=r"too short for VAR\(25\)"):
+            fit_var_with_aic(x, 10**9)
+        assert moment_lags == [50, 50]
+
+    def test_aic_computes_lag_moments_once(self, moment_lags):
+        x = np.random.default_rng(23).standard_normal((250, 3))
+        fit_var_with_aic(x, 5)
+        assert moment_lags == [5]
 
     def test_var_fit_export(self, tmp_path):
         rng = np.random.default_rng(21)
