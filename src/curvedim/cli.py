@@ -38,19 +38,12 @@ from .eigen import (
     write_loadings_csv,
 )
 from .errors import CurveDimError, ValidationError, exit_code_for
-from .grids import read_panel_csv, write_json, write_panel_csv
+from .grids import read_panel_csv, write_csv_rows, write_json, write_panel_csv
 from .simulation import (
-    RATE_AR_COEFFICIENT,
-    RATE_LAG_BUDGET,
     bootstrap_power_study,
     eigen_gap_study,
     rate_study,
     subspace_error_study,
-    write_bootstrap_power_csv,
-    write_eigen_gap_csv,
-    write_manifest,
-    write_rate_study_csv,
-    write_subspace_error_csv,
 )
 from .tsmodels import (
     VarFit,
@@ -67,6 +60,13 @@ DIAGNOSTIC_LAGS = (1, 3, 5)
 # Parsed values that are not configuration: the subcommand and its handler,
 # where outputs go, the seed (recorded on its own) and the ignored --threads.
 NOT_CONFIG = {"command", "func", "output_dir", "seed", "threads"}
+# The CSV each simulate study writes its records to.
+STUDY_CSV = {
+    "eigen-gap": "figure1_eigenvalues.csv",
+    "bootstrap-power": "figure2_pvalues.csv",
+    "subspace-error": "figure3_dtilde.csv",
+    "rate": "rate_study.csv",
+}
 
 
 def _outdir(args) -> Path:
@@ -81,7 +81,7 @@ def _manifest(out: Path, args, **fixed) -> None:
     """Write manifest.json: the command, its seed, and as ``config`` every
     other flag the command parsed plus the ``fixed`` design values it applied."""
     config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
-    write_manifest(
+    write_json(
         out / "manifest.json",
         {
             "artifact": {"name": "curvedim", "version": __version__},
@@ -190,35 +190,24 @@ def cmd_test_dim(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    fixed = {}
     if args.study == "eigen-gap":
-        res = eigen_gap_study(
+        records, design = eigen_gap_study(
             args.d_values, args.n_values, args.replications, p=args.p, seed=args.seed
         )
-        write, name = write_eigen_gap_csv, "figure1_eigenvalues.csv"
     elif args.study == "bootstrap-power":
-        res = bootstrap_power_study(
+        records, design = bootstrap_power_study(
             args.d, args.n_values, args.replications, n_draws=args.B, p=args.p,
             seed=args.seed,
         )
-        write, name = write_bootstrap_power_csv, "figure2_pvalues.csv"
     elif args.study == "subspace-error":
-        res = subspace_error_study(
+        records, design = subspace_error_study(
             args.d_values, args.n_values, args.replications, p=args.p, seed=args.seed
         )
-        write, name = write_subspace_error_csv, "figure3_dtilde.csv"
     else:
-        res = rate_study(args.sample_sizes, args.replications, seed=args.seed)
-        write, name = write_rate_study_csv, "rate_study.csv"
-        fixed = {
-            "p": RATE_LAG_BUDGET,
-            "ar_coefficient": RATE_AR_COEFFICIENT,
-            "reference_eigenvalue": res.theta_ref,
-            "reference_eigenvalue_analytic": res.theta_ref_analytic,
-        }
+        records, design = rate_study(args.sample_sizes, args.replications, seed=args.seed)
     out = _outdir(args)
-    write(res, out / name)
-    _manifest(out, args, **fixed)
+    write_csv_rows(out / STUDY_CSV[args.study], (r.values() for r in records), list(records[0]))
+    _manifest(out, args, **design)
     return 0
 
 

@@ -15,6 +15,10 @@ Every study runs its replications in order in one loop, and derives one
 RNG stream per replication from (seed, indices), so results are
 reproducible bit-for-bit and the first k replications of a run do not
 depend on how many replications follow them.
+
+Every study returns ``(records, design)``: ``records`` is a list of dicts,
+one per CSV row, whose keys are the CSV columns in order, and ``design``
+holds the fixed values the study applied, for the run's manifest.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ from .dimension import (
 )
 from .eigen import decompose, operator_eigenvalues
 from .errors import ValidationError
-from .grids import CurvePanel, Grid, write_csv_rows, write_json
+from .grids import CurvePanel, Grid
 from .tsmodels import ar1_simulate
 
 DEFAULT_GRID_POINTS = 101
 RATE_AR_COEFFICIENT = 0.5
 RATE_LAG_BUDGET = 1
+EIGEN_GAP_TOP = 10  # eigenvalues recorded per eigen-gap cell
 
 
 def default_grid() -> Grid:
@@ -121,50 +126,32 @@ def _check_study(replications: int, seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-@dataclass(frozen=True)
-class EigenGapResult:
-    """Mean of the 10 largest eigenvalues per (d, n) cell."""
-
-    d_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    mean_eigenvalues: dict[tuple[int, int], np.ndarray]
-
-    TOP = 10
-
-
 def eigen_gap_study(
     d_values,
     n_values,
     replications: int,
     p: int = 5,
     seed: int = 0,
-) -> EigenGapResult:
+) -> tuple[list[dict], dict]:
+    """Mean of the ``EIGEN_GAP_TOP`` largest eigenvalues per (d, n) cell:
+    records ``d, n, eigenvalue_1..eigenvalue_10``."""
     _check_study(replications, seed)
     grid = default_grid()
-    top = EigenGapResult.TOP
-    means: dict[tuple[int, int], np.ndarray] = {}
+    records: list[dict] = []
     for di, d in enumerate(d_values):
         for ni, n in enumerate(n_values):
-            rows = np.zeros((replications, top))
+            rows = np.zeros((replications, EIGEN_GAP_TOP))
             for rep in range(replications):
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
                 )
                 lam = operator_eigenvalues(generate_panel(spec), p)
-                rows[rep, : min(top, lam.size)] = lam[:top]
-            means[(d, n)] = rows.mean(axis=0)
-    return EigenGapResult(
-        d_values=tuple(d_values), n_values=tuple(n_values), mean_eigenvalues=means
-    )
-
-
-@dataclass(frozen=True)
-class BootstrapPowerResult:
-    """P-value samples for the hypotheses on eigenvalue ranks d and d+1."""
-
-    d: int
-    n_values: tuple[int, ...]
-    pvalues: dict[tuple[int, int], np.ndarray]  # (n, tested_rank) -> samples
+                rows[rep, : min(EIGEN_GAP_TOP, lam.size)] = lam[:EIGEN_GAP_TOP]
+            means = rows.mean(axis=0).tolist()
+            records.append(
+                {"d": d, "n": n} | {f"eigenvalue_{j + 1}": v for j, v in enumerate(means)}
+            )
+    return records, {}
 
 
 def bootstrap_power_study(
@@ -174,13 +161,14 @@ def bootstrap_power_study(
     n_draws: int = 200,
     p: int = 5,
     seed: int = 0,
-) -> BootstrapPowerResult:
+) -> tuple[list[dict], dict]:
+    """P-values of the hypotheses on eigenvalue ranks d and d+1: records
+    ``d, n, tested_rank, replication, p_value``."""
     _check_study(replications, seed)
     grid = default_grid()
-    out: dict[tuple[int, int], np.ndarray] = {}
+    records: list[dict] = []
     for ni, n in enumerate(n_values):
         for hi, d0 in enumerate((d - 1, d)):
-            pvalues = []
             for rep in range(replications):
                 spec = FactorModelSpec(
                     d=d, n=n, grid=grid, seed=_child_seed(seed, ni, hi, rep, 0)
@@ -191,22 +179,12 @@ def bootstrap_power_study(
                     seed=_child_seed(seed, ni, hi, rep, 1),
                 )
                 panel = generate_panel(spec)
-                pvalues += bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
-            out[(n, d0 + 1)] = np.array(pvalues)
-    return BootstrapPowerResult(d=d, n_values=tuple(n_values), pvalues=out)
-
-
-@dataclass(frozen=True)
-class SubspaceErrorResult:
-    """Distance of the estimated dynamic space from the true factor span.
-
-    Each record carries two distances: ``dtilde`` uses the first d
-    estimated eigenfunctions (the estimation-error measure, comparable
-    across d), and ``dtilde_adaptive`` uses the threshold-rule dimension
-    estimate recorded in ``d_hat``.
-    """
-
-    records: list[dict]  # d, n, replication, d_hat, dtilde, dtilde_adaptive
+                [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
+                records.append(
+                    {"d": d, "n": n, "tested_rank": d0 + 1, "replication": rep,
+                     "p_value": pvalue}
+                )
+    return records, {}
 
 
 def subspace_error_study(
@@ -215,7 +193,15 @@ def subspace_error_study(
     replications: int,
     p: int = 5,
     seed: int = 0,
-) -> SubspaceErrorResult:
+) -> tuple[list[dict], dict]:
+    """Distance of the estimated dynamic space from the true factor span:
+    records ``d, n, replication, d_hat, dtilde, dtilde_adaptive``.
+
+    ``dtilde`` uses the first d estimated eigenfunctions (the
+    estimation-error measure, comparable across d), and
+    ``dtilde_adaptive`` uses the threshold-rule dimension estimate
+    ``d_hat``.
+    """
     _check_study(replications, seed)
     grid = default_grid()
     records: list[dict] = []
@@ -248,7 +234,7 @@ def subspace_error_study(
                         "dtilde_adaptive": dist_adaptive,
                     }
                 )
-    return SubspaceErrorResult(records=records)
+    return records, {}
 
 
 def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:
@@ -273,21 +259,17 @@ def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:
     return float(np.linalg.eigvalsh((sym + sym.T) / 2.0)[-1])
 
 
-@dataclass(frozen=True)
-class RateStudyResult:
-    theta_ref: float
-    theta_ref_analytic: float
-    records: list[dict]  # n, replication, theta1, theta2
-
-
-def rate_study(sample_sizes, replications: int, seed: int = 0) -> RateStudyResult:
+def rate_study(sample_sizes, replications: int, seed: int = 0) -> tuple[list[dict], dict]:
     """Contrast eigenvalue convergence rates on the single-factor model.
 
     Each replication draws an n-curve panel with one AR(1) factor
     (coefficient ``RATE_AR_COEFFICIENT``) and records the two leading
     eigenvalues of its operator at lag budget ``RATE_LAG_BUDGET``:
-    theta1 estimates the nonzero eigenvalue ``theta_ref``, and theta2 an
-    eigenvalue that is zero.
+    theta1 estimates the nonzero eigenvalue theta_ref
+    (``reference_rate_eigenvalue``), and theta2 an eigenvalue that is
+    zero. Records are ``n, replication, theta1, theta2, abs_err_theta1``;
+    ``design`` holds the lag budget, the AR coefficient and theta_ref,
+    from quadrature and analytically.
     """
     _check_study(replications, seed)
     grid = default_grid()
@@ -304,48 +286,21 @@ def rate_study(sample_sizes, replications: int, seed: int = 0) -> RateStudyResul
                 seed=_child_seed(seed, ni, rep),
             )
             lam = operator_eigenvalues(generate_panel(model), RATE_LAG_BUDGET)
+            theta1 = float(lam[0])
             records.append(
                 {
                     "n": n,
                     "replication": rep,
-                    "theta1": float(lam[0]),
+                    "theta1": theta1,
                     "theta2": float(lam[1]) if lam.size > 1 else 0.0,
+                    "abs_err_theta1": abs(theta1 - theta_ref),
                 }
             )
-    return RateStudyResult(
-        theta_ref=theta_ref, theta_ref_analytic=gamma1**2, records=records
-    )
+    design = {
+        "p": RATE_LAG_BUDGET,
+        "ar_coefficient": RATE_AR_COEFFICIENT,
+        "reference_eigenvalue": theta_ref,
+        "reference_eigenvalue_analytic": gamma1**2,
+    }
+    return records, design
 
-
-# CSV and manifest emission (plot-ready tidy data).
-
-def write_eigen_gap_csv(result: EigenGapResult, path) -> None:
-    cols = [f"eigenvalue_{j + 1}" for j in range(EigenGapResult.TOP)]
-    means = result.mean_eigenvalues
-    rows = ((d, n, *means[(d, n)]) for d in result.d_values for n in result.n_values)
-    write_csv_rows(path, rows, ["d", "n", *cols])
-
-
-def write_bootstrap_power_csv(result: BootstrapPowerResult, path) -> None:
-    rows = (
-        (result.d, n, rank, rep, pv)
-        for n in result.n_values
-        for rank in (result.d, result.d + 1)
-        for rep, pv in enumerate(result.pvalues[(n, rank)])
-    )
-    write_csv_rows(path, rows, ["d", "n", "tested_rank", "replication", "p_value"])
-
-
-def write_subspace_error_csv(result: SubspaceErrorResult, path) -> None:
-    cols = ["d", "n", "replication", "d_hat", "dtilde", "dtilde_adaptive"]
-    write_csv_rows(path, ([r[c] for c in cols] for r in result.records), cols)
-
-
-def write_rate_study_csv(result: RateStudyResult, path) -> None:
-    cols = ["n", "replication", "theta1", "theta2"]
-    rows = ([r[c] for c in cols] + [abs(r["theta1"] - result.theta_ref)] for r in result.records)
-    write_csv_rows(path, rows, [*cols, "abs_err_theta1"])
-
-
-def write_manifest(path, payload: dict) -> None:
-    write_json(path, payload)

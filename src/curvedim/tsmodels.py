@@ -59,9 +59,12 @@ class VarFit:
 
 
 def _as_columns(series) -> np.ndarray:
-    """The series as a float (T, d) array; a 1-d series becomes one column."""
+    """The series as a float (T, d) array, d >= 1; a 1-d series becomes one column."""
     x = np.asarray(series, dtype=np.float64)
-    return x[:, None] if x.ndim == 1 else x
+    x = x[:, None] if x.ndim == 1 else x
+    if x.shape[1] == 0:
+        raise ValidationError("series has no components (d = 0)")
+    return x
 
 
 def _autocovariances(series: np.ndarray, max_lag: int) -> list[np.ndarray]:

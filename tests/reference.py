@@ -22,7 +22,6 @@ import numpy as np
 
 from curvedim.eigen import _clamp
 from curvedim.grids import CurvePanel, Grid, centered_values, check_lag_budget
-from curvedim.simulation import RateStudyResult
 from curvedim.tsmodels import BURN_IN, VarFit
 
 _DROP_TOL = 1e-10
@@ -214,17 +213,18 @@ def companion_spectral_radius(fit: VarFit) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def rate_regression_slopes(result: RateStudyResult) -> tuple[float, float]:
-    """Log-log slopes of the mean errors against sample size.
+def rate_regression_slopes(records: list[dict]) -> tuple[float, float]:
+    """Log-log slopes of the mean errors against sample size, from the
+    records of ``rate_study``.
 
     Returns (slope of mean |theta1 - theta_ref|, slope of mean theta2).
     """
-    ns = np.array(sorted({r["n"] for r in result.records}), dtype=float)
+    ns = np.array(sorted({r["n"] for r in records}), dtype=float)
     err1 = []
     err2 = []
     for n in ns:
-        sel = [r for r in result.records if r["n"] == n]
-        err1.append(np.mean([abs(r["theta1"] - result.theta_ref) for r in sel]))
+        sel = [r for r in records if r["n"] == n]
+        err1.append(np.mean([r["abs_err_theta1"] for r in sel]))
         err2.append(np.mean([r["theta2"] for r in sel]))
     slope1 = np.polyfit(np.log(ns), np.log(np.array(err1)), 1)[0]
     slope2 = np.polyfit(np.log(ns), np.log(np.array(err2)), 1)[0]

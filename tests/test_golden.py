@@ -4,9 +4,12 @@
 one small subspace-error study, recorded at commit 8b6a0c9.
 ``data/golden_density.json`` holds the dimension decisions, VAR fit and
 white-noise diagnostics of one seeded ``density --identify --var-fit``
-run, recorded at commit a975b36. A refactor that claims unchanged
-behaviour must leave these tests passing with the files unchanged; the
-files are never regenerated to follow the code.
+run, recorded at commit a975b36. ``data/golden_studies.json`` holds the
+command line, CSV header and rows, and manifest config of one small
+seeded ``simulate`` run of each of the eigen-gap, bootstrap-power and
+rate studies, recorded at commit af510ff. A refactor that claims
+unchanged behaviour must leave these tests passing with the files
+unchanged; the files are never regenerated to follow the code.
 """
 
 import json
@@ -23,6 +26,7 @@ from fixtures import synthetic_tick_days, write_tick_manifest
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 GOLDEN_DENSITY = Path(__file__).parent / "data" / "golden_density.json"
+GOLDEN_STUDIES = Path(__file__).parent / "data" / "golden_studies.json"
 
 IDENTIFY_SPEC = FactorModelSpec(d=2, n=200, seed=31)
 IDENTIFY_ARGS = ["--p", "3", "--B", "50", "--d-max", "3", "--seed", "7"]
@@ -49,7 +53,8 @@ def identify_outputs(tmp_path) -> dict:
 
 
 def study_outputs() -> list[dict]:
-    return subspace_error_study(**STUDY_ARGS).records
+    records, _ = subspace_error_study(**STUDY_ARGS)
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +97,38 @@ def test_subspace_error_study(golden):
         )
         assert g["dtilde"] == pytest.approx(w["dtilde"], rel=0, abs=1e-10)
         assert g["dtilde_adaptive"] == pytest.approx(w["dtilde_adaptive"], rel=0, abs=1e-10)
+
+
+def _cell(token: str):
+    """A CSV cell: integers are written with ``str``, floats with ``repr``."""
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
+@pytest.mark.parametrize("study", ["eigen-gap", "bootstrap-power", "rate"])
+def test_study_csv_and_manifest(tmp_path, study):
+    want = json.loads(GOLDEN_STUDIES.read_text())[study]
+    assert main([*want["argv"], "--output-dir", str(tmp_path)]) == 0
+    header, *lines = (tmp_path / want["csv"]).read_text().splitlines()
+    assert header.split(",") == want["header"]
+    got = [[_cell(tok) for tok in line.split(",")] for line in lines]
+    assert len(got) == len(want["rows"])
+    for g, w in zip(got, want["rows"]):
+        assert [type(x) for x in g] == [type(x) for x in w]
+        assert [x for x in g if type(x) is int] == [x for x in w if type(x) is int]
+        floats = [x for x in w if type(x) is float]
+        if study == "bootstrap-power":  # p-values are exact counts over B draws
+            assert [x for x in g if type(x) is float] == floats
+        else:  # scaled to the row's leading float: eigenvalue_1 or theta1
+            atol = 1e-10 * abs(floats[0])
+            assert [x for x in g if type(x) is float] == pytest.approx(floats, rel=0, abs=atol)
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config.keys() == want["config"].keys()
+    for key, w in want["config"].items():
+        expect = pytest.approx(w, rel=0, abs=1e-10 * abs(w)) if type(w) is float else w
+        assert config[key] == expect, key
 
 
 def density_outputs(tmp_path) -> dict:

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curvedim.cli import main
 from curvedim.eigen import operator_eigenvalues
 from curvedim.errors import ValidationError
 from curvedim.grids import Grid
 from curvedim.simulation import (
     RATE_AR_COEFFICIENT,
+    RATE_LAG_BUDGET,
     FactorModelSpec,
     bootstrap_power_study,
     default_ar_coefficients,
@@ -19,10 +21,14 @@ from curvedim.simulation import (
     rate_study,
     reference_rate_eigenvalue,
     subspace_error_study,
-    write_eigen_gap_csv,
-    write_rate_study_csv,
 )
 from reference import rate_regression_slopes
+
+
+def mean_eigenvalues(records, d, n) -> np.ndarray:
+    """The eigenvalue columns of the eigen-gap record of cell (d, n)."""
+    [row] = [r for r in records if r["d"] == d and r["n"] == n]
+    return np.array([row[f"eigenvalue_{j}"] for j in range(1, 11)])
 
 
 class TestFactorModelSpec:
@@ -99,17 +105,17 @@ class TestEigenGapStudy:
         assert np.sum(mean_lam > 1e-8 * mean_lam[0]) == 1
 
     def test_gap_and_zero_eigenvalue_shrinkage(self):
-        res = eigen_gap_study([2], [100, 600], 30, p=5, seed=31)
-        lam100 = res.mean_eigenvalues[(2, 100)]
-        lam600 = res.mean_eigenvalues[(2, 600)]
+        records, _ = eigen_gap_study([2], [100, 600], 30, p=5, seed=31)
+        lam100 = mean_eigenvalues(records, 2, 100)
+        lam600 = mean_eigenvalues(records, 2, 600)
         assert lam600[1] / lam600[2] > 3.0
         assert lam600[2] < lam100[2]
 
     def test_csv_layout(self, tmp_path):
-        res = eigen_gap_study([2], [100], 3, p=5, seed=1)
-        path = tmp_path / "gap.csv"
-        write_eigen_gap_csv(res, path)
-        header, row = path.read_text().splitlines()
+        assert main(["simulate", "eigen-gap", "--d-values", "2", "--n-values", "100",
+                     "--replications", "3", "--p", "5", "--seed", "1",
+                     "--output-dir", str(tmp_path)]) == 0
+        header, row = (tmp_path / "figure1_eigenvalues.csv").read_text().splitlines()
         assert header.split(",")[:2] == ["d", "n"]
         assert len(header.split(",")) == 12  # d, n, ten eigenvalues
         assert len(row.split(",")) == 12
@@ -137,40 +143,39 @@ class TestBootstrapPowerStudy:
         assert rates[600] - rates[100] >= 0.4
 
     def test_pvalues_shape_and_range(self):
-        res = bootstrap_power_study(1, [80], 4, n_draws=20, p=2, seed=3)
+        records, _ = bootstrap_power_study(1, [80], 4, n_draws=20, p=2, seed=3)
         for rank in (1, 2):
-            pv = res.pvalues[(80, rank)]
+            pv = np.array([r["p_value"] for r in records if r["tested_rank"] == rank])
             assert pv.shape == (4,)
             assert np.all((0 <= pv) & (pv <= 1))
 
     def test_first_replications_match_a_shorter_run(self):
-        full = bootstrap_power_study(1, [80], 4, n_draws=20, p=2, seed=3)
-        short = bootstrap_power_study(1, [80], 2, n_draws=20, p=2, seed=3)
-        for key in full.pvalues:
-            assert np.array_equal(full.pvalues[key][:2], short.pvalues[key])
+        full, _ = bootstrap_power_study(1, [80], 4, n_draws=20, p=2, seed=3)
+        short, _ = bootstrap_power_study(1, [80], 2, n_draws=20, p=2, seed=3)
+        assert [r for r in full if r["replication"] < 2] == short
 
 
 class TestSubspaceErrorStudy:
     def test_records_complete_and_bounded(self):
-        res = subspace_error_study([2], [100], 5, p=5, seed=11)
-        assert len(res.records) == 5
-        for r in res.records:
+        records, _ = subspace_error_study([2], [100], 5, p=5, seed=11)
+        assert len(records) == 5
+        for r in records:
             assert 0.0 <= r["dtilde"] <= 1.0
             assert 0.0 <= r["dtilde_adaptive"] <= 1.0
             assert r["d_hat"] >= 0
 
     def test_error_shrinks_with_sample_size(self):
-        res = subspace_error_study([2], [100, 600], 20, p=5, seed=12)
+        records, _ = subspace_error_study([2], [100, 600], 20, p=5, seed=12)
         med = {
-            n: np.median([r["dtilde"] for r in res.records if r["n"] == n])
+            n: np.median([r["dtilde"] for r in records if r["n"] == n])
             for n in (100, 600)
         }
         assert med[600] < med[100]
 
     def test_first_replications_match_a_shorter_run(self):
-        full = subspace_error_study([2, 3], [60], 5, p=3, seed=13)
-        short = subspace_error_study([2, 3], [60], 3, p=3, seed=13)
-        assert [r for r in full.records if r["replication"] < 3] == short.records
+        full, _ = subspace_error_study([2, 3], [60], 5, p=3, seed=13)
+        short, _ = subspace_error_study([2, 3], [60], 3, p=3, seed=13)
+        assert [r for r in full if r["replication"] < 3] == short
 
 
 class TestRateStudy:
@@ -183,25 +188,30 @@ class TestRateStudy:
         assert abs(fine - gamma1**2) < abs(ref - gamma1**2) + 1e-12
 
     def test_records_and_reference_wiring(self):
-        res = rate_study((100, 200), 5, seed=2)
-        assert len(res.records) == 10
-        assert res.theta_ref == reference_rate_eigenvalue(default_grid(), RATE_AR_COEFFICIENT)
-        assert res.theta_ref_analytic == pytest.approx(4.0 / 9.0)
+        records, design = rate_study((100, 200), 5, seed=2)
+        assert len(records) == 10
+        theta_ref = reference_rate_eigenvalue(default_grid(), RATE_AR_COEFFICIENT)
+        assert design == {
+            "p": RATE_LAG_BUDGET,
+            "ar_coefficient": RATE_AR_COEFFICIENT,
+            "reference_eigenvalue": theta_ref,
+            "reference_eigenvalue_analytic": pytest.approx(4.0 / 9.0),
+        }
+        assert all(r["abs_err_theta1"] == abs(r["theta1"] - theta_ref) for r in records)
 
     def test_zero_eigenvalue_shrinks_faster(self):
-        res = rate_study((100, 400, 1600), 30, seed=5)
-        slope_err1, slope_theta2 = rate_regression_slopes(res)
+        records, _ = rate_study((100, 400, 1600), 30, seed=5)
+        slope_err1, slope_theta2 = rate_regression_slopes(records)
         assert slope_theta2 < slope_err1 < 0
 
     def test_csv_has_row_per_replication(self, tmp_path):
-        res = rate_study((100,), 4, seed=3)
-        path = tmp_path / "rate.csv"
-        write_rate_study_csv(res, path)
-        lines = path.read_text().splitlines()
+        assert main(["simulate", "rate", "--sample-sizes", "100", "--replications", "4",
+                     "--seed", "3", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "rate_study.csv").read_text().splitlines()
         assert lines[0] == "n,replication,theta1,theta2,abs_err_theta1"
         assert len(lines) == 5
 
     def test_first_replications_match_a_shorter_run(self):
-        full = rate_study((100, 200), 5, seed=8)
-        short = rate_study((100, 200), 3, seed=8)
-        assert [r for r in full.records if r["replication"] < 3] == short.records
+        full, _ = rate_study((100, 200), 5, seed=8)
+        short, _ = rate_study((100, 200), 3, seed=8)
+        assert [r for r in full if r["replication"] < 3] == short

@@ -332,6 +332,19 @@ class TestVarHelpers:
         fit_var_with_aic(x, 5)
         assert moment_lags == [5]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: var_fit_yule_walker(x, 1),
+            lambda x: fit_var_with_aic(x, 3),
+            lambda x: multivariate_portmanteau(x, 3),
+        ],
+        ids=["yule-walker", "aic", "portmanteau"],
+    )
+    def test_zero_column_series_rejected(self, call):
+        with pytest.raises(ValidationError, match="no components"):
+            call(np.empty((50, 0)))
+
     def test_var_fit_export(self, tmp_path):
         rng = np.random.default_rng(21)
         x = simulate_var([np.array([[0.4, 0.0], [0.1, 0.2]])], 2000, rng)
