@@ -6,13 +6,19 @@ Every command is deterministic given its full flag set (including --seed),
 writes its outputs under --output-dir, and records in manifest.json every
 flag it parsed plus the fixed design values it applied. Exit codes: 0
 success, 1 user/data error (reported as JSON on stderr), 2 internal
-numerical failure (likewise) or a flag the command does not take.
+numerical failure (likewise) or a flag the command does not take. ``main``
+runs BLAS on one thread unless a BLAS thread variable is set, so the bytes
+do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,6 +63,9 @@ from . import density
 from .density import build_density_panel, read_tick_manifest, write_day_metadata_json
 
 DIAGNOSTIC_LAGS = (1, 3, 5)
+# Variables through which a user sets the BLAS thread count; any of them set
+# leaves BLAS as the user configured it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Parsed values that are not configuration: the subcommand and its handler,
 # where outputs go, the seed (recorded on its own) and the ignored --threads.
 NOT_CONFIG = {"command", "func", "output_dir", "seed", "threads"}
@@ -337,10 +346,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the 64-bit-integer OpenBLAS
+    that numpy's wheel bundles, or None for any other BLAS build. The wheel
+    names the library lib<prefix>64_-<hash>.so and its exports
+    <prefix>_<function>64_."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("lib*openblas64_*"))
+    try:
+        prefix = libs[0].name.removeprefix("lib").partition("64_")[0]
+        lib = ctypes.CDLL(str(libs[0]))
+        get = getattr(lib, f"{prefix}_get_num_threads64_")
+        set_ = getattr(lib, f"{prefix}_set_num_threads64_")
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread, then restore the previous count. The operators
+    are at most a few hundred wide, where a second thread buys no time and
+    moves the last bits of the eigenvalues with the core count."""
+    blas = None if any(v in os.environ for v in BLAS_THREAD_VARS) else _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        with _one_blas_thread():
+            args = build_parser().parse_args(argv)
+            return args.func(args)
     except (CurveDimError, OSError) as err:
         json.dump(
             {"error": {"kind": getattr(err, "kind", "io"), "message": str(err)}},

@@ -59,9 +59,14 @@ class VarFit:
 
 
 def _as_columns(series) -> np.ndarray:
-    """The series as a float (T, d) array, d >= 1; a 1-d series becomes one column."""
+    """The series as a float (T, d) array, T >= 1 and d >= 1; a 1-d series
+    becomes one column."""
     x = np.asarray(series, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValidationError(f"series must be 1-d or 2-d (T, d), got {x.ndim}-d")
     x = x[:, None] if x.ndim == 1 else x
+    if x.shape[0] == 0:
+        raise ValidationError("series has no observations (T = 0)")
     if x.shape[1] == 0:
         raise ValidationError("series has no components (d = 0)")
     return x

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvedim import dimension, eigen
+from curvedim import cli, dimension, eigen
 from curvedim.cli import main
 from curvedim.eigen import write_loadings_csv
 from curvedim.grids import read_panel_csv, write_panel_csv
@@ -788,3 +788,103 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "[]"
+
+
+def _env_without_blas_threads(**extra) -> dict:
+    """This environment with ``src`` on the path and no BLAS thread variable
+    set, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    return {**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **extra}
+
+
+@pytest.fixture
+def openblas(monkeypatch):
+    """The bundled OpenBLAS's thread-count getter, with no thread variable set
+    and the count at 2, a value the pin in ``main`` must give back."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identify", "--panel", "{panel}", "--B", "50", "--seed", "2"],
+        ["simulate", "subspace-error", "--d-values", "2,4", "--n-values", "100",
+         "--replications", "10", "--threads", "2", "--seed", "2"],
+    ],
+    ids=["identify", "subspace-error"],
+)
+def test_outputs_do_not_depend_on_blas_thread_count(argv, two_factor_panel_csv, tmp_path):
+    # Unset, OpenBLAS takes one thread per core; each command runs on one anyway.
+    trees = []
+    for tag, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / tag
+        cmd = [sys.executable, "-m", "curvedim.cli",
+               *(a.format(panel=two_factor_panel_csv) for a in argv), "--output-dir", str(out)]
+        subprocess.run(cmd, capture_output=True, check=True, env=_env_without_blas_threads(**extra))
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(openblas, monkeypatch, tmp_path):
+    during = []
+    read = cli.read_loadings_csv
+
+    def spied(path):
+        during.append(openblas())
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_loadings_csv", spied)
+    loadings = tmp_path / "loadings.csv"
+    write_loadings_csv(np.random.default_rng(12).standard_normal((80, 2)), loadings)
+    assert main(["var-fit", "--loadings", str(loadings), "--output-dir", str(tmp_path / "ok")]) == 0
+    assert openblas() == 2
+    missing = str(tmp_path / "missing.csv")
+    assert main(["var-fit", "--loadings", missing, "--output-dir", str(tmp_path / "bad")]) == 1
+    assert openblas() == 2
+    assert during == [1, 1]
+
+
+@pytest.mark.parametrize("var", cli.BLAS_THREAD_VARS)
+def test_user_blas_thread_variable_leaves_blas_alone(var, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "_openblas", lambda: (lambda: 2, calls.append))
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    argv = ["simulate", "rate", "--replications", "1", "--sample-sizes", "100"]
+    assert main([*argv, "--output-dir", str(tmp_path / "unset")]) == 0
+    assert calls == [1, 2]  # unset: pinned to one thread, then restored
+    calls.clear()
+    monkeypatch.setenv(var, "2")
+    assert main([*argv, "--output-dir", str(tmp_path / "set")]) == 0
+    assert calls == []
+
+
+def test_cli_import_leaves_blas_thread_count_alone():
+    if cli._openblas() is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    # Reads the count through its own lookup, before and after the import.
+    code = (
+        "import ctypes, pathlib, numpy\n"
+        "[lib] = (pathlib.Path(numpy.__file__).parents[1] / 'numpy.libs')"
+        ".glob('libscipy_openblas64_*')\n"
+        "get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_\n"
+        "before = get()\n"
+        "import curvedim.cli\n"
+        "print(before, get())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=_env_without_blas_threads(),
+    )
+    before, after = done.stdout.split()
+    assert after == before

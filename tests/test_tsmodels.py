@@ -332,7 +332,8 @@ class TestVarHelpers:
         fit_var_with_aic(x, 5)
         assert moment_lags == [5]
 
-    @pytest.mark.parametrize(
+    # The three entry points that check their series through ``_as_columns``.
+    series_calls = pytest.mark.parametrize(
         "call",
         [
             lambda x: var_fit_yule_walker(x, 1),
@@ -341,9 +342,25 @@ class TestVarHelpers:
         ],
         ids=["yule-walker", "aic", "portmanteau"],
     )
+
+    @series_calls
     def test_zero_column_series_rejected(self, call):
         with pytest.raises(ValidationError, match="no components"):
             call(np.empty((50, 0)))
+
+    @pytest.mark.parametrize(
+        "series, message",
+        [
+            (np.float64(1.0), r"1-d or 2-d \(T, d\), got 0-d"),
+            (np.zeros((20, 2, 2)), r"1-d or 2-d \(T, d\), got 3-d"),
+            (np.empty((0, 2)), r"no observations \(T = 0\)"),
+        ],
+        ids=["0-d", "3-d", "no-rows"],
+    )
+    @series_calls
+    def test_bad_series_shape_rejected(self, call, series, message):
+        with pytest.raises(ValidationError, match=message):
+            call(series)
 
     def test_var_fit_export(self, tmp_path):
         rng = np.random.default_rng(21)
