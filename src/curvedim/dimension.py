@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (
-    EigenDecomposition,
-    _reduced_spectrum,
-    _span_projection,
-    decompose,
-    loadings,
-)
-from .errors import BoundsError, ValidationError
-from .grids import CurvePanel, Grid, mean_curve, write_json
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .eigen import EigenDecomposition, _span_projection, _symmetric_solve, decompose
+from .errors import BoundsError, GridMismatchError, ValidationError
+from .grids import CurvePanel, Grid, centered_values, write_json
 
 _ORTHONORMAL_TOL = 1e-6
 
@@ -62,16 +58,6 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
 
 
-def _fit(
-    panel: CurvePanel, dec: EigenDecomposition, d0: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted curves (mean plus the leading d0 eigenfunctions of ``dec``)
-    and the residuals the bootstrap resamples."""
-    funcs = dec.eigenfunctions[:d0]
-    fitted = mean_curve(panel) + loadings(panel, funcs) @ funcs
-    return fitted, panel.values - fitted
-
-
 def bootstrap_test(
     panel: CurvePanel, dec: EigenDecomposition, d0s: Sequence[int], p: int,
     cfg: BootstrapConfig,
@@ -84,24 +70,32 @@ def bootstrap_test(
     panel with the leading d0 eigenfunctions of ``dec``, so the test
     makes no solve of the observed panel. Every d0 must satisfy
     ``0 <= d0 < min(n - p, m)``; one that does not raises ``BoundsError``
-    before any replicate is drawn. Fitting a hypothesis with a ``dec``
-    whose curves do not match the panel grid raises ``GridMismatchError``.
+    before any replicate is drawn. A ``dec`` whose curves do not match
+    the panel grid raises ``GridMismatchError``.
 
-    The span basis and the B resamples are built once per call and
-    shared by every hypothesis: replicate b draws its n row indices from
-    the stream keyed by (seed, b), so a hypothesis gets the same p-value
-    whether it is tested alone or with others. Each replicate adds the
-    resampled fitted residuals back to the fitted curves, rebuilds the
-    operator, and records its (d0+1)-th eigenvalue. The replicate's
-    centered curves lie in the span of the panel's centered curves, so
-    its operator is built and solved as an r x r matrix in coordinates
-    of that span, r being the panel's numerical rank. The p-value is the
-    fraction of replicates whose eigenvalue strictly exceeds the
-    observed one (ties count as non-exceedance); the hypothesis is
-    rejected when the p-value is at most alpha. An observed eigenvalue
-    the clamp sets to zero, or one past the numerical rank (d0 >= r), is
-    zero to working precision, so the hypothesis is not rejected: its
-    p-value is 1 and it is neither fitted nor solved.
+    Each replicate adds resampled fitted residuals back to the fitted
+    curves, rebuilds the operator and records its (d0+1)-th eigenvalue.
+    The p-value is the fraction of replicates whose eigenvalue strictly
+    exceeds the observed one (ties count as non-exceedance); the
+    hypothesis is rejected when the p-value is at most alpha. An
+    observed eigenvalue the clamp sets to zero, or one past the
+    numerical rank r of the panel's centered curves (d0 >= r), is zero
+    to working precision, so the hypothesis is not rejected: its p-value
+    is 1 and it is neither fitted nor solved.
+
+    One resample serves every hypothesis. Replicate b draws its n row
+    indices from the stream keyed by (seed, b), and the B generators are
+    built once per call, so a hypothesis gets the same p-value whether
+    it is tested alone or with others (replicate eigenvalues agree to
+    roundoff). Every replicate curve lies in the span of the panel's
+    centered curves, whose coordinates are rotated so that the first
+    ``top`` axes are the leading fitted eigenfunctions, ``top`` being
+    the largest tested d0. In them, the replicate of hypothesis d0 keeps
+    the panel's first d0 coordinates and resamples the rest, so its lag
+    products M_k = Z_0^T Z_k / (n-p) are blocks of one product of the
+    ``top`` fitted and the r resampled columns. One batched product over
+    the p lags serves every hypothesis, and one batched ``eigvalsh``
+    solves the r x r operators sum_k M_k M_k^T of all of them.
     """
     n = panel.n
     limit = min(n - p, len(panel.grid))
@@ -112,24 +106,38 @@ def bootstrap_test(
                 f"m={len(panel.grid)}"
             )
     proj, r = _span_projection(panel)
-    draws = [
-        _replicate_rng(cfg.seed, b).integers(0, n, size=n) for b in range(cfg.n_draws)
-    ]
-    pvalues = []
-    for d0 in d0s:
-        theta_obs = float(dec.eigenvalues[d0])
-        if theta_obs == 0.0 or d0 >= r:
-            pvalues.append(1.0)
-            continue
-        fitted, residuals = _fit(panel, dec, d0)
-        fitted_z = fitted @ proj
-        residual_z = residuals @ proj
-        exceed = sum(
-            1 for idx in draws
-            if _reduced_spectrum(fitted_z + residual_z[idx], p)[d0] > theta_obs
-        )
-        pvalues.append(exceed / cfg.n_draws)
-    return pvalues
+    live = sorted({d0 for d0 in d0s if d0 < r and dec.eigenvalues[d0] != 0.0})
+    top = max(live, default=0)
+    funcs = dec.eigenfunctions[:top]
+    if funcs.shape[1] != len(panel.grid):
+        raise GridMismatchError("eigenfunctions do not match the panel grid")
+    if not live:
+        return [1.0 for _ in d0s]
+    n_eff, width = n - p, top + r
+    # Rows of x are coordinates over time: the top fitted ones, then the
+    # replicate's r centered ones, scaled so that x_0 x_k^T is M_k.
+    rotation = np.linalg.qr((funcs @ proj).T, mode="complete")[0]
+    y = (proj @ rotation).T @ centered_values(panel).T / np.sqrt(n_eff)
+    x = np.empty((width, n))
+    x[:top] = y[:top]
+    lead = x[:, :n_eff]
+    lagged = sliding_window_view(x[:, 1:], n_eff, axis=1).transpose(1, 2, 0)
+    # Hypothesis d0 reads rows 0..d0-1 and top+d0..width-1 of x; entry
+    # [h, i, k, j] of the gather is M_k[i, j] of hypothesis h, so each
+    # hypothesis' p lag blocks sit side by side in an r x pr block.
+    rows = np.array([np.r_[0:d0, top + d0 : width] for d0 in live])
+    lag = np.arange(p)[:, None]
+    flat = (lag * width + rows[:, :, None, None]) * width + rows[:, None, None, :]
+    at = (np.arange(len(live)), r - 1 - np.array(live))
+    theta = dec.eigenvalues[live]
+    count = np.zeros(len(live), dtype=np.int64)
+    for b in range(cfg.n_draws):
+        c = np.take(y, _replicate_rng(cfg.seed, b).integers(0, n, size=n), axis=1)
+        np.subtract(c, c.mean(axis=1, keepdims=True), out=x[top:])
+        blocks = (lead @ lagged).take(flat).reshape(len(live), r, p * r)
+        count += _symmetric_solve(blocks @ blocks.transpose(0, 2, 1))[at] > theta
+    exceed = dict(zip(live, count.tolist()))
+    return [exceed[d0] / cfg.n_draws if d0 in exceed else 1.0 for d0 in d0s]
 
 
 def threshold_estimate(eigenvalues: np.ndarray, epsilon: float) -> int:

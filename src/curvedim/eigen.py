@@ -2,31 +2,32 @@
 
 The operator of interest is K(u, v) = sum over lags k = 1..p of the
 composition of the lag-k autocovariance kernel with its adjoint.
-``_reduced_operator`` is the one build of it: for curves given as rows
-of coordinates with a diagonal inner product (weights w), it centers the
-rows and returns the symmetric matrix W^{1/2} K W^{1/2}, summing
-(M_k W) M_k^T with M_k = Z_0^T Z_k / (n-p).
+``_reduced_operator`` is the one build of it on the grid: for curves
+given as rows of grid values with the quadrature weights w, it centers
+the rows and returns the symmetric m x m matrix W^{1/2} K W^{1/2},
+summing (M_k W) M_k^T with M_k = Z_0^T Z_k / (n-p). Its eigenvectors
+divided by sqrt(w) are quadrature-orthonormal eigenfunctions.
 
-On the grid, with the quadrature weights, that matrix is the m x m
-quadrature-weighted discretization, whose eigenvectors divided by
-sqrt(w) are quadrature-orthonormal eigenfunctions. ``decompose`` is the
-entry point for an observed panel: one symmetric eigensolve of it gives
-the spectrum with eigenvalues below EIGENVALUE_CLAMP of the leading one
-set to zero, which is the rule every report and decision applies,
-together with one sign-fixed eigenfunction per eigenvalue.
-Callers solve an observed panel once and pass the ``EigenDecomposition``
-on: the bootstrap test reads its observed eigenvalue and fits the panel
-from it, and ``loadings`` projects the curves on its eigenfunctions.
-``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
-of the same m x m matrix, which the Monte Carlo eigenvalue studies use.
+``decompose`` is the entry point for an observed panel: one symmetric
+eigensolve of that matrix gives the spectrum with eigenvalues below
+EIGENVALUE_CLAMP of the leading one set to zero, which is the rule every
+report and decision applies, together with one sign-fixed eigenfunction
+per eigenvalue. Callers solve an observed panel once and pass the
+``EigenDecomposition`` on: the bootstrap test reads its observed
+eigenvalue and fits the panel from it, and ``loadings`` projects the
+curves on its eigenfunctions. ``operator_eigenvalues`` is the raw,
+unclamped, eigenvalues-only solve of the same m x m matrix, which the
+Monte Carlo eigenvalue studies use.
 
 Every curve a bootstrap replicate holds (fitted curves plus resampled
 residuals) lies in the span of the panel's centered curves, so its
 nonzero spectrum is that of an r x r matrix, r being the panel's
 numerical rank. ``_span_projection`` finds an orthonormal basis of that
 span with one symmetric eigensolve of the m x m second-moment matrix of
-the root-weighted centered curves, and ``_reduced_spectrum`` solves the
-operator in those coordinates, where the weights are one. Its spectrum
+the root-weighted centered curves; in its coordinates the weights are
+one. ``dimension.bootstrap_test`` rotates those coordinates so that the
+leading axes are the fitted eigenfunctions and builds every replicate's
+r x r operator from lag products shared by all hypotheses; its spectrum
 agrees with the grid's to roundoff (about 1e-15 of the leading
 eigenvalue).
 
@@ -100,17 +101,16 @@ def _symmetric_solve(a: np.ndarray, vectors: bool = False):
         raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _reduced_operator(z: np.ndarray, p: int, w: np.ndarray | None = None) -> np.ndarray:
+def _reduced_operator(z: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
     """The symmetric operator W^{1/2} K W^{1/2} for curves given as rows of ``z``.
 
     ``w`` holds the diagonal weights of the coordinates' inner product:
-    the quadrature weights when ``z`` holds grid values, none (unit
-    weights) when it holds coordinates in an orthonormal basis of a space
-    holding every centered curve, such as ``_span_projection``'s. The
-    rows are centered here. An eigenvector v of the result on the grid
-    maps to the eigenfunction v / sqrt(w).
+    the quadrature weights when ``z`` holds grid values, unit weights when
+    it holds coordinates in an orthonormal basis of a space holding every
+    centered curve, such as ``_span_projection``'s. The rows are centered
+    here. An eigenvector v of the result on the grid maps to the
+    eigenfunction v / sqrt(w).
     """
-    w = np.ones(z.shape[1]) if w is None else w
     c = z - z.mean(axis=0)
     n_eff = c.shape[0] - p
     c0 = c[:n_eff]
@@ -121,11 +121,6 @@ def _reduced_operator(z: np.ndarray, p: int, w: np.ndarray | None = None) -> np.
     root = np.sqrt(w)
     sym = acc * root[:, None] * root[None, :]
     return (sym + sym.T) / 2.0
-
-
-def _reduced_spectrum(z: np.ndarray, p: int, w: np.ndarray | None = None) -> np.ndarray:
-    """Descending unclamped eigenvalues of ``_reduced_operator(z, p, w)``."""
-    return _symmetric_solve(_reduced_operator(z, p, w))[::-1]
 
 
 def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
@@ -147,7 +142,7 @@ def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     """Descending unclamped eigenvalues of the cumulative lag operator."""
     check_lag_budget(panel, p)
-    return _reduced_spectrum(panel.values, p, panel.grid.weights)
+    return _symmetric_solve(_reduced_operator(panel.values, p, panel.grid.weights))[::-1]
 
 
 def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:

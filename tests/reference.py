@@ -8,7 +8,11 @@ the centered curves (same quadrature, same nonzero spectrum), whose
 eigenvectors weight the centered curves into eigenfunctions. It also
 keeps the lag-k kernels M_k that the grid operator sum_k M_k W M_k^T is
 made of (the form of Lam, Yao & Bathia 2011), built on their own, so
-acceptance criterion 1 compares two independent constructions.
+acceptance criterion 1 compares two independent constructions. And it
+keeps the bootstrap on the grid: each replicate's curves are the fitted
+curves plus resampled residuals, and its operator is the m x m
+quadrature-weighted matrix, where the package works in rotated span
+coordinates.
 
 Inputs come from the tests, so nothing here validates its arguments
 beyond the lag budget of ``dual_matrix``.
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curvedim.eigen import _clamp
-from curvedim.grids import CurvePanel, Grid, centered_values, check_lag_budget
+from curvedim.dimension import BootstrapConfig, _replicate_rng
+from curvedim.eigen import EigenDecomposition, _clamp, loadings
+from curvedim.grids import CurvePanel, Grid, centered_values, check_lag_budget, mean_curve
 from curvedim.tsmodels import BURN_IN, VarFit
 
 _DROP_TOL = 1e-10
@@ -81,6 +86,51 @@ def discretized_operator(panel: CurvePanel, p: int) -> np.ndarray:
         mk = lag_cov_kernel(panel, k, p).values
         acc += (mk * w) @ mk.T
     return acc
+
+
+def bootstrap_fit(
+    panel: CurvePanel, dec: EigenDecomposition, d0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted curves (mean plus the leading d0 eigenfunctions of ``dec``)
+    and the residuals the bootstrap resamples."""
+    funcs = dec.eigenfunctions[:d0]
+    fitted = mean_curve(panel) + loadings(panel, funcs) @ funcs
+    return fitted, panel.values - fitted
+
+
+def grid_replicate_eigenvalues(
+    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig
+) -> np.ndarray:
+    """Eigenvalue d0+1 of each of the B bootstrap replicates of hypothesis
+    d0, solved on the grid: a ``CurvePanel`` per replicate and
+    ``eigvalsh`` of its quadrature-weighted m x m operator."""
+    w = panel.grid.weights
+    root = np.sqrt(w)
+    fitted, residuals = bootstrap_fit(panel, dec, d0)
+    thetas = np.empty(cfg.n_draws)
+    for b in range(cfg.n_draws):
+        idx = _replicate_rng(cfg.seed, b).integers(0, panel.n, size=panel.n)
+        star = CurvePanel(grid=panel.grid, values=fitted + residuals[idx])
+        c = star.values - mean_curve(star)
+        n_eff = star.n - p
+        acc = 0.0
+        for k in range(1, p + 1):
+            mk = c[:n_eff].T @ c[k : k + n_eff] / n_eff
+            acc = acc + (mk * w) @ mk.T
+        sym = acc * root[:, None] * root[None, :]
+        thetas[b] = np.linalg.eigvalsh((sym + sym.T) / 2.0)[::-1][d0]
+    return thetas
+
+
+def grid_reference_pvalue(
+    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig
+) -> float:
+    """The bootstrap p-value of hypothesis d0 from the grid-solved replicates."""
+    theta_obs = dec.eigenvalues[d0]
+    if theta_obs == 0.0:
+        return 1.0
+    thetas = grid_replicate_eigenvalues(panel, dec, d0, p, cfg)
+    return int(np.count_nonzero(thetas > theta_obs)) / cfg.n_draws
 
 
 @dataclass(frozen=True)

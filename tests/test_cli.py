@@ -29,11 +29,11 @@ def read_error(capsys):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Operators built for an eigensolve, in call order.
+    """Operators built on the grid for an eigensolve, in call order, as
+    the shape of the curves each was built from.
 
-    Observed panels (on the grid) and bootstrap replicates (in span
-    coordinates) build their operator through the one kernel
-    ``eigen._reduced_operator``.
+    Observed panels build their operator through the one grid kernel
+    ``eigen._reduced_operator``; bootstrap replicates do not.
     """
     built = []
     build = eigen._reduced_operator
@@ -44,6 +44,35 @@ def eigensolves(monkeypatch):
 
     monkeypatch.setattr(eigen, "_reduced_operator", counted)
     return built
+
+
+@pytest.fixture
+def replicate_draws(monkeypatch):
+    """Replicate indices b whose resample generator ``dimension`` built."""
+    built = []
+    build = dimension._replicate_rng
+
+    def counted(seed, replicate):
+        built.append(replicate)
+        return build(seed, replicate)
+
+    monkeypatch.setattr(dimension, "_replicate_rng", counted)
+    return built
+
+
+@pytest.fixture
+def replicate_solves(monkeypatch):
+    """Shapes of the batched replicate eigensolves ``dimension`` made:
+    (hypotheses solved, r, r) per replicate."""
+    solved = []
+    solve = dimension._symmetric_solve
+
+    def counted(a):
+        solved.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(dimension, "_symmetric_solve", counted)
+    return solved
 
 
 @pytest.fixture
@@ -62,7 +91,8 @@ def span_bases(monkeypatch):
 
 class TestIdentify:
     def test_two_factor_panel_reports_dimension_two(
-        self, two_factor_panel_csv, tmp_path, eigensolves, span_bases
+        self, two_factor_panel_csv, tmp_path, eigensolves, span_bases, replicate_draws,
+        replicate_solves,
     ):
         out = tmp_path / "out"
         rc = main(
@@ -92,14 +122,17 @@ class TestIdentify:
         loadings = (out / "loadings.csv").read_text().splitlines()
         assert loadings[0] == "component_1,component_2"
         assert len(loadings) == 601
-        # One solve for the report, then one per replicate of each
-        # hypothesis; the tests and the output files reuse the report's solve.
-        assert len(eigensolves) == 1 + 4 * 100
-        # One span basis serves every hypothesis.
+        # One grid solve for the report; the tests and the output files
+        # reuse it.
+        assert eigensolves == [(600, 101)]
+        # One span basis serves every hypothesis, and each replicate's rows
+        # are drawn once and solved once for all four hypotheses.
         assert span_bases == [600]
+        assert replicate_draws == list(range(100))
+        assert replicate_solves == [(4, 12, 12)] * 100
 
     def test_zero_rank_hypotheses_draw_no_replicates(
-        self, tmp_path, eigensolves, span_bases
+        self, tmp_path, eigensolves, span_bases, replicate_draws, replicate_solves
     ):
         # Noise-free two-factor panel: the curves span two dimensions, so
         # eigenvalues 3 and 4 are exactly zero and their hypotheses are
@@ -113,8 +146,12 @@ class TestIdentify:
         report = json.loads((out / "dimension_report.json").read_text())
         assert report["pvalues"]["3"] == report["pvalues"]["4"] == 1.0
         assert report["d_hat"] == 2
-        assert len(eigensolves) == 1 + 2 * 20
+        # The panel's rank is two: the batched solve of each replicate holds
+        # the hypotheses d0 = 0 and 1 only, as 2 x 2 span operators.
+        assert eigensolves == [(120, 101)]
         assert len(span_bases) == 1
+        assert replicate_draws == list(range(20))
+        assert replicate_solves == [(2, 2, 2)] * 20
 
     def test_malformed_panel_exits_one_with_parse_kind(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -146,7 +183,10 @@ class TestIdentify:
 
 
 class TestTestDim:
-    def test_writes_pvalue_json(self, two_factor_panel_csv, tmp_path, capsys, eigensolves):
+    def test_writes_pvalue_json(
+        self, two_factor_panel_csv, tmp_path, capsys, eigensolves, replicate_draws,
+        replicate_solves,
+    ):
         out = tmp_path / "td"
         rc = main(
             [
@@ -162,8 +202,11 @@ class TestTestDim:
         assert payload["tested_rank"] == 3
         assert 0.0 <= payload["p_value"] <= 1.0
         assert "p-value" in capsys.readouterr().out
-        # One observed solve gives the eigenvalue and the fit; then one per replicate.
-        assert len(eigensolves) == 1 + 50
+        # One observed solve gives the eigenvalue and the fit; then one
+        # draw and one solve of the one hypothesis per replicate.
+        assert eigensolves == [(600, 101)]
+        assert replicate_draws == list(range(50))
+        assert replicate_solves == [(1, 12, 12)] * 50
 
     def test_zero_observed_eigenvalue_reported_clamped(self, tmp_path):
         # Noise-free two-factor panel: eigenvalue 3 is zero to working

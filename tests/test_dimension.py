@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedim import dimension, eigen
+from curvedim import dimension
 from curvedim.dimension import (
     BootstrapConfig,
-    _fit,
     _replicate_rng,
     bootstrap_test,
     default_epsilon,
@@ -17,12 +16,18 @@ from curvedim.dimension import (
     threshold_estimate,
     write_dimension_report_json,
 )
-from curvedim.eigen import EigenDecomposition, decompose, operator_eigenvalues
+from curvedim.eigen import EigenDecomposition, _span_projection, decompose, operator_eigenvalues
 from curvedim.errors import BoundsError, GridMismatchError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import FactorModelSpec, generate_panel
 from fixtures import synthetic_tick_days
-from reference import gram_schmidt, subspace_distance
+from reference import (
+    bootstrap_fit,
+    grid_reference_pvalue,
+    grid_replicate_eigenvalues,
+    gram_schmidt,
+    subspace_distance,
+)
 
 
 def uniform_grid(m=101):
@@ -33,31 +38,6 @@ def pvalue_at(panel, d0, p, cfg):
     """bootstrap_test of the one hypothesis d0 on the panel's own decomposition."""
     [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
     return pvalue
-
-
-def grid_reference_pvalue(panel, dec, d0, p, cfg):
-    """The bootstrap solved on the grid: a ``CurvePanel`` per replicate and
-    ``eigvalsh`` of its quadrature-weighted m x m operator."""
-    w = panel.grid.weights
-    root = np.sqrt(w)
-    theta_obs = dec.eigenvalues[d0]
-    if theta_obs == 0.0:
-        return 1.0
-    fitted, residuals = _fit(panel, dec, d0)
-    exceed = 0
-    for b in range(cfg.n_draws):
-        idx = _replicate_rng(cfg.seed, b).integers(0, panel.n, size=panel.n)
-        star = CurvePanel(grid=panel.grid, values=fitted + residuals[idx])
-        c = star.values - mean_curve(star)
-        n_eff = star.n - p
-        acc = 0.0
-        for k in range(1, p + 1):
-            mk = c[:n_eff].T @ c[k : k + n_eff] / n_eff
-            acc = acc + (mk * w) @ mk.T
-        sym = acc * root[:, None] * root[None, :]
-        theta = np.linalg.eigvalsh((sym + sym.T) / 2.0)[::-1][d0]
-        exceed += int(theta > theta_obs)
-    return exceed / cfg.n_draws
 
 
 def random_orthonormal_basis(grid, dim, seed):
@@ -101,13 +81,12 @@ class TestBootstrapTest:
         panel = generate_panel(FactorModelSpec(d=1, n=30, seed=5))
         dec = decompose(panel, 2)
         built = []
-        build = eigen._reduced_operator
 
-        def counted(*args):
-            built.append(args[0].shape)
-            return build(*args)
+        def counted(seed, replicate):
+            built.append(replicate)
+            return _replicate_rng(seed, replicate)
 
-        monkeypatch.setattr(eigen, "_reduced_operator", counted)
+        monkeypatch.setattr(dimension, "_replicate_rng", counted)
         with pytest.raises(BoundsError):
             bootstrap_test(panel, dec, [0, 40], 2, BootstrapConfig(n_draws=5))
         assert built == []
@@ -165,6 +144,56 @@ class TestBootstrapTest:
             assert report.pvalues == grid
             assert any(0.0 < pv < 1.0 for pv in grid.values())
 
+    def test_every_hypothesis_below_rank_equals_grid_reference(self, monkeypatch):
+        # One replicate serves every hypothesis from shared lag products;
+        # each d0 up to r - 1 must get the grid bootstrap's replicate
+        # eigenvalues (to roundoff) and p-value on d = 4 and d = 6 panels,
+        # where fitted and resampled axes mix in every block of M_k
+        # (about 0.5 s, most of it the grid reference).
+        solves = []
+        solve = dimension._symmetric_solve
+
+        def recorded(a):
+            solves.append(solve(a))
+            return solves[-1]
+
+        monkeypatch.setattr(dimension, "_symmetric_solve", recorded)
+        cfg = BootstrapConfig(n_draws=10, seed=7)
+        for d, seed in ((4, 51), (6, 52)):
+            panel = generate_panel(FactorModelSpec(d=d, n=100, seed=seed))
+            dec = decompose(panel, 3)
+            r = _span_projection(panel)[1]
+            solves.clear()
+            got = bootstrap_test(panel, dec, range(r), 3, cfg)
+            assert got == [grid_reference_pvalue(panel, dec, d0, 3, cfg) for d0 in range(r)]
+            assert any(0.0 < pv < 1.0 for pv in got[d:])
+            # Replicate b solves all r hypotheses at once, ascending.
+            thetas = np.array(solves)[:, np.arange(r), r - 1 - np.arange(r)]
+            want = np.array([grid_replicate_eigenvalues(panel, dec, d0, 3, cfg)
+                             for d0 in range(r)]).T
+            assert np.max(np.abs(thetas - want)) <= 1e-12 * dec.eigenvalues[0]
+
+    def test_repeated_and_reordered_hypotheses_equal_single_calls(self):
+        panel = generate_panel(FactorModelSpec(d=1, n=120, seed=23))
+        cfg = BootstrapConfig(n_draws=40, seed=2)
+        dec = decompose(panel, 4)
+        got = bootstrap_test(panel, dec, [3, 0, 3, 1], 4, cfg)
+        assert got == [bootstrap_test(panel, dec, [d0], 4, cfg)[0] for d0 in (3, 0, 3, 1)]
+        assert got[0] == got[2]
+
+    def test_hypothesis_zero_alone_equals_grid_reference(self):
+        # d0 = 0 fits no eigenfunction: every coordinate is resampled. On
+        # iid curves the hypothesis holds, so most replicates exceed the
+        # observed eigenvalue.
+        rng = np.random.default_rng(29)
+        panel = CurvePanel(grid=uniform_grid(31), values=rng.standard_normal((80, 31)))
+        dec = decompose(panel, 2)
+        for seed in (3, 4):
+            cfg = BootstrapConfig(n_draws=30, seed=seed)
+            assert bootstrap_test(panel, dec, [0], 2, cfg) == [
+                grid_reference_pvalue(panel, dec, 0, 2, cfg)
+            ]
+
     def test_zero_observed_eigenvalue_is_not_rejected(self):
         # Noise-free two-factor panel: eigenvalues 3 and 4 are zero to
         # working precision, so their p-values must not depend on roundoff.
@@ -208,7 +237,7 @@ class TestBootstrapFit:
     def test_zero_components_reproduce_mean(self):
         rng = np.random.default_rng(3)
         panel = CurvePanel(grid=uniform_grid(31), values=rng.standard_normal((10, 31)))
-        fitted, residuals = _fit(panel, decompose(panel, 3), 0)
+        fitted, residuals = bootstrap_fit(panel, decompose(panel, 3), 0)
         assert np.allclose(fitted, mean_curve(panel)[None, :])
         assert np.allclose(fitted + residuals, panel.values)
 
@@ -220,7 +249,7 @@ class TestBootstrapFit:
             [np.sqrt(2) * np.cos(np.pi * g.points), np.sqrt(2) * np.cos(2 * np.pi * g.points)]
         )
         panel = CurvePanel(grid=g, values=scores @ basis)
-        _, residuals = _fit(panel, decompose(panel, 3), 2)
+        _, residuals = bootstrap_fit(panel, decompose(panel, 3), 2)
         scale = np.max(np.abs(panel.values))
         assert np.max(np.abs(residuals)) <= 1e-6 * scale
 
@@ -228,7 +257,7 @@ class TestBootstrapFit:
         rng = np.random.default_rng(15)
         panel = CurvePanel(grid=uniform_grid(51), values=rng.standard_normal((30, 51)))
         dec = decompose(panel, 3)
-        _, residuals = _fit(panel, dec, 3)
+        _, residuals = bootstrap_fit(panel, dec, 3)
         proj = (residuals * panel.grid.weights) @ dec.eigenfunctions[:3].T
         assert np.max(np.abs(proj)) < 1e-8
 
