@@ -253,8 +253,15 @@ def subspace_distance_general(
     independent of the orthonormal bases chosen. Requires both bases
     orthonormal (within 1e-6).
     """
-    b1 = _validated_basis(grid, basis1, "basis1")
-    b2 = _validated_basis(grid, basis2, "basis2")
+    return _overlap_distance(
+        grid,
+        _validated_basis(grid, basis1, "basis1"),
+        _validated_basis(grid, basis2, "basis2"),
+    )
+
+
+def _overlap_distance(grid: Grid, b1: np.ndarray, b2: np.ndarray) -> float:
+    """``subspace_distance_general`` of bases ``_validated_basis`` returned."""
     energy = float(np.sum(((b1 * grid.weights) @ b2.T) ** 2))
     dmax = max(b1.shape[0], b2.shape[0])
     return float(np.sqrt(max(0.0, 1.0 - energy / dmax)))

@@ -11,10 +11,14 @@ with weights 2^-(j-1); the 101-point grid of [0, 1] (``default_grid``);
 and in the rate study, AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) and
 lag budget ``RATE_LAG_BUDGET`` (1).
 
-Every study runs its replications in order in one loop, and derives one
-RNG stream per replication from (seed, indices), so results are
-reproducible bit-for-bit and the first k replications of a run do not
-depend on how many replications follow them.
+Every study derives one RNG stream per replication from (seed,
+indices) and draws the panels of a (d, n) cell together through
+``generate_panels``: one AR(1) recursion runs over the factors of as many
+replications as fit in ``DRAW_CHUNK_BYTES`` of innovations, and each
+panel is bit-for-bit the one ``generate_panel`` draws from its spec
+alone. So results are reproducible bit-for-bit, the first k replications
+of a run do not depend on how many replications follow them, and the
+draw memory does not grow with the replication count.
 
 Every study returns ``(records, design)``: ``records`` is a list of dicts,
 one per CSV row, whose keys are the CSV columns in order, and ``design``
@@ -23,26 +27,33 @@ holds the fixed values the study applied, for the run's manifest.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dimension import (
     BootstrapConfig,
+    _overlap_distance,
+    _validated_basis,
     bootstrap_test,
     default_epsilon,
-    subspace_distance_general,
     threshold_estimate,
 )
 from .eigen import decompose, operator_eigenvalues
 from .errors import ValidationError
 from .grids import CurvePanel, Grid
-from .tsmodels import ar1_simulate
+from .tsmodels import BURN_IN, ar1_paths
 
 DEFAULT_GRID_POINTS = 101
 RATE_AR_COEFFICIENT = 0.5
 RATE_LAG_BUDGET = 1
 EIGEN_GAP_TOP = 10  # eigenvalues recorded per eigen-gap cell
+# Bytes of factor innovations ``generate_panels`` draws at once: a chunk
+# holds as many panels as fit (at least one), and its draw needs about
+# twice this while the recursion runs, whatever the replication count.
+DRAW_CHUNK_BYTES = 1 << 20
 
 
 def default_grid() -> Grid:
@@ -78,8 +89,9 @@ class FactorModelSpec:
     Each curve is sum_i xi_ti * sqrt(2) cos(pi i u) plus
     sum_j w_j Z_tj * sqrt(2) sin(pi j u), j = 1..noise_terms, with iid
     standard normal Z and the fixed weights w_j = 2^-(j-1). The factor
-    scores xi are stationary AR(1) paths drawn by ``ar1_simulate``, with
-    its fixed burn-in of ``tsmodels.BURN_IN`` (500) steps.
+    scores xi are stationary AR(1) paths as ``tsmodels.ar1_simulate``
+    draws them, with its fixed burn-in of ``tsmodels.BURN_IN`` (500)
+    steps.
     """
 
     d: int
@@ -90,40 +102,91 @@ class FactorModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("d must be >= 1")
-        if self.n < 2:
-            raise ValidationError("n must be >= 2")
-        if self.seed < 0:  # SeedSequence takes non-negative entropy only
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_int("d", self.d, 1)
+        _check_int("n", self.n, 2)
+        _check_int("noise_terms", self.noise_terms, 0)
+        _check_int("seed", self.seed, 0)  # SeedSequence takes non-negative entropy only
         coeffs = self.ar_coefficients
         if coeffs is None:
             coeffs = default_ar_coefficients(self.d)
         coeffs = tuple(float(a) for a in coeffs)
         if len(coeffs) != self.d:
             raise ValidationError("need one AR coefficient per factor")
+        if not all(math.isfinite(a) for a in coeffs):
+            raise ValidationError(f"AR coefficients must be finite, got {coeffs}")
         if any(abs(a) >= 1.0 for a in coeffs):
             raise ValidationError("all AR coefficients must satisfy |a| < 1")
         object.__setattr__(self, "ar_coefficients", coeffs)
 
 
+def _check_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def _design(spec: FactorModelSpec) -> tuple:
+    """Every field of ``spec`` but its seed, in a form == compares."""
+    return (spec.d, spec.n, spec.grid.points.tobytes(), spec.ar_coefficients,
+            spec.noise_terms)
+
+
 def generate_panel(spec: FactorModelSpec) -> CurvePanel:
     """Draw one panel of n curves from the factor model."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
-    xi = np.column_stack([ar1_simulate(a, spec.n, rng) for a in spec.ar_coefficients])
-    values = xi @ factor_curves(spec.grid, spec.d)
-    if spec.noise_terms:
-        z = rng.standard_normal((spec.n, spec.noise_terms))
-        weights = np.array([2.0 ** -(j - 1) for j in range(1, spec.noise_terms + 1)])
-        values = values + (z * weights) @ noise_curves(spec.grid, spec.noise_terms)
-    return CurvePanel(grid=spec.grid, values=values)
+    return next(generate_panels([spec]))
+
+
+def generate_panels(specs: Iterable[FactorModelSpec]) -> Iterator[CurvePanel]:
+    """The panels of specs that differ only in ``seed``, drawn in order.
+
+    Each spec gets its own generator, which draws every factor's
+    BURN_IN + n innovations and then its stationary start, factor by
+    factor, and the spec's noise only when its panel is built. One
+    ``tsmodels.ar1_paths`` recursion runs over all factors of a chunk of
+    specs whose innovations fit in ``DRAW_CHUNK_BYTES``. Specs that
+    differ in any other field are rejected before anything is drawn.
+    """
+    specs = list(specs)
+    if len({_design(s) for s in specs}) > 1:
+        raise ValidationError("panels drawn together must differ only in seed")
+    return _draw_panels(specs)
+
+
+def _draw_panels(specs: list[FactorModelSpec]) -> Iterator[CurvePanel]:
+    if not specs:
+        return
+    d, n, grid, noise_terms = specs[0].d, specs[0].n, specs[0].grid, specs[0].noise_terms
+    coefficients = np.array(specs[0].ar_coefficients)
+    curves = factor_curves(grid, d)
+    weights = np.array([2.0 ** -(j - 1) for j in range(1, noise_terms + 1)])
+    noise = noise_curves(grid, noise_terms)
+    steps = BURN_IN + n
+    per_chunk = max(1, DRAW_CHUNK_BYTES // (8 * d * steps))
+    for lo in range(0, len(specs), per_chunk):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=s.seed))
+            for s in specs[lo : lo + per_chunk]
+        ]
+        # Row i * d + j: factor j of panel i, its innovations then its start.
+        draws = np.empty((len(rngs), d, steps + 1))
+        for rng, out in zip(rngs, draws):
+            rng.standard_normal(out=out)
+        draws = draws.reshape(-1, steps + 1)
+        a = np.tile(coefficients, len(rngs))
+        paths = ar1_paths(a, draws[:, :steps].T, draws[:, steps] / np.sqrt(1.0 - a * a))
+        del draws
+        for i, rng in enumerate(rngs):
+            values = np.ascontiguousarray(paths[:, i * d : (i + 1) * d]) @ curves
+            if noise_terms:
+                z = rng.standard_normal((n, noise_terms))
+                values = values + (z * weights) @ noise
+            yield CurvePanel(grid=grid, values=values)
 
 
 def _check_study(replications: int, seed: int) -> None:
-    if replications < 1:
-        raise ValidationError("replications must be >= 1")
-    if seed < 0:  # SeedSequence takes non-negative entropy only
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_int("replications", replications, 1)
+    _check_int("seed", seed, 0)  # SeedSequence takes non-negative entropy only
 
 
 def eigen_gap_study(
@@ -141,11 +204,12 @@ def eigen_gap_study(
     for di, d in enumerate(d_values):
         for ni, n in enumerate(n_values):
             rows = np.zeros((replications, EIGEN_GAP_TOP))
-            for rep in range(replications):
-                spec = FactorModelSpec(
-                    d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
-                )
-                lam = operator_eigenvalues(generate_panel(spec), p)
+            specs = [
+                FactorModelSpec(d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep))
+                for rep in range(replications)
+            ]
+            for rep, panel in enumerate(generate_panels(specs)):
+                lam = operator_eigenvalues(panel, p)
                 rows[rep, : min(EIGEN_GAP_TOP, lam.size)] = lam[:EIGEN_GAP_TOP]
             means = rows.mean(axis=0).tolist()
             records.append(
@@ -169,16 +233,16 @@ def bootstrap_power_study(
     records: list[dict] = []
     for ni, n in enumerate(n_values):
         for hi, d0 in enumerate((d - 1, d)):
-            for rep in range(replications):
-                spec = FactorModelSpec(
-                    d=d, n=n, grid=grid, seed=_child_seed(seed, ni, hi, rep, 0)
-                )
+            specs = [
+                FactorModelSpec(d=d, n=n, grid=grid, seed=_child_seed(seed, ni, hi, rep, 0))
+                for rep in range(replications)
+            ]
+            for rep, panel in enumerate(generate_panels(specs)):
                 cfg = BootstrapConfig(
                     n_draws=n_draws,
                     alpha=0.05,
                     seed=_child_seed(seed, ni, hi, rep, 1),
                 )
-                panel = generate_panel(spec)
                 [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
                 records.append(
                     {"d": d, "n": n, "tested_rank": d0 + 1, "replication": rep,
@@ -206,23 +270,26 @@ def subspace_error_study(
     grid = default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
-        truth = factor_curves(grid, d)
+        # subspace_distance_general(grid, estimate, truth), with the truth
+        # validated once per d
+        truth = _validated_basis(grid, factor_curves(grid, d), "basis2")
         for ni, n in enumerate(n_values):
-            for rep in range(replications):
-                spec = FactorModelSpec(
-                    d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep)
-                )
-                dec = decompose(generate_panel(spec), p)
+            specs = [
+                FactorModelSpec(d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep))
+                for rep in range(replications)
+            ]
+            for rep, panel in enumerate(generate_panels(specs)):
+                dec = decompose(panel, p)
                 lam = dec.eigenvalues
                 d_hat = threshold_estimate(lam, default_epsilon(lam, n))
-                dist = subspace_distance_general(
-                    grid, dec.eigenfunctions[:d], truth
+                dist = _overlap_distance(
+                    grid, _validated_basis(grid, dec.eigenfunctions[:d], "basis1"), truth
                 )
                 if d_hat == 0:
                     dist_adaptive = 1.0
                 else:
-                    dist_adaptive = subspace_distance_general(
-                        grid, dec.eigenfunctions[:d_hat], truth
+                    dist_adaptive = _overlap_distance(
+                        grid, _validated_basis(grid, dec.eigenfunctions[:d_hat], "basis1"), truth
                     )
                 records.append(
                     {
@@ -277,15 +344,18 @@ def rate_study(sample_sizes, replications: int, seed: int = 0) -> tuple[list[dic
     gamma1 = RATE_AR_COEFFICIENT / (1.0 - RATE_AR_COEFFICIENT**2)
     records: list[dict] = []
     for ni, n in enumerate(sample_sizes):
-        for rep in range(replications):
-            model = FactorModelSpec(
+        specs = [
+            FactorModelSpec(
                 d=1,
                 n=n,
                 grid=grid,
                 ar_coefficients=(RATE_AR_COEFFICIENT,),
                 seed=_child_seed(seed, ni, rep),
             )
-            lam = operator_eigenvalues(generate_panel(model), RATE_LAG_BUDGET)
+            for rep in range(replications)
+        ]
+        for rep, panel in enumerate(generate_panels(specs)):
+            lam = operator_eigenvalues(panel, RATE_LAG_BUDGET)
             theta1 = float(lam[0])
             records.append(
                 {

@@ -1,4 +1,4 @@
-"""Scalar AR simulation, Yule-Walker VAR fitting, and white-noise tests.
+"""AR(1) simulation, Yule-Walker VAR fitting, and white-noise tests.
 
 The VAR model carries no intercept: loadings series are mean zero by
 construction, so autocovariances are raw second moments without mean
@@ -25,27 +25,42 @@ from .grids import write_json
 BURN_IN = 500
 
 
+def ar1_paths(coefficients, innovations, start) -> np.ndarray:
+    """AR(1) paths, one per column, with their first ``BURN_IN`` steps dropped.
+
+    Column j runs x_t = e_tj + a_j x_(t-1) from x_(-1) = start_j over the
+    rows of the (BURN_IN + length, k) ``innovations``. Each step is one
+    numpy multiply and one add over all k columns; they round as the
+    scalar float operations do, so every column is bit-for-bit the path a
+    scalar loop gives from its own coefficient, innovations and start.
+    """
+    a = np.asarray(coefficients, dtype=np.float64)
+    x = np.array(innovations, dtype=np.float64, order="C")
+    prev = np.array(start, dtype=np.float64)
+    scaled = np.empty_like(prev)
+    for row in x:
+        np.multiply(a, prev, out=scaled)
+        np.add(row, scaled, out=row)
+        prev = row
+    return x[BURN_IN:]
+
+
 def ar1_simulate(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
     """Stationary AR(1) path with unit-variance Gaussian innovations.
 
     The chain starts from its stationary law and ``BURN_IN`` steps are
     discarded on top, so the returned path is stationary from the first
-    sample.
+    sample. ``rng`` draws the BURN_IN + length innovations, then the
+    start.
     """
     a = float(coefficient)
     if abs(a) >= 1.0:
         raise NonstationarityError(f"AR(1) coefficient must satisfy |a| < 1, got {a}")
     if length < 1:
         raise ValidationError("length must be >= 1")
-    innovations = rng.standard_normal(BURN_IN + length).tolist()
-    prev = float(rng.standard_normal() / np.sqrt(1.0 - a * a))
-    for e in innovations[:BURN_IN]:
-        prev = e + a * prev
-    path = []
-    for e in innovations[BURN_IN:]:
-        prev = e + a * prev
-        path.append(prev)
-    return np.array(path)
+    innovations = rng.standard_normal((BURN_IN + length, 1))
+    start = rng.standard_normal() / np.sqrt(1.0 - a * a)
+    return ar1_paths([a], innovations, [start])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ acceptance criterion 1 compares two independent constructions. And it
 keeps the bootstrap on the grid: each replicate's curves are the fitted
 curves plus resampled residuals, and its operator is the m x m
 quadrature-weighted matrix, where the package works in rotated span
-coordinates.
+coordinates. Last, it keeps the factor-model draw as one scalar AR(1)
+loop per factor, where the package runs one vectorised recursion over
+the factors of many panels.
 
 Inputs come from the tests, so nothing here validates its arguments
 beyond the lag budget of ``dual_matrix``.
@@ -27,6 +29,7 @@ import numpy as np
 from curvedim.dimension import BootstrapConfig, _replicate_rng
 from curvedim.eigen import EigenDecomposition, _clamp, loadings
 from curvedim.grids import CurvePanel, Grid, centered_values, check_lag_budget, mean_curve
+from curvedim.simulation import factor_curves, noise_curves
 from curvedim.tsmodels import BURN_IN, VarFit
 
 _DROP_TOL = 1e-10
@@ -248,6 +251,31 @@ def ar1_lfilter(coefficient: float, length: int, rng: np.random.Generator) -> np
     x0 = rng.standard_normal() / np.sqrt(1.0 - a * a)
     path, _ = lfilter([1.0], [1.0, -a], innovations, zi=np.array([a * x0]))
     return path[BURN_IN:]
+
+
+def ar1_loop(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
+    """``tsmodels.ar1_simulate`` as a scalar float loop over the same draws."""
+    a = float(coefficient)
+    innovations = rng.standard_normal(BURN_IN + length).tolist()
+    prev = float(rng.standard_normal() / np.sqrt(1.0 - a * a))
+    path = []
+    for e in innovations:
+        prev = e + a * prev
+        path.append(prev)
+    return np.array(path[BURN_IN:])
+
+
+def factor_panel(spec) -> CurvePanel:
+    """``simulation.generate_panel`` one factor path at a time: a scalar
+    AR(1) loop per factor, then the spec's noise from the same generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
+    xi = np.column_stack([ar1_loop(a, spec.n, rng) for a in spec.ar_coefficients])
+    values = xi @ factor_curves(spec.grid, spec.d)
+    if spec.noise_terms:
+        z = rng.standard_normal((spec.n, spec.noise_terms))
+        weights = np.array([2.0 ** -(j - 1) for j in range(1, spec.noise_terms + 1)])
+        values = values + (z * weights) @ noise_curves(spec.grid, spec.noise_terms)
+    return CurvePanel(grid=spec.grid, values=values)
 
 
 def companion_spectral_radius(fit: VarFit) -> float:

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curvedim import simulation
 from curvedim.cli import main
 from curvedim.eigen import operator_eigenvalues
 from curvedim.errors import ValidationError
 from curvedim.grids import Grid
 from curvedim.simulation import (
+    DRAW_CHUNK_BYTES,
     RATE_AR_COEFFICIENT,
     RATE_LAG_BUDGET,
     FactorModelSpec,
@@ -17,12 +19,26 @@ from curvedim.simulation import (
     eigen_gap_study,
     factor_curves,
     generate_panel,
+    generate_panels,
     noise_curves,
     rate_study,
     reference_rate_eigenvalue,
     subspace_error_study,
 )
-from reference import rate_regression_slopes
+from curvedim.tsmodels import BURN_IN
+from reference import factor_panel, rate_regression_slopes
+
+
+def panels_per_chunk(d: int, n: int) -> int:
+    """Panels whose factor innovations fit in one ``DRAW_CHUNK_BYTES`` draw."""
+    return DRAW_CHUNK_BYTES // (8 * d * (BURN_IN + n))
+
+
+def one_panel_at_a_time(monkeypatch, study, **kwargs):
+    """The study's result with each panel drawn alone, by the scalar reference."""
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "generate_panels", lambda specs: map(factor_panel, specs))
+        return study(**kwargs)
 
 
 def mean_eigenvalues(records, d, n) -> np.ndarray:
@@ -52,6 +68,23 @@ class TestFactorModelSpec:
     def test_rejects_explosive_coefficient(self):
         with pytest.raises(ValidationError):
             FactorModelSpec(d=1, n=10, ar_coefficients=(1.2,))
+
+    def test_rejects_negative_noise_terms(self):
+        with pytest.raises(ValidationError, match="noise_terms must be >= 0, got -1"):
+            FactorModelSpec(d=1, n=10, noise_terms=-1)
+
+    def test_rejects_fractional_noise_terms(self):
+        with pytest.raises(ValidationError, match="noise_terms must be an integer"):
+            FactorModelSpec(d=1, n=10, noise_terms=2.5)
+
+    def test_rejects_nan_coefficient(self):
+        with pytest.raises(ValidationError, match="AR coefficients must be finite"):
+            FactorModelSpec(d=1, n=10, ar_coefficients=(float("nan"),))
+
+    @pytest.mark.parametrize("field", ["d", "n"])
+    def test_rejects_non_integer_sizes(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            FactorModelSpec(**({"d": 1, "n": 10} | {field: 10.0}))
 
 
 class TestGeneratePanel:
@@ -91,7 +124,55 @@ class TestGeneratePanel:
         assert np.array_equal(a.values, b.values)
 
 
-class TestEigenGapStudy:
+class TestGeneratePanels:
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("noise_terms", [0, 10])
+    def test_match_one_panel_draws_and_scalar_reference(self, d, noise_terms):
+        n = 2000
+        count = panels_per_chunk(d, n) + 1  # the last panel starts a second chunk
+        specs = [FactorModelSpec(d=d, n=n, noise_terms=noise_terms, seed=s) for s in range(count)]
+        together = [p.values.tobytes() for p in generate_panels(specs)]
+        assert together == [generate_panel(s).values.tobytes() for s in specs]
+        assert together == [factor_panel(s).values.tobytes() for s in specs]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"d": 3, "ar_coefficients": None},
+            {"n": 41},
+            {"grid": Grid.uniform(0.0, 1.0, 51)},
+            {"ar_coefficients": (0.5, 0.4)},
+            {"noise_terms": 3},
+        ],
+    )
+    def test_rejects_specs_that_differ_beyond_seed(self, change):
+        spec = FactorModelSpec(d=2, n=40, seed=1)
+        with pytest.raises(ValidationError, match="differ only in seed"):
+            generate_panels([spec, replace(spec, seed=2), replace(spec, seed=3, **change)])
+
+    def test_no_specs_no_panels(self):
+        assert list(generate_panels([])) == []
+
+
+# Each study over one chunk of replications and one more.
+CHUNK_CROSSING_STUDIES = [
+    (eigen_gap_study, dict(d_values=[6], n_values=[1000],
+                           replications=panels_per_chunk(6, 1000) + 1, p=2, seed=4)),
+    (bootstrap_power_study, dict(d=6, n_values=[1000],
+                                 replications=panels_per_chunk(6, 1000) + 1, n_draws=5, p=2,
+                                 seed=4)),
+    (subspace_error_study, dict(d_values=[6], n_values=[1000],
+                                replications=panels_per_chunk(6, 1000) + 1, p=2, seed=4)),
+    (rate_study, dict(sample_sizes=[5000], replications=panels_per_chunk(1, 5000) + 1,
+                      seed=4)),
+]
+
+
+@pytest.mark.parametrize("study, kwargs", CHUNK_CROSSING_STUDIES,
+                         ids=[study.__name__ for study, _ in CHUNK_CROSSING_STUDIES])
+def test_study_records_match_one_panel_at_a_time(monkeypatch, study, kwargs):
+    assert study(**kwargs) == one_panel_at_a_time(monkeypatch, study, **kwargs)
+
     def test_noiseless_rank_one_mean_spectrum(self):
         grid = default_grid()
         rows = []
