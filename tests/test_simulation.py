@@ -173,6 +173,8 @@ CHUNK_CROSSING_STUDIES = [
 def test_study_records_match_one_panel_at_a_time(monkeypatch, study, kwargs):
     assert study(**kwargs) == one_panel_at_a_time(monkeypatch, study, **kwargs)
 
+
+class TestEigenGapStudy:
     def test_noiseless_rank_one_mean_spectrum(self):
         grid = default_grid()
         rows = []
