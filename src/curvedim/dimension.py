@@ -261,7 +261,9 @@ def subspace_distance_general(
 
 
 def _overlap_distance(grid: Grid, b1: np.ndarray, b2: np.ndarray) -> float:
-    """``subspace_distance_general`` of bases ``_validated_basis`` returned."""
+    """``subspace_distance_general`` of bases already orthonormal under the
+    grid's quadrature, as ``_validated_basis`` returns them; an empty
+    ``b1`` is at distance exactly 1."""
     energy = float(np.sum(((b1 * grid.weights) @ b2.T) ** 2))
     dmax = max(b1.shape[0], b2.shape[0])
     return float(np.sqrt(max(0.0, 1.0 - energy / dmax)))

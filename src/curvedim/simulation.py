@@ -11,14 +11,15 @@ with weights 2^-(j-1); the 101-point grid of [0, 1] (``default_grid``);
 and in the rate study, AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) and
 lag budget ``RATE_LAG_BUDGET`` (1).
 
-Every study derives one RNG stream per replication from (seed,
-indices) and draws the panels of a (d, n) cell together through
-``generate_panels``: one AR(1) recursion runs over the factors of as many
-replications as fit in ``DRAW_CHUNK_BYTES`` of innovations, and each
-panel is bit-for-bit the one ``generate_panel`` draws from its spec
-alone. So results are reproducible bit-for-bit, the first k replications
-of a run do not depend on how many replications follow them, and the
-draw memory does not grow with the replication count.
+Every study builds one ``FactorModelSpec`` per (d, n) cell, derives one
+seed per replication from (seed, indices), and draws the cell's panels
+through ``generate_panels(spec, seeds)``: one AR(1) recursion runs over
+the factors of as many replications as fit in ``DRAW_CHUNK_BYTES`` of
+innovations, and each panel is bit-for-bit the one ``generate_panel``
+draws from ``replace(spec, seed=s)`` alone. So results are reproducible
+bit-for-bit, the first k replications of a run do not depend on how many
+replications follow them, and the draw memory does not grow with the
+replication count.
 
 Every study returns ``(records, design)``: ``records`` is a list of dicts,
 one per CSV row, whose keys are the CSV columns in order, and ``design``
@@ -36,7 +37,6 @@ import numpy as np
 from .dimension import (
     BootstrapConfig,
     _overlap_distance,
-    _validated_basis,
     bootstrap_test,
     default_epsilon,
     threshold_estimate,
@@ -126,47 +126,35 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
-def _design(spec: FactorModelSpec) -> tuple:
-    """Every field of ``spec`` but its seed, in a form == compares."""
-    return (spec.d, spec.n, spec.grid.points.tobytes(), spec.ar_coefficients,
-            spec.noise_terms)
-
-
 def generate_panel(spec: FactorModelSpec) -> CurvePanel:
     """Draw one panel of n curves from the factor model."""
-    return next(generate_panels([spec]))
+    return next(generate_panels(spec, [spec.seed]))
 
 
-def generate_panels(specs: Iterable[FactorModelSpec]) -> Iterator[CurvePanel]:
-    """The panels of specs that differ only in ``seed``, drawn in order.
+def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[CurvePanel]:
+    """The panel of ``replace(spec, seed=s)`` for each seed, in order.
 
-    Each spec gets its own generator, which draws every factor's
+    Each seed gets its own generator, which draws every factor's
     BURN_IN + n innovations and then its stationary start, factor by
-    factor, and the spec's noise only when its panel is built. One
+    factor, and the panel's noise only when the panel is built. One
     ``tsmodels.ar1_paths`` recursion runs over all factors of a chunk of
-    specs whose innovations fit in ``DRAW_CHUNK_BYTES``. Specs that
-    differ in any other field are rejected before anything is drawn.
+    seeds whose innovations fit in ``DRAW_CHUNK_BYTES``. Every seed is
+    checked as ``FactorModelSpec`` checks its own before anything is drawn.
     """
-    specs = list(specs)
-    if len({_design(s) for s in specs}) > 1:
-        raise ValidationError("panels drawn together must differ only in seed")
-    return _draw_panels(specs)
-
-
-def _draw_panels(specs: list[FactorModelSpec]) -> Iterator[CurvePanel]:
-    if not specs:
-        return
-    d, n, grid, noise_terms = specs[0].d, specs[0].n, specs[0].grid, specs[0].noise_terms
-    coefficients = np.array(specs[0].ar_coefficients)
+    seeds = list(seeds)
+    for s in seeds:
+        _check_int("seed", s, 0)
+    d, n, grid, noise_terms = spec.d, spec.n, spec.grid, spec.noise_terms
+    coefficients = np.array(spec.ar_coefficients)
     curves = factor_curves(grid, d)
     weights = np.array([2.0 ** -(j - 1) for j in range(1, noise_terms + 1)])
     noise = noise_curves(grid, noise_terms)
     steps = BURN_IN + n
     per_chunk = max(1, DRAW_CHUNK_BYTES // (8 * d * steps))
-    for lo in range(0, len(specs), per_chunk):
+    for lo in range(0, len(seeds), per_chunk):
         rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=s.seed))
-            for s in specs[lo : lo + per_chunk]
+            np.random.default_rng(np.random.SeedSequence(entropy=s))
+            for s in seeds[lo : lo + per_chunk]
         ]
         # Row i * d + j: factor j of panel i, its innovations then its start.
         draws = np.empty((len(rngs), d, steps + 1))
@@ -181,6 +169,7 @@ def _draw_panels(specs: list[FactorModelSpec]) -> Iterator[CurvePanel]:
             if noise_terms:
                 z = rng.standard_normal((n, noise_terms))
                 values = values + (z * weights) @ noise
+            values.setflags(write=False)  # fresh, so CurvePanel keeps it uncopied
             yield CurvePanel(grid=grid, values=values)
 
 
@@ -204,11 +193,9 @@ def eigen_gap_study(
     for di, d in enumerate(d_values):
         for ni, n in enumerate(n_values):
             rows = np.zeros((replications, EIGEN_GAP_TOP))
-            specs = [
-                FactorModelSpec(d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep))
-                for rep in range(replications)
-            ]
-            for rep, panel in enumerate(generate_panels(specs)):
+            spec = FactorModelSpec(d=d, n=n, grid=grid)
+            seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
+            for rep, panel in enumerate(generate_panels(spec, seeds)):
                 lam = operator_eigenvalues(panel, p)
                 rows[rep, : min(EIGEN_GAP_TOP, lam.size)] = lam[:EIGEN_GAP_TOP]
             means = rows.mean(axis=0).tolist()
@@ -232,17 +219,11 @@ def bootstrap_power_study(
     grid = default_grid()
     records: list[dict] = []
     for ni, n in enumerate(n_values):
+        spec = FactorModelSpec(d=d, n=n, grid=grid)
         for hi, d0 in enumerate((d - 1, d)):
-            specs = [
-                FactorModelSpec(d=d, n=n, grid=grid, seed=_child_seed(seed, ni, hi, rep, 0))
-                for rep in range(replications)
-            ]
-            for rep, panel in enumerate(generate_panels(specs)):
-                cfg = BootstrapConfig(
-                    n_draws=n_draws,
-                    alpha=0.05,
-                    seed=_child_seed(seed, ni, hi, rep, 1),
-                )
+            seeds = [_child_seed(seed, ni, hi, rep, 0) for rep in range(replications)]
+            for rep, panel in enumerate(generate_panels(spec, seeds)):
+                cfg = BootstrapConfig(n_draws=n_draws, seed=_child_seed(seed, ni, hi, rep, 1))
                 [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
                 records.append(
                     {"d": d, "n": n, "tested_rank": d0 + 1, "replication": rep,
@@ -264,66 +245,53 @@ def subspace_error_study(
     ``dtilde`` uses the first d estimated eigenfunctions (the
     estimation-error measure, comparable across d), and
     ``dtilde_adaptive`` uses the threshold-rule dimension estimate
-    ``d_hat``.
+    ``d_hat``; an estimate of dimension 0 is at distance 1. Both bases
+    are quadrature-orthonormal as they stand (``decompose`` eigenfunctions,
+    and the cosine curves on the default grid), so neither is
+    re-orthonormalised.
     """
     _check_study(replications, seed)
     grid = default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
-        # subspace_distance_general(grid, estimate, truth), with the truth
-        # validated once per d
-        truth = _validated_basis(grid, factor_curves(grid, d), "basis2")
+        truth = factor_curves(grid, d)
         for ni, n in enumerate(n_values):
-            specs = [
-                FactorModelSpec(d=d, n=n, grid=grid, seed=_child_seed(seed, di, ni, rep))
-                for rep in range(replications)
-            ]
-            for rep, panel in enumerate(generate_panels(specs)):
+            spec = FactorModelSpec(d=d, n=n, grid=grid)
+            seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
+            for rep, panel in enumerate(generate_panels(spec, seeds)):
                 dec = decompose(panel, p)
                 lam = dec.eigenvalues
                 d_hat = threshold_estimate(lam, default_epsilon(lam, n))
-                dist = _overlap_distance(
-                    grid, _validated_basis(grid, dec.eigenfunctions[:d], "basis1"), truth
-                )
-                if d_hat == 0:
-                    dist_adaptive = 1.0
-                else:
-                    dist_adaptive = _overlap_distance(
-                        grid, _validated_basis(grid, dec.eigenfunctions[:d_hat], "basis1"), truth
-                    )
                 records.append(
                     {
                         "d": d,
                         "n": n,
                         "replication": rep,
                         "d_hat": d_hat,
-                        "dtilde": dist,
-                        "dtilde_adaptive": dist_adaptive,
+                        "dtilde": _overlap_distance(grid, dec.eigenfunctions[:d], truth),
+                        "dtilde_adaptive": _overlap_distance(
+                            grid, dec.eigenfunctions[:d_hat], truth
+                        ),
                     }
                 )
     return records, {}
 
 
 def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:
-    """Quadrature oracle for the single nonzero population eigenvalue.
+    """Quadrature value of the single nonzero population eigenvalue.
 
     The lag-1 autocovariance kernel of the single-factor model is
-    gamma(1) phi(u) phi(v) with gamma(1) = a / (1 - a^2); composing it
-    with its adjoint on the grid and solving the quadrature-weighted
-    symmetric eigenproblem gives the population eigenvalue the estimates
-    converge to. Analytically this equals gamma(1)^2 times the squared
-    norm of phi to the fourth power, i.e. gamma(1)^2 on the unit-norm
-    cosine curve; the grid value inherits only the quadrature bias.
+    gamma(1) phi(u) phi(v) with gamma(1) = a / (1 - a^2). It has rank
+    one, so the operator it composes with its adjoint on the grid has
+    the one nonzero eigenvalue gamma(1)^2 (phi' W phi)^2, the population
+    eigenvalue the estimates converge to. On the unit-norm cosine curve
+    that is gamma(1)^2 analytically; the grid value inherits only the
+    quadrature bias.
     """
     a = float(ar_coefficient)
     gamma1 = a / (1.0 - a * a)
     phi = factor_curves(grid, 1)[0]
-    w = grid.weights
-    kernel = gamma1 * np.outer(phi, phi)
-    composed = (kernel * w) @ kernel.T
-    root = np.sqrt(w)
-    sym = composed * root[:, None] * root[None, :]
-    return float(np.linalg.eigvalsh((sym + sym.T) / 2.0)[-1])
+    return gamma1**2 * float(phi @ (grid.weights * phi)) ** 2
 
 
 def rate_study(sample_sizes, replications: int, seed: int = 0) -> tuple[list[dict], dict]:
@@ -344,17 +312,9 @@ def rate_study(sample_sizes, replications: int, seed: int = 0) -> tuple[list[dic
     gamma1 = RATE_AR_COEFFICIENT / (1.0 - RATE_AR_COEFFICIENT**2)
     records: list[dict] = []
     for ni, n in enumerate(sample_sizes):
-        specs = [
-            FactorModelSpec(
-                d=1,
-                n=n,
-                grid=grid,
-                ar_coefficients=(RATE_AR_COEFFICIENT,),
-                seed=_child_seed(seed, ni, rep),
-            )
-            for rep in range(replications)
-        ]
-        for rep, panel in enumerate(generate_panels(specs)):
+        spec = FactorModelSpec(d=1, n=n, grid=grid, ar_coefficients=(RATE_AR_COEFFICIENT,))
+        seeds = [_child_seed(seed, ni, rep) for rep in range(replications)]
+        for rep, panel in enumerate(generate_panels(spec, seeds)):
             lam = operator_eigenvalues(panel, RATE_LAG_BUDGET)
             theta1 = float(lam[0])
             records.append(

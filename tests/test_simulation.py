@@ -5,14 +5,16 @@ import pytest
 
 from curvedim import simulation
 from curvedim.cli import main
-from curvedim.eigen import operator_eigenvalues
+from curvedim.dimension import _overlap_distance, subspace_distance_general
+from curvedim.eigen import decompose, operator_eigenvalues
 from curvedim.errors import ValidationError
-from curvedim.grids import Grid
+from curvedim.grids import CurvePanel, Grid
 from curvedim.simulation import (
     DRAW_CHUNK_BYTES,
     RATE_AR_COEFFICIENT,
     RATE_LAG_BUDGET,
     FactorModelSpec,
+    _child_seed,
     bootstrap_power_study,
     default_ar_coefficients,
     default_grid,
@@ -37,7 +39,11 @@ def panels_per_chunk(d: int, n: int) -> int:
 def one_panel_at_a_time(monkeypatch, study, **kwargs):
     """The study's result with each panel drawn alone, by the scalar reference."""
     with monkeypatch.context() as m:
-        m.setattr(simulation, "generate_panels", lambda specs: map(factor_panel, specs))
+        m.setattr(
+            simulation,
+            "generate_panels",
+            lambda spec, seeds: (factor_panel(replace(spec, seed=s)) for s in seeds),
+        )
         return study(**kwargs)
 
 
@@ -130,28 +136,36 @@ class TestGeneratePanels:
     def test_match_one_panel_draws_and_scalar_reference(self, d, noise_terms):
         n = 2000
         count = panels_per_chunk(d, n) + 1  # the last panel starts a second chunk
-        specs = [FactorModelSpec(d=d, n=n, noise_terms=noise_terms, seed=s) for s in range(count)]
-        together = [p.values.tobytes() for p in generate_panels(specs)]
-        assert together == [generate_panel(s).values.tobytes() for s in specs]
-        assert together == [factor_panel(s).values.tobytes() for s in specs]
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"d": 3, "ar_coefficients": None},
-            {"n": 41},
-            {"grid": Grid.uniform(0.0, 1.0, 51)},
-            {"ar_coefficients": (0.5, 0.4)},
-            {"noise_terms": 3},
-        ],
-    )
-    def test_rejects_specs_that_differ_beyond_seed(self, change):
-        spec = FactorModelSpec(d=2, n=40, seed=1)
-        with pytest.raises(ValidationError, match="differ only in seed"):
-            generate_panels([spec, replace(spec, seed=2), replace(spec, seed=3, **change)])
+        spec = FactorModelSpec(d=d, n=n, noise_terms=noise_terms, seed=99)  # seed unused
+        seeds = list(range(count))
+        together = [p.values.tobytes() for p in generate_panels(spec, seeds)]
+        alone = [replace(spec, seed=s) for s in seeds]
+        assert together == [generate_panel(s).values.tobytes() for s in alone]
+        assert together == [factor_panel(s).values.tobytes() for s in alone]
 
     def test_no_specs_no_panels(self):
-        assert list(generate_panels([])) == []
+        assert list(generate_panels(FactorModelSpec(d=2, n=40), [])) == []
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.0])
+    def test_rejects_a_bad_seed_before_any_panel(self, bad):
+        panels = generate_panels(FactorModelSpec(d=2, n=40), [1, 2, bad])
+        with pytest.raises(ValidationError, match="seed must be"):
+            next(panels)
+
+    @pytest.mark.parametrize("noise_terms", [0, 10])
+    def test_panels_keep_the_drawn_array(self, monkeypatch, noise_terms):
+        drawn = []
+
+        class RecordingPanel(CurvePanel):
+            def __post_init__(self):
+                drawn.append(self.values)
+                super().__post_init__()
+
+        monkeypatch.setattr(simulation, "CurvePanel", RecordingPanel)
+        spec = FactorModelSpec(d=2, n=40, noise_terms=noise_terms)
+        for panel in generate_panels(spec, [1, 2]):
+            assert panel.values is drawn[-1]  # read-only already, so not copied
+            assert not panel.values.flags.writeable
 
 
 # Each study over one chunk of replications and one more.
@@ -239,6 +253,31 @@ class TestBootstrapPowerStudy:
 
 
 class TestSubspaceErrorStudy:
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_factor_curves_quadrature_orthonormal(self, d):
+        grid = default_grid()
+        curves = factor_curves(grid, d)
+        gram = (curves * grid.weights) @ curves.T
+        assert np.max(np.abs(gram - np.eye(d))) <= 1e-12
+
+    def test_empty_estimate_is_at_distance_one(self):
+        grid = default_grid()
+        empty = np.empty((0, len(grid)))
+        assert _overlap_distance(grid, empty, factor_curves(grid, 3)) == 1.0
+
+    def test_distances_match_subspace_distance_general(self):
+        seed, d, n = 14, 3, 100
+        records, _ = subspace_error_study([d], [n], 4, p=5, seed=seed)
+        grid = default_grid()
+        truth = factor_curves(grid, d)
+        for r in records:
+            spec = FactorModelSpec(d=d, n=n, seed=_child_seed(seed, 0, 0, r["replication"]))
+            basis = decompose(generate_panel(spec), 5).eigenfunctions
+            assert r["d_hat"] >= 1
+            for key, k in (("dtilde", d), ("dtilde_adaptive", r["d_hat"])):
+                want = subspace_distance_general(grid, basis[:k], truth)
+                assert abs(r[key] - want) <= 1e-12
+
     def test_records_complete_and_bounded(self):
         records, _ = subspace_error_study([2], [100], 5, p=5, seed=11)
         assert len(records) == 5
