@@ -35,7 +35,6 @@ from .dimension import (
     write_dimension_report_json,
 )
 from .eigen import (
-    EigenDecomposition,
     decompose,
     loadings,
     read_loadings_csv,
@@ -43,7 +42,7 @@ from .eigen import (
     write_decomposition_json,
     write_loadings_csv,
 )
-from .errors import CurveDimError, ValidationError, exit_code_for
+from .errors import CurveDimError, ValidationError, check_int, exit_code_for
 from .grids import read_panel_csv, write_csv_rows, write_json, write_panel_csv
 from .simulation import (
     bootstrap_power_study,
@@ -116,6 +115,11 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed; its ``ValidationError`` reaches ``main``."""
+    return check_int("seed", int(text), 0)
+
+
 class _FlagBeforeStudy(argparse.Action):
     """Rejects a study flag placed before the study name, where argparse
     would otherwise read its value as the study."""
@@ -135,9 +139,8 @@ def _select(panel, args):
 
 def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
     """Write the report, its decomposition, eigenfunctions and loadings."""
-    dec = EigenDecomposition(report.eigenvalues, report.eigenfunctions)
     write_dimension_report_json(report, out / "dimension_report.json")
-    write_decomposition_json(dec, out / "decomposition.json")
+    write_decomposition_json(report.eigenvalues, report.d_hat, out / "decomposition.json")
     write_curves_csv(panel.grid, report.eigenfunctions, out / "eigenfunctions.csv")
     write_loadings_csv(lam, out / "loadings.csv")
 
@@ -182,7 +185,7 @@ def cmd_test_dim(args) -> int:
     cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
     panel = read_panel_csv(args.panel)
     dec = decompose(panel, args.p)
-    [pvalue] = bootstrap_test(panel, dec, [args.d0], args.p, cfg)
+    [pvalue] = bootstrap_test(dec, [args.d0], cfg)
     payload = {
         "d0": args.d0,
         "tested_rank": args.d0 + 1,
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed")
         p.add_argument("--output-dir", default=".", help="directory for outputs")
 
     def add_test_flags(p):

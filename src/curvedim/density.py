@@ -29,6 +29,7 @@ from .errors import (
     MissingOpeningTickError,
     ParseError,
     ValidationError,
+    check_positive_finite,
 )
 from .grids import CurvePanel, Grid, read_float_rows, write_json
 
@@ -90,17 +91,12 @@ def log_returns(prices: np.ndarray) -> np.ndarray:
     return np.diff(np.log(x))
 
 
-def _check_positive_finite(value: float, name: str) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be positive and finite")
-
-
 def silverman_bandwidth(returns: np.ndarray, multiplier: float = 1.0) -> float:
     """Rule-of-thumb bandwidth 1.06 sigma m^(-1/5), scaled by the multiplier."""
     z = np.asarray(returns, dtype=np.float64)
     if z.size < 2:
         raise ValidationError("need at least 2 returns for a bandwidth")
-    _check_positive_finite(multiplier, "bandwidth multiplier")
+    check_positive_finite("bandwidth multiplier", multiplier)
     sigma = float(np.std(z, ddof=1))
     if sigma <= 0.0:
         raise DegenerateSeriesError("returns have zero variance")
@@ -110,7 +106,7 @@ def silverman_bandwidth(returns: np.ndarray, multiplier: float = 1.0) -> float:
 def kde_curve(returns: np.ndarray, bandwidth: float, grid: Grid) -> np.ndarray:
     """Gaussian kernel density of the returns evaluated on the grid."""
     z = np.asarray(returns, dtype=np.float64)
-    _check_positive_finite(bandwidth, "bandwidth")
+    check_positive_finite("bandwidth", bandwidth)
     u = (z[None, :] - grid.points[:, None]) / bandwidth
     dens = np.exp(-0.5 * u * u).sum(axis=1) / (z.size * bandwidth * np.sqrt(2.0 * np.pi))
     return dens
@@ -144,7 +140,7 @@ def build_density_panel(
     """
     # Checked here as well as per day: under skip_bad_days a per-day error
     # would skip every day rather than reject the call.
-    _check_positive_finite(multiplier, "bandwidth multiplier")
+    check_positive_finite("bandwidth multiplier", multiplier)
     if len(days) < 2:
         raise ValidationError("need at least 2 days to build a panel")
     curves: list[np.ndarray] = []

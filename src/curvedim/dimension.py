@@ -3,6 +3,8 @@
 The number of dynamic components is decided two ways: a residual
 bootstrap test of the hypothesis that a given ordered eigenvalue is zero,
 and a threshold rule that counts eigenvalues above a shrinking cutoff.
+The test takes one ``EigenDecomposition`` and reads the panel and lag
+budget from it, so its replicates rebuild the operator that was observed.
 Discrepancy between estimated and reference subspaces is measured with
 one projection-overlap metric, defined for unequal dimensions.
 """
@@ -17,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .eigen import EigenDecomposition, _span_projection, _symmetric_solve, decompose
-from .errors import BoundsError, GridMismatchError, ValidationError
+from .errors import BoundsError, ValidationError, check_int, check_positive_finite
 from .grids import CurvePanel, Grid, centered_values, write_json
 
 _ORTHONORMAL_TOL = 1e-6
@@ -44,12 +46,10 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_draws < 1:
-            raise ValidationError("bootstrap needs at least 1 replicate")
+        check_int("n_draws", self.n_draws, 1)
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_int("seed", self.seed, 0)  # SeedSequence takes non-negative entropy only
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -59,19 +59,18 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 
 def bootstrap_test(
-    panel: CurvePanel, dec: EigenDecomposition, d0s: Sequence[int], p: int,
-    cfg: BootstrapConfig,
+    dec: EigenDecomposition, d0s: Sequence[int], cfg: BootstrapConfig
 ) -> list[float]:
     """Bootstrap p-values for the hypotheses "eigenvalue d0+1 is zero",
     one per d0 in ``d0s``, in the same order.
 
-    ``dec`` is the panel's own ``decompose(panel, p)``: each hypothesis
-    reads its observed eigenvalue ``dec.eigenvalues[d0]`` and fits the
-    panel with the leading d0 eigenfunctions of ``dec``, so the test
-    makes no solve of the observed panel. Every d0 must satisfy
-    ``0 <= d0 < min(n - p, m)``; one that does not raises ``BoundsError``
-    before any replicate is drawn. A ``dec`` whose curves do not match
-    the panel grid raises ``GridMismatchError``.
+    ``dec`` is ``decompose(panel, p)`` of the tested panel, and the
+    replicates rebuild that operator from ``dec.panel`` at ``dec.p``.
+    Each hypothesis reads its observed eigenvalue ``dec.eigenvalues[d0]``
+    and fits the panel with the leading d0 eigenfunctions of ``dec``, so
+    the test makes no solve of the observed panel. Every d0 must be an
+    integer (else ``ValidationError``) with ``0 <= d0 < min(n - p, m)``
+    (else ``BoundsError``), checked before any replicate is drawn.
 
     Each replicate adds resampled fitted residuals back to the fitted
     curves, rebuilds the operator and records its (d0+1)-th eigenvalue.
@@ -97,9 +96,11 @@ def bootstrap_test(
     the p lags serves every hypothesis, and one batched ``eigvalsh``
     solves the r x r operators sum_k M_k M_k^T of all of them.
     """
+    panel, p = dec.panel, dec.p
     n = panel.n
     limit = min(n - p, len(panel.grid))
     for d0 in d0s:
+        check_int("d0", d0)
         if not 0 <= d0 < limit:
             raise BoundsError(
                 f"need 0 <= d0 < min(n - p, m), got d0={d0}, n={n}, p={p}, "
@@ -109,8 +110,6 @@ def bootstrap_test(
     live = sorted({d0 for d0 in d0s if d0 < r and dec.eigenvalues[d0] != 0.0})
     top = max(live, default=0)
     funcs = dec.eigenfunctions[:top]
-    if funcs.shape[1] != len(panel.grid):
-        raise GridMismatchError("eigenfunctions do not match the panel grid")
     if not live:
         return [1.0 for _ in d0s]
     n_eff, width = n - p, top + r
@@ -143,8 +142,7 @@ def bootstrap_test(
 def threshold_estimate(eigenvalues: np.ndarray, epsilon: float) -> int:
     """Count eigenvalues at or above epsilon (input sorted descending)."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValidationError("epsilon must be positive and finite")
+    check_positive_finite("epsilon", epsilon)
     if lam.size and np.any(np.diff(lam) > 0):
         raise ValidationError("eigenvalues must be sorted in descending order")
     return int(np.sum(lam >= epsilon))
@@ -161,6 +159,7 @@ def default_epsilon(eigenvalues: np.ndarray, n: int) -> float:
     bootstrap ``d_hat`` of ``select_dimension`` (B = 200) recovers them in
     27, 28 and 27 of 30. Past d = 2, trust the bootstrap ``d_hat``.
     """
+    check_int("n", n, 1)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     theta1 = float(lam[0]) if lam.size else 0.0
     return DEFAULT_EPSILON_SCALE * theta1 * float(n) ** (-DEFAULT_EPSILON_EXPONENT)
@@ -206,12 +205,11 @@ def select_dimension(
     ``threshold_estimate(report.eigenvalues, eps)``.
     """
     cfg = cfg or BootstrapConfig()
-    if d_max < 0:
-        raise ValidationError(f"d_max must be >= 0, got {d_max}")
+    check_int("d_max", d_max, 0)
     d_max = min(d_max, len(panel.grid), panel.n - p - 1)
     dec = decompose(panel, p)
     lam = dec.eigenvalues
-    pvalues = bootstrap_test(panel, dec, range(d_max), p, cfg)
+    pvalues = bootstrap_test(dec, range(d_max), cfg)
     d_hat = next((d0 for d0, pv in enumerate(pvalues) if pv > cfg.alpha), d_max)
     eps = default_epsilon(lam, panel.n)
     threshold_d = threshold_estimate(lam, eps) if eps > 0 else 0

@@ -12,12 +12,13 @@ divided by sqrt(w) are quadrature-orthonormal eigenfunctions.
 eigensolve of that matrix gives the spectrum with eigenvalues below
 EIGENVALUE_CLAMP of the leading one set to zero, which is the rule every
 report and decision applies, together with one sign-fixed eigenfunction
-per eigenvalue. Callers solve an observed panel once and pass the
-``EigenDecomposition`` on: the bootstrap test reads its observed
-eigenvalue and fits the panel from it, and ``loadings`` projects the
-curves on its eigenfunctions. ``operator_eigenvalues`` is the raw,
-unclamped, eigenvalues-only solve of the same m x m matrix, which the
-Monte Carlo eigenvalue studies use.
+per eigenvalue. The ``EigenDecomposition`` it returns holds the panel
+and lag budget it was built from, so callers solve an observed panel
+once and pass the decomposition on: the bootstrap test reads its
+eigenvalues, panel and p, and ``loadings`` projects the curves on its
+eigenfunctions. ``operator_eigenvalues`` is the raw, unclamped,
+eigenvalues-only solve of the same m x m matrix, which the Monte Carlo
+eigenvalue studies use.
 
 Every curve a bootstrap replicate holds (fitted curves plus resampled
 residuals) lies in the span of the panel's centered curves, so its
@@ -67,20 +68,17 @@ def _fix_signs(curves: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ordered spectrum with orthonormal eigenfunctions on the panel grid.
+    """Ordered spectrum and orthonormal eigenfunctions of ``panel``'s operator at ``p``.
 
     ``eigenvalues`` holds the full computed spectrum (descending, entries
-    below EIGENVALUE_CLAMP of the leading one clamped to zero);
-    ``eigenfunctions`` holds ``count`` orthonormal sign-fixed curves, one
-    per eigenvalue from ``decompose`` and the leading ``d_hat`` in a report.
+    below EIGENVALUE_CLAMP of the leading one clamped to zero), and
+    ``eigenfunctions`` one orthonormal sign-fixed curve per eigenvalue.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.eigenfunctions.shape[0]
+    panel: CurvePanel
+    p: int
 
 
 def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
@@ -157,8 +155,8 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     w = panel.grid.weights
     lam, v = _symmetric_solve(_reduced_operator(panel.values, p, w), vectors=True)
     order = np.argsort(lam)[::-1]
-    funcs = (v[:, order] / np.sqrt(w)[:, None]).T
-    return EigenDecomposition(eigenvalues=_clamp(lam[order]), eigenfunctions=_fix_signs(funcs))
+    funcs = _fix_signs((v[:, order] / np.sqrt(w)[:, None]).T)
+    return EigenDecomposition(_clamp(lam[order]), funcs, panel, p)
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -174,12 +172,9 @@ def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:
     return (centered_values(panel) * panel.grid.weights) @ funcs.T
 
 
-def write_decomposition_json(dec: EigenDecomposition, path) -> None:
-    payload = {
-        "eigenvalues": [float(x) for x in dec.eigenvalues],
-        "count": int(dec.count),
-    }
-    write_json(path, payload)
+def write_decomposition_json(eigenvalues: np.ndarray, count: int, path) -> None:
+    """A spectrum and the number of eigenfunctions kept with it."""
+    write_json(path, {"eigenvalues": [float(x) for x in eigenvalues], "count": int(count)})
 
 
 def write_loadings_csv(values: np.ndarray, path) -> None:

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one check of each
+count, seed and positive real it takes (``check_int``, ``check_positive_finite``).
 
 Every error carries a short machine-readable ``kind`` used by the CLI to
 emit structured error reports and pick exit codes.
 """
+
+import math
+from numbers import Integral
 
 
 class CurveDimError(Exception):
@@ -89,6 +93,20 @@ class ConditioningError(NumericalFailureError):
     """A linear system is singular or too ill-conditioned to solve."""
 
     kind = "conditioning"
+
+
+def check_int(name: str, value, low: int | None = None):
+    """``value``, if it is an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_positive_finite(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite")
 
 
 USER_ERROR_EXIT = 1

@@ -25,6 +25,7 @@ from .errors import (
     InsufficientSampleError,
     ParseError,
     ValidationError,
+    check_int,
 )
 
 
@@ -68,8 +69,9 @@ class Grid:
 
     @staticmethod
     def uniform(a: float, b: float, m: int) -> "Grid":
-        if m < 2 or not b > a:
-            raise ValidationError("uniform grid needs m >= 2 and b > a")
+        check_int("m", m, 2)
+        if not b > a:
+            raise ValidationError("uniform grid needs b > a")
         return Grid(np.linspace(a, b, m))
 
 
@@ -110,9 +112,8 @@ def centered_values(panel: CurvePanel) -> np.ndarray:
 
 
 def check_lag_budget(panel: CurvePanel, p: int) -> None:
-    """Reject a lag budget outside 1 <= p < n."""
-    if p < 1:
-        raise ValidationError(f"lag budget p must be >= 1, got {p}")
+    """Reject a lag budget that is not an integer with 1 <= p < n."""
+    check_int("lag budget p", p, 1)
     if p >= panel.n:
         raise InsufficientSampleError(
             f"lag budget p={p} requires more than p curves, panel has n={panel.n}"

@@ -42,7 +42,7 @@ from .dimension import (
     threshold_estimate,
 )
 from .eigen import decompose, operator_eigenvalues
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .grids import CurvePanel, Grid
 from .tsmodels import BURN_IN, ar1_paths
 
@@ -102,10 +102,10 @@ class FactorModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("d", self.d, 1)
-        _check_int("n", self.n, 2)
-        _check_int("noise_terms", self.noise_terms, 0)
-        _check_int("seed", self.seed, 0)  # SeedSequence takes non-negative entropy only
+        check_int("d", self.d, 1)
+        check_int("n", self.n, 2)
+        check_int("noise_terms", self.noise_terms, 0)
+        check_int("seed", self.seed, 0)  # SeedSequence takes non-negative entropy only
         coeffs = self.ar_coefficients
         if coeffs is None:
             coeffs = default_ar_coefficients(self.d)
@@ -117,13 +117,6 @@ class FactorModelSpec:
         if any(abs(a) >= 1.0 for a in coeffs):
             raise ValidationError("all AR coefficients must satisfy |a| < 1")
         object.__setattr__(self, "ar_coefficients", coeffs)
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 def generate_panel(spec: FactorModelSpec) -> CurvePanel:
@@ -143,7 +136,7 @@ def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[Cur
     """
     seeds = list(seeds)
     for s in seeds:
-        _check_int("seed", s, 0)
+        check_int("seed", s, 0)
     d, n, grid, noise_terms = spec.d, spec.n, spec.grid, spec.noise_terms
     coefficients = np.array(spec.ar_coefficients)
     curves = factor_curves(grid, d)
@@ -174,8 +167,8 @@ def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[Cur
 
 
 def _check_study(replications: int, seed: int) -> None:
-    _check_int("replications", replications, 1)
-    _check_int("seed", seed, 0)  # SeedSequence takes non-negative entropy only
+    check_int("replications", replications, 1)
+    check_int("seed", seed, 0)  # SeedSequence takes non-negative entropy only
 
 
 def eigen_gap_study(
@@ -224,7 +217,7 @@ def bootstrap_power_study(
             seeds = [_child_seed(seed, ni, hi, rep, 0) for rep in range(replications)]
             for rep, panel in enumerate(generate_panels(spec, seeds)):
                 cfg = BootstrapConfig(n_draws=n_draws, seed=_child_seed(seed, ni, hi, rep, 1))
-                [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
+                [pvalue] = bootstrap_test(decompose(panel, p), [d0], cfg)
                 records.append(
                     {"d": d, "n": n, "tested_rank": d0 + 1, "replication": rep,
                      "p_value": pvalue}

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateSeriesError,
     NonstationarityError,
     ValidationError,
+    check_int,
 )
 from .grids import write_json
 
@@ -54,10 +55,9 @@ def ar1_simulate(coefficient: float, length: int, rng: np.random.Generator) -> n
     start.
     """
     a = float(coefficient)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:  # NaN fails this too
         raise NonstationarityError(f"AR(1) coefficient must satisfy |a| < 1, got {a}")
-    if length < 1:
-        raise ValidationError("length must be >= 1")
+    check_int("length", length, 1)
     innovations = rng.standard_normal((BURN_IN + length, 1))
     start = rng.standard_normal() / np.sqrt(1.0 - a * a)
     return ar1_paths([a], innovations, [start])[:, 0]
@@ -107,8 +107,7 @@ def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
     of the block-Toeplitz moment matrix, symmetrized against roundoff.
     """
     x = _as_columns(series)
-    if order < 0:
-        raise ValidationError("order must be >= 0")
+    check_int("order", order, 0)
     t_len = x.shape[0]
     return _yule_walker(_autocovariances(x, min(order, t_len)), t_len, order)
 
@@ -158,8 +157,7 @@ def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
     centered at that minimum (the minimum maps to 0.0).
     """
     x = _as_columns(series)
-    if max_order < 0:
-        raise ValidationError("max_order must be >= 0")
+    check_int("max_order", max_order, 0)
     t_len, d = x.shape
     gammas = _autocovariances(x, min(max_order, t_len))
     fits, raw = [], {}
@@ -238,8 +236,7 @@ def sample_autocorrelations(series: np.ndarray, q: int) -> np.ndarray:
     """Mean-removed sample autocorrelations at lags 1..q, divisor n."""
     x = np.asarray(series, dtype=np.float64).ravel()
     n = x.size
-    if q < 1:
-        raise ValidationError("q must be >= 1")
+    check_int("q", q, 1)
     if n <= q:
         raise ValidationError(f"series length {n} must exceed q={q}")
     c = x - x.mean()
@@ -279,10 +276,8 @@ def multivariate_portmanteau(
     """
     x = _as_columns(series)
     t_len, d = x.shape
-    if q < 1:
-        raise ValidationError("q must be >= 1")
-    if fitted_order < 0:
-        raise ValidationError(f"fitted_order must be >= 0, got {fitted_order}")
+    check_int("q", q, 1)
+    check_int("fitted_order", fitted_order, 0)
     if t_len <= q:
         raise ValidationError(f"series length {t_len} must exceed q={q}")
     c0, *lagged = _autocovariances(x - x.mean(axis=0), q)

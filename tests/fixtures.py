@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from curvedim.density import SESSION_CLOSE, SESSION_OPEN, TickDay
-from curvedim.errors import ValidationError
+from curvedim.errors import ValidationError, check_int
 from curvedim.grids import write_csv_rows, write_json
 
 # Fixed design of ``synthetic_tick_days``.
@@ -38,8 +38,7 @@ def synthetic_tick_days(
     """
     if n_days < 1 or ticks_per_day < 2:
         raise ValidationError("need n_days >= 1 and ticks_per_day >= 2")
-    if seed < 0:  # SeedSequence takes non-negative entropy only
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_int("seed", seed, 0)  # SeedSequence takes non-negative entropy only
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     session_len = SESSION_CLOSE - SESSION_OPEN
     v = rng.standard_normal() * TICK_VOL_INNOVATION_SD / np.sqrt(1 - TICK_VOL_PERSISTENCE**2)

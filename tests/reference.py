@@ -91,25 +91,25 @@ def discretized_operator(panel: CurvePanel, p: int) -> np.ndarray:
     return acc
 
 
-def bootstrap_fit(
-    panel: CurvePanel, dec: EigenDecomposition, d0: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted curves (mean plus the leading d0 eigenfunctions of ``dec``)
-    and the residuals the bootstrap resamples."""
+def bootstrap_fit(dec: EigenDecomposition, d0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted curves of ``dec.panel`` (mean plus the leading d0
+    eigenfunctions of ``dec``) and the residuals the bootstrap resamples."""
+    panel = dec.panel
     funcs = dec.eigenfunctions[:d0]
     fitted = mean_curve(panel) + loadings(panel, funcs) @ funcs
     return fitted, panel.values - fitted
 
 
 def grid_replicate_eigenvalues(
-    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig
+    dec: EigenDecomposition, d0: int, cfg: BootstrapConfig
 ) -> np.ndarray:
     """Eigenvalue d0+1 of each of the B bootstrap replicates of hypothesis
-    d0, solved on the grid: a ``CurvePanel`` per replicate and
-    ``eigvalsh`` of its quadrature-weighted m x m operator."""
+    d0, solved on the grid: a ``CurvePanel`` per replicate of ``dec.panel``
+    and ``eigvalsh`` of its quadrature-weighted m x m operator at ``dec.p``."""
+    panel, p = dec.panel, dec.p
     w = panel.grid.weights
     root = np.sqrt(w)
-    fitted, residuals = bootstrap_fit(panel, dec, d0)
+    fitted, residuals = bootstrap_fit(dec, d0)
     thetas = np.empty(cfg.n_draws)
     for b in range(cfg.n_draws):
         idx = _replicate_rng(cfg.seed, b).integers(0, panel.n, size=panel.n)
@@ -125,14 +125,12 @@ def grid_replicate_eigenvalues(
     return thetas
 
 
-def grid_reference_pvalue(
-    panel: CurvePanel, dec: EigenDecomposition, d0: int, p: int, cfg: BootstrapConfig
-) -> float:
+def grid_reference_pvalue(dec: EigenDecomposition, d0: int, cfg: BootstrapConfig) -> float:
     """The bootstrap p-value of hypothesis d0 from the grid-solved replicates."""
     theta_obs = dec.eigenvalues[d0]
     if theta_obs == 0.0:
         return 1.0
-    thetas = grid_replicate_eigenvalues(panel, dec, d0, p, cfg)
+    thetas = grid_replicate_eigenvalues(dec, d0, cfg)
     return int(np.count_nonzero(thetas > theta_obs)) / cfg.n_draws
 
 

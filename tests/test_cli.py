@@ -208,6 +208,14 @@ class TestTestDim:
         assert replicate_draws == list(range(50))
         assert replicate_solves == [(1, 12, 12)] * 50
 
+    def test_negative_d0_exits_one_with_bounds_kind(self, two_factor_panel_csv, tmp_path, capsys):
+        out = tmp_path / "td"
+        rc = main(["test-dim", "--panel", str(two_factor_panel_csv), "--d0", "-1", "--B", "2",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert read_error(capsys)["kind"] == "bounds"
+        assert not out.exists()
+
     def test_zero_observed_eigenvalue_reported_clamped(self, tmp_path):
         # Noise-free two-factor panel: eigenvalue 3 is zero to working
         # precision, and the report shows the value the p-value used.
@@ -242,22 +250,25 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "command",
         [
-            ["identify", "--B", "2"],
-            ["test-dim", "--d0", "1", "--B", "2"],
+            ["identify", "--B", "2", "--panel", "{panel}"],
+            ["test-dim", "--d0", "1", "--B", "2", "--panel", "{panel}"],
+            ["var-fit", "--loadings", "{loadings}"],
+            ["density", "--manifest", "{manifest}"],
             ["simulate", "eigen-gap"],
             ["simulate", "bootstrap-power"],
             ["simulate", "subspace-error"],
             ["simulate", "rate"],
         ],
-        ids=["identify", "test-dim", "eigen-gap", "bootstrap-power", "subspace-error", "rate"],
+        ids=["identify", "test-dim", "var-fit", "density", "eigen-gap", "bootstrap-power",
+             "subspace-error", "rate"],
     )
     def test_negative_seed_exits_one_with_validation_kind(
-        self, command, two_factor_panel_csv, tmp_path, capsys
+        self, command, manifest_inputs, tmp_path, capsys
     ):
-        # SeedSequence rejects negative entropy; the command must say so as
-        # a JSON error, not a traceback.
-        if command[0] != "simulate":
-            command = [*command, "--panel", str(two_factor_panel_csv)]
+        # SeedSequence rejects negative entropy, and every command takes
+        # --seed, including the two that draw nothing (var-fit, and density
+        # without --identify): each must say so as a JSON error.
+        command = [arg.format(**manifest_inputs) for arg in command]
         out = tmp_path / "out"
         rc = main([*command, "--seed", "-1", "--output-dir", str(out)])
         assert rc == 1

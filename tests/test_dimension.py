@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from curvedim.dimension import (
     threshold_estimate,
     write_dimension_report_json,
 )
-from curvedim.eigen import EigenDecomposition, _span_projection, decompose, operator_eigenvalues
-from curvedim.errors import BoundsError, GridMismatchError, ValidationError
+from curvedim.eigen import _span_projection, decompose, operator_eigenvalues
+from curvedim.errors import BoundsError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import FactorModelSpec, generate_panel
 from fixtures import synthetic_tick_days
@@ -36,7 +37,7 @@ def uniform_grid(m=101):
 
 def pvalue_at(panel, d0, p, cfg):
     """bootstrap_test of the one hypothesis d0 on the panel's own decomposition."""
-    [pvalue] = bootstrap_test(panel, decompose(panel, p), [d0], p, cfg)
+    [pvalue] = bootstrap_test(decompose(panel, p), [d0], cfg)
     return pvalue
 
 
@@ -88,16 +89,16 @@ class TestBootstrapTest:
 
         monkeypatch.setattr(dimension, "_replicate_rng", counted)
         with pytest.raises(BoundsError):
-            bootstrap_test(panel, dec, [0, 40], 2, BootstrapConfig(n_draws=5))
+            bootstrap_test(dec, [0, 40], BootstrapConfig(n_draws=5))
         assert built == []
 
     def test_pvalues_follow_hypothesis_order(self):
         panel = generate_panel(FactorModelSpec(d=2, n=150, seed=17))
         cfg = BootstrapConfig(n_draws=30, seed=11)
         dec = decompose(panel, 3)
-        pvalues = bootstrap_test(panel, dec, [2, 0, 1], 3, cfg)
+        pvalues = bootstrap_test(dec, [2, 0, 1], cfg)
         assert pvalues == [pvalue_at(panel, d0, 3, cfg) for d0 in (2, 0, 1)]
-        assert bootstrap_test(panel, dec, [], 3, cfg) == []
+        assert bootstrap_test(dec, [], cfg) == []
 
     def test_resamples_drawn_once_for_all_hypotheses(self, monkeypatch):
         # Replicate b of every hypothesis resamples the same rows, so the
@@ -111,17 +112,9 @@ class TestBootstrapTest:
             return _replicate_rng(seed, replicate)
 
         monkeypatch.setattr(dimension, "_replicate_rng", counted)
-        pvalues = bootstrap_test(panel, dec, [0, 1, 2], 2, BootstrapConfig(n_draws=7))
+        pvalues = bootstrap_test(dec, [0, 1, 2], BootstrapConfig(n_draws=7))
         assert built == list(range(7))
         assert all(type(pv) is float for pv in pvalues)
-
-    def test_decomposition_from_another_grid_rejected(self):
-        panel = generate_panel(FactorModelSpec(d=2, n=60, seed=5))
-        other = generate_panel(FactorModelSpec(d=2, n=60, grid=uniform_grid(51), seed=5))
-        dec = decompose(other, 2)
-        for d0 in (0, 2):
-            with pytest.raises(GridMismatchError):
-                bootstrap_test(panel, dec, [d0], 2, BootstrapConfig(n_draws=5))
 
     def test_select_dimension_pvalues_match_single_tests(self):
         # select_dimension tests every hypothesis in one bootstrap_test call;
@@ -140,7 +133,7 @@ class TestBootstrapTest:
             cfg = BootstrapConfig(n_draws=50, seed=boot_seed)
             report = select_dimension(panel, p=5, cfg=cfg, d_max=4)
             dec = decompose(panel, 5)
-            grid = {d0 + 1: grid_reference_pvalue(panel, dec, d0, 5, cfg) for d0 in range(4)}
+            grid = {d0 + 1: grid_reference_pvalue(dec, d0, cfg) for d0 in range(4)}
             assert report.pvalues == grid
             assert any(0.0 < pv < 1.0 for pv in grid.values())
 
@@ -164,21 +157,20 @@ class TestBootstrapTest:
             dec = decompose(panel, 3)
             r = _span_projection(panel)[1]
             solves.clear()
-            got = bootstrap_test(panel, dec, range(r), 3, cfg)
-            assert got == [grid_reference_pvalue(panel, dec, d0, 3, cfg) for d0 in range(r)]
+            got = bootstrap_test(dec, range(r), cfg)
+            assert got == [grid_reference_pvalue(dec, d0, cfg) for d0 in range(r)]
             assert any(0.0 < pv < 1.0 for pv in got[d:])
             # Replicate b solves all r hypotheses at once, ascending.
             thetas = np.array(solves)[:, np.arange(r), r - 1 - np.arange(r)]
-            want = np.array([grid_replicate_eigenvalues(panel, dec, d0, 3, cfg)
-                             for d0 in range(r)]).T
+            want = np.array([grid_replicate_eigenvalues(dec, d0, cfg) for d0 in range(r)]).T
             assert np.max(np.abs(thetas - want)) <= 1e-12 * dec.eigenvalues[0]
 
     def test_repeated_and_reordered_hypotheses_equal_single_calls(self):
         panel = generate_panel(FactorModelSpec(d=1, n=120, seed=23))
         cfg = BootstrapConfig(n_draws=40, seed=2)
         dec = decompose(panel, 4)
-        got = bootstrap_test(panel, dec, [3, 0, 3, 1], 4, cfg)
-        assert got == [bootstrap_test(panel, dec, [d0], 4, cfg)[0] for d0 in (3, 0, 3, 1)]
+        got = bootstrap_test(dec, [3, 0, 3, 1], cfg)
+        assert got == [bootstrap_test(dec, [d0], cfg)[0] for d0 in (3, 0, 3, 1)]
         assert got[0] == got[2]
 
     def test_hypothesis_zero_alone_equals_grid_reference(self):
@@ -190,9 +182,7 @@ class TestBootstrapTest:
         dec = decompose(panel, 2)
         for seed in (3, 4):
             cfg = BootstrapConfig(n_draws=30, seed=seed)
-            assert bootstrap_test(panel, dec, [0], 2, cfg) == [
-                grid_reference_pvalue(panel, dec, 0, 2, cfg)
-            ]
+            assert bootstrap_test(dec, [0], cfg) == [grid_reference_pvalue(dec, 0, cfg)]
 
     def test_zero_observed_eigenvalue_is_not_rejected(self):
         # Noise-free two-factor panel: eigenvalues 3 and 4 are zero to
@@ -213,8 +203,8 @@ class TestBootstrapTest:
         dec = decompose(panel, 5)
         lam = dec.eigenvalues.copy()
         lam[2] = 1e-11 * lam[0]
-        roundoff = EigenDecomposition(eigenvalues=lam, eigenfunctions=dec.eigenfunctions)
-        assert bootstrap_test(panel, roundoff, [2], 5, BootstrapConfig(n_draws=20)) == [1.0]
+        roundoff = replace(dec, eigenvalues=lam)
+        assert bootstrap_test(roundoff, [2], BootstrapConfig(n_draws=20)) == [1.0]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -237,7 +227,7 @@ class TestBootstrapFit:
     def test_zero_components_reproduce_mean(self):
         rng = np.random.default_rng(3)
         panel = CurvePanel(grid=uniform_grid(31), values=rng.standard_normal((10, 31)))
-        fitted, residuals = bootstrap_fit(panel, decompose(panel, 3), 0)
+        fitted, residuals = bootstrap_fit(decompose(panel, 3), 0)
         assert np.allclose(fitted, mean_curve(panel)[None, :])
         assert np.allclose(fitted + residuals, panel.values)
 
@@ -249,7 +239,7 @@ class TestBootstrapFit:
             [np.sqrt(2) * np.cos(np.pi * g.points), np.sqrt(2) * np.cos(2 * np.pi * g.points)]
         )
         panel = CurvePanel(grid=g, values=scores @ basis)
-        _, residuals = bootstrap_fit(panel, decompose(panel, 3), 2)
+        _, residuals = bootstrap_fit(decompose(panel, 3), 2)
         scale = np.max(np.abs(panel.values))
         assert np.max(np.abs(residuals)) <= 1e-6 * scale
 
@@ -257,7 +247,7 @@ class TestBootstrapFit:
         rng = np.random.default_rng(15)
         panel = CurvePanel(grid=uniform_grid(51), values=rng.standard_normal((30, 51)))
         dec = decompose(panel, 3)
-        _, residuals = bootstrap_fit(panel, dec, 3)
+        _, residuals = bootstrap_fit(dec, 3)
         proj = (residuals * panel.grid.weights) @ dec.eigenfunctions[:3].T
         assert np.max(np.abs(proj)) < 1e-8
 

@@ -307,7 +307,7 @@ class TestDecompose:
         dec = decompose(panel, 3)
         assert dec.eigenvalues.shape == (31,)
         assert dec.eigenfunctions.shape == (31, 31)
-        assert np.count_nonzero(dec.eigenvalues) < dec.count
+        assert np.count_nonzero(dec.eigenvalues) < len(dec.eigenfunctions)
         # The lag budget is checked first: an oversized p reports the sample.
         with pytest.raises(InsufficientSampleError):
             decompose(panel, 20)
@@ -339,7 +339,7 @@ class TestDecompose:
                 _, funcs = dual_reference(panel, p, 3)
             else:
                 dec = decompose(panel, p)
-                assert dec.count == len(panel.grid)
+                assert len(dec.eigenfunctions) == len(panel.grid)
                 funcs = dec.eigenfunctions[:3]
             w = panel.grid.weights
             gram = (funcs * w) @ funcs.T

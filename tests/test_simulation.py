@@ -232,7 +232,7 @@ class TestBootstrapPowerStudy:
                     FactorModelSpec(d=2, n=n, seed=_child_seed(515, n, rep, 0))
                 )
                 [pv] = bootstrap_test(
-                    panel, decompose(panel, 5), [1], 5,
+                    decompose(panel, 5), [1],
                     BootstrapConfig(n_draws=50, seed=_child_seed(515, n, rep, 1)),
                 )
                 rejections += pv <= 0.05

@@ -56,8 +56,9 @@ class TestAr1Simulate:
         assert abs(acf1 - 0.5) <= 0.02
 
     def test_rejects_nonstationary(self):
-        with pytest.raises(NonstationarityError):
-            ar1_simulate(1.0, 10, np.random.default_rng(0))
+        for a in (1.0, -1.5, np.inf, np.nan):
+            with pytest.raises(NonstationarityError):
+                ar1_simulate(a, 10, np.random.default_rng(0))
 
     def test_matches_linear_filter_bit_for_bit(self):
         draws = np.random.default_rng(19)
