@@ -105,7 +105,8 @@ def check_int(name: str, value, low: int | None = None):
 
 
 def check_positive_finite(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
+    """Nothing, if ``value`` is a positive finite real (not a bool)."""
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be positive and finite")
 
 

@@ -2,8 +2,9 @@
 
 The VAR model carries no intercept: loadings series are mean zero by
 construction, so autocovariances are raw second moments without mean
-removal. The portmanteau diagnostics, by contrast, use mean-removed
-autocorrelations/autocovariances as usual.
+removal. The portmanteau test, by contrast, uses mean-removed
+autocovariances as usual. There is one portmanteau statistic,
+``multivariate_portmanteau``; Ljung-Box is its d = 1 case.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .grids import write_json
 
 # Steps drawn and discarded before an AR(1) path is returned.
 BURN_IN = 500
+
+# Above this condition number a moment matrix is not inverted.
+_MAX_CONDITION = 1e12
 
 
 def ar1_paths(coefficients, innovations, start) -> np.ndarray:
@@ -137,7 +141,7 @@ def _yule_walker(gammas: list[np.ndarray], t_len: int, order: int) -> VarFit:
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular block-Toeplitz system: {exc}") from exc
     cond = np.linalg.cond(big)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ConditioningError(f"block-Toeplitz system ill-conditioned (cond={cond:.3e})")
     mats = [sol[:, k * d : (k + 1) * d] for k in range(order)]
     sigma = gammas[0].copy()
@@ -232,47 +236,41 @@ class PortmanteauResult:
     pvalue: float
 
 
-def sample_autocorrelations(series: np.ndarray, q: int) -> np.ndarray:
-    """Mean-removed sample autocorrelations at lags 1..q, divisor n."""
-    x = np.asarray(series, dtype=np.float64).ravel()
-    n = x.size
-    check_int("q", q, 1)
-    if n <= q:
-        raise ValidationError(f"series length {n} must exceed q={q}")
-    c = x - x.mean()
-    denom = float(c @ c)
-    if denom <= 0.0:
-        raise DegenerateSeriesError("constant series: autocorrelations undefined")
-    return np.array([float(c[: n - k] @ c[k:]) / denom for k in range(1, q + 1)])
+def _portmanteau(terms, t_len: int, dof: int) -> PortmanteauResult:
+    """T(T+2) sum_k t_k/(T-k) over the lag terms t_1..t_q, chi-square on ``dof``."""
+    ks = np.arange(1, len(terms) + 1)
+    stat = float(t_len * (t_len + 2) * np.sum(np.asarray(terms) / (t_len - ks)))
+    return PortmanteauResult(statistic=stat, dof=dof, pvalue=_chi2_sf(stat, dof))
 
 
 def ljung_box_from_autocorrelations(acfs: np.ndarray, n: int) -> PortmanteauResult:
-    """Portmanteau statistic n(n+2) sum_k r_k^2/(n-k) with a chi-square tail."""
+    """Ljung-Box statistic n(n+2) sum_k r_k^2/(n-k) from the autocorrelations
+    r_1..r_q of a series of length n > q, with a chi-square tail on q."""
     r = np.asarray(acfs, dtype=np.float64)
-    q = r.size
-    ks = np.arange(1, q + 1)
-    stat = float(n * (n + 2) * np.sum(r**2 / (n - ks)))
-    return PortmanteauResult(statistic=stat, dof=q, pvalue=_chi2_sf(stat, q))
+    check_int("n", n, r.size + 1)
+    return _portmanteau(r**2, n, r.size)
 
 
 def ljung_box(series: np.ndarray, q: int) -> PortmanteauResult:
-    """White-noise portmanteau test on a scalar series."""
-    return ljung_box_from_autocorrelations(
-        sample_autocorrelations(series, q), np.asarray(series).ravel().size
-    )
+    """Ljung-Box white-noise test on a scalar series: the portmanteau test
+    ``multivariate_portmanteau`` on the series as one column."""
+    return multivariate_portmanteau(np.ravel(series), q)
 
 
 def multivariate_portmanteau(
     series: np.ndarray, q: int, fitted_order: int = 0
 ) -> PortmanteauResult:
-    """Multivariate portmanteau test on a d-dimensional series.
+    """Hosking's portmanteau test on a d-dimensional series.
 
     Q = T(T+2) sum_{k=1..q} tr(C_k' C_0^{-1} C_k C_0^{-1}) / (T-k) with
     C_k the divisor-T autocovariances (``_autocovariances``) of the
-    mean-removed series, so it reduces exactly to the scalar test at
-    d = 1. Degrees of freedom are d^2 (q - tau), clamped at 1, where tau
-    is ``fitted_order``: pass the order of a fitted VAR when testing its
-    residuals, or leave it at 0 for a raw series (d^2 q).
+    mean-removed series; at d = 1 this is the Ljung-Box statistic, and
+    ``ljung_box`` is this test on one column. Degrees of freedom are
+    d^2 (q - tau), clamped at 1, where tau is ``fitted_order``: pass the
+    order of a fitted VAR when testing its residuals, or leave it at 0
+    for a raw series (d^2 q). A column of zero variance raises
+    ``DegenerateSeriesError``; a singular or ill-conditioned C_0 otherwise
+    raises ``ConditioningError``.
     """
     x = _as_columns(series)
     t_len, d = x.shape
@@ -281,18 +279,16 @@ def multivariate_portmanteau(
     if t_len <= q:
         raise ValidationError(f"series length {t_len} must exceed q={q}")
     c0, *lagged = _autocovariances(x - x.mean(axis=0), q)
+    if np.any(np.diag(c0) <= 0.0):
+        raise DegenerateSeriesError("constant column: autocorrelations undefined")
     try:
         c0_inv = np.linalg.inv(c0)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular lag-0 covariance: {exc}") from exc
-    if np.linalg.cond(c0) > 1e12:
+    if np.linalg.cond(c0) > _MAX_CONDITION:
         raise ConditioningError("lag-0 covariance too ill-conditioned")
-    total = 0.0
-    for k, ck in enumerate(lagged, start=1):
-        total += float(np.trace(ck.T @ c0_inv @ ck @ c0_inv)) / (t_len - k)
-    stat = t_len * (t_len + 2) * total
-    dof = max(d * d * (q - fitted_order), 1)
-    return PortmanteauResult(statistic=stat, dof=dof, pvalue=_chi2_sf(stat, dof))
+    terms = [np.trace(ck.T @ c0_inv @ ck @ c0_inv) for ck in lagged]
+    return _portmanteau(terms, t_len, max(d * d * (q - fitted_order), 1))
 
 
 def write_var_fit_json(fit: VarFit, path) -> None:

@@ -20,7 +20,7 @@ from curvedim.dimension import (
 from curvedim.eigen import _span_projection, decompose, operator_eigenvalues
 from curvedim.errors import BoundsError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
-from curvedim.simulation import FactorModelSpec, generate_panel
+from curvedim.simulation import FactorModelSpec, _child_seed, generate_panel, generate_panels
 from fixtures import synthetic_tick_days
 from reference import (
     bootstrap_fit,
@@ -294,6 +294,19 @@ class TestSelectDimension:
         assert all(0.0 <= v <= 1.0 for v in report.pvalues.values())
         assert report.epsilon_used > 0
         assert report.eigenfunctions.shape == (2, len(panel.grid))
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_bootstrap_recovers_dimension_past_two(self, d):
+        # README, default_epsilon and DimensionReport say to trust the
+        # bootstrap d_hat past d = 2; at n = 600 it recovered d = 4 and 6
+        # in 28 and 27 of these 30 panels.
+        seeds = [_child_seed(707, d, 600, rep) for rep in range(30)]
+        cfg = BootstrapConfig(n_draws=200, seed=1)
+        hits = sum(
+            select_dimension(panel, p=5, cfg=cfg, d_max=d + 3).d_hat == d
+            for panel in generate_panels(FactorModelSpec(d, 600), seeds)
+        )
+        assert hits >= 24
 
     def test_report_export(self, tmp_path):
         panel = generate_panel(FactorModelSpec(d=1, n=80, seed=8))

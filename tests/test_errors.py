@@ -31,7 +31,6 @@ from curvedim.tsmodels import (
     ar1_simulate,
     fit_var_with_aic,
     multivariate_portmanteau,
-    sample_autocorrelations,
     var_fit_yule_walker,
 )
 from fixtures import synthetic_tick_days
@@ -61,7 +60,6 @@ INTEGER_PARAMETERS = {
     "ar1_simulate.length": (lambda v: ar1_simulate(0.5, v, np.random.default_rng(0)), 1),
     "var_fit_yule_walker.order": (lambda v: var_fit_yule_walker(_series(), v), 0),
     "fit_var_with_aic.max_order": (lambda v: fit_var_with_aic(_series(), v), 0),
-    "sample_autocorrelations.q": (lambda v: sample_autocorrelations(_series()[:, 0], v), 1),
     "multivariate_portmanteau.q": (lambda v: multivariate_portmanteau(_series(), v), 1),
     "multivariate_portmanteau.fitted_order": (
         lambda v: multivariate_portmanteau(_series(), 2, fitted_order=v), 0
@@ -113,7 +111,7 @@ POSITIVE_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, True])
 @pytest.mark.parametrize("name", list(POSITIVE_PARAMETERS))
 def test_positive_parameter_rejects_nonpositive_and_nonfinite(name, value):
     with pytest.raises(ValidationError, match="must be positive and finite"):
