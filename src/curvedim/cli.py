@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: identify, test-dim, simulate <study>, density, var-fit. Each
-study of simulate has its own sub-parser holding only the flags it reads.
+parser, one per study of simulate too, holds only the flags it reads, from
+the one flag table FLAGS; the study table STUDIES builds and runs each study.
 Every command is deterministic given its full flag set (including --seed),
 writes its outputs under --output-dir, and records in manifest.json every
 flag it parsed plus the fixed design values it applied. Exit codes: 0
@@ -44,12 +45,7 @@ from .eigen import (
 )
 from .errors import CurveDimError, ValidationError, check_int, exit_code_for
 from .grids import read_panel_csv, write_csv_rows, write_json, write_panel_csv
-from .simulation import (
-    bootstrap_power_study,
-    eigen_gap_study,
-    rate_study,
-    subspace_error_study,
-)
+from .simulation import bootstrap_power_study, eigen_gap_study, rate_study, subspace_error_study
 from .tsmodels import (
     VarFit,
     fit_var_with_aic,
@@ -58,8 +54,7 @@ from .tsmodels import (
     var_residuals,
     write_var_fit_json,
 )
-from . import density
-from .density import build_density_panel, read_tick_manifest, write_day_metadata_json
+from .density import DESIGN, build_density_panel, read_tick_manifest, write_day_metadata_json
 
 DIAGNOSTIC_LAGS = (1, 3, 5)
 # Variables through which a user sets the BLAS thread count; any of them set
@@ -68,13 +63,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # Parsed values that are not configuration: the subcommand and its handler,
 # where outputs go, the seed (recorded on its own) and the ignored --threads.
 NOT_CONFIG = {"command", "func", "output_dir", "seed", "threads"}
-# The CSV each simulate study writes its records to.
-STUDY_CSV = {
-    "eigen-gap": "figure1_eigenvalues.csv",
-    "bootstrap-power": "figure2_pvalues.csv",
-    "subspace-error": "figure3_dtilde.csv",
-    "rate": "rate_study.csv",
-}
 
 
 def _outdir(args) -> Path:
@@ -202,23 +190,10 @@ def cmd_test_dim(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.study == "eigen-gap":
-        records, design = eigen_gap_study(
-            args.d_values, args.n_values, args.replications, p=args.p, seed=args.seed
-        )
-    elif args.study == "bootstrap-power":
-        records, design = bootstrap_power_study(
-            args.d, args.n_values, args.replications, n_draws=args.B, p=args.p,
-            seed=args.seed,
-        )
-    elif args.study == "subspace-error":
-        records, design = subspace_error_study(
-            args.d_values, args.n_values, args.replications, p=args.p, seed=args.seed
-        )
-    else:
-        records, design = rate_study(args.sample_sizes, args.replications, seed=args.seed)
+    csv, _, run = STUDIES[args.study]
+    records, design = run(args)
     out = _outdir(args)
-    write_csv_rows(out / STUDY_CSV[args.study], (r.values() for r in records), list(records[0]))
+    write_csv_rows(out / csv, (r.values() for r in records), list(records[0]))
     _manifest(out, args, **design)
     return 0
 
@@ -245,9 +220,7 @@ def cmd_density(args) -> int:
         _write_identify(panel, report, lam, out)
     if var is not None:
         _write_var_fit(*var, out)
-    _manifest(out, args, interval_minutes=density.INTERVAL_MINUTES,
-              session=[density.SESSION_OPEN, density.SESSION_CLOSE],
-              support=list(density.SUPPORT), grid_points=density.GRID_POINTS)
+    _manifest(out, args, **DESIGN)
     return 0
 
 
@@ -260,6 +233,69 @@ def cmd_var_fit(args) -> int:
     return 0
 
 
+# Every flag's add_argument keyword arguments; each parser adds the flags it reads.
+FLAGS = {
+    "--panel": dict(required=True),
+    "--d0": dict(type=int, required=True, help="hypothesized dimension"),
+    "--manifest": dict(required=True),
+    "--multiplier": dict(type=float, default=1.0),
+    "--skip-bad-days": dict(action="store_true"),
+    "--identify": dict(action="store_true", help="chain into identify"),
+    "--var-fit": dict(action="store_true", help="chain into var-fit"),
+    "--loadings": dict(required=True),
+    "--max-order": dict(type=int, default=10),
+    "--replications": dict(type=int, default=100),
+    "--p": dict(type=int, default=5, help="lag budget"),
+    "--d": dict(type=int, default=2, help="true dimension"),
+    "--d-values": dict(type=_int_list, default="2,4,6"),
+    "--n-values": dict(type=_int_list, default="100,300,600"),
+    "--B": dict(type=int, default=200, help="bootstrap replicates"),
+    "--alpha": dict(type=float, default=0.05, help="significance level"),
+    "--d-max": dict(type=int, default=10, help="largest rank to test"),
+    "--sample-sizes": dict(type=_int_list, default="100,200,400,800,1600"),
+    # Accepted and ignored: studies run sequentially, but the benchmark's
+    # study-n100 command line and its tests still pass --threads 2.
+    "--threads": dict(type=int, help=argparse.SUPPRESS),
+    "--seed": dict(type=_seed, default=0, help="RNG seed"),
+    "--output-dir": dict(default=".", help="directory for outputs"),
+}
+TEST_FLAGS = ("--p", "--B", "--alpha")
+COMMON_FLAGS = ("--seed", "--output-dir")
+
+# Each simulate study: its CSV, the flags it reads besides --replications,
+# --seed and --output-dir, and its run on the parsed flags.
+STUDIES = {
+    "eigen-gap": (
+        "figure1_eigenvalues.csv", ("--p", "--d-values", "--n-values"),
+        lambda a: eigen_gap_study(a.d_values, a.n_values, a.replications, p=a.p, seed=a.seed),
+    ),
+    "bootstrap-power": (
+        "figure2_pvalues.csv", ("--p", "--d", "--n-values", "--B"),
+        lambda a: bootstrap_power_study(
+            a.d, a.n_values, a.replications, n_draws=a.B, p=a.p, seed=a.seed
+        ),
+    ),
+    "subspace-error": (
+        "figure3_dtilde.csv", ("--p", "--d-values", "--n-values", "--threads"),
+        lambda a: subspace_error_study(
+            a.d_values, a.n_values, a.replications, p=a.p, seed=a.seed
+        ),
+    ),
+    "rate": (
+        "rate_study.csv", ("--sample-sizes",),
+        lambda a: rate_study(a.sample_sizes, a.replications, seed=a.seed),
+    ),
+}
+
+
+def _add_parser(sub, name: str, *flags: str, **kwargs) -> argparse.ArgumentParser:
+    """Sub-parser ``name`` (``kwargs`` go to ``add_parser``) holding ``flags``."""
+    parser = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        parser.add_argument(flag, **FLAGS[flag])
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvedim",
@@ -267,85 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=_seed, default=0, help="RNG seed")
-        p.add_argument("--output-dir", default=".", help="directory for outputs")
-
-    def add_test_flags(p):
-        p.add_argument("--p", type=int, default=5, help="lag budget")
-        p.add_argument("--B", type=int, default=200, help="bootstrap replicates")
-        p.add_argument("--alpha", type=float, default=0.05, help="significance level")
-
-    def add_identify_flags(p):
-        add_test_flags(p)
-        p.add_argument("--d-max", type=int, default=10, help="largest rank to test")
-
-    p_id = sub.add_parser("identify", help="dimension report for a panel CSV")
-    p_id.add_argument("--panel", required=True)
-    add_identify_flags(p_id)
-    add_common(p_id)
-    p_id.set_defaults(func=cmd_identify)
-
-    p_td = sub.add_parser("test-dim", help="bootstrap test of one eigenvalue rank")
-    p_td.add_argument("--panel", required=True)
-    p_td.add_argument("--d0", type=int, required=True, help="hypothesized dimension")
-    add_test_flags(p_td)
-    add_common(p_td)
-    p_td.set_defaults(func=cmd_test_dim)
+    _add_parser(sub, "identify", "--panel", *TEST_FLAGS, "--d-max", *COMMON_FLAGS,
+                help="dimension report for a panel CSV").set_defaults(func=cmd_identify)
+    _add_parser(sub, "test-dim", "--panel", "--d0", *TEST_FLAGS, *COMMON_FLAGS,
+                help="bootstrap test of one eigenvalue rank").set_defaults(func=cmd_test_dim)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     p_sim.set_defaults(func=cmd_simulate)
     studies = p_sim.add_subparsers(dest="study", required=True)
-    study_flags = {
-        "--p": dict(type=int, default=5, help="lag budget"),
-        "--d": dict(type=int, default=2, help="true dimension"),
-        "--d-values": dict(type=_int_list, default="2,4,6"),
-        "--n-values": dict(type=_int_list, default="100,300,600"),
-        "--B": dict(type=int, default=200, help="bootstrap replicates"),
-        "--sample-sizes": dict(type=_int_list, default="100,200,400,800,1600"),
-        # Accepted and ignored: studies run sequentially, but the benchmark's
-        # study-n100 command line and its tests still pass --threads 2.
-        "--threads": dict(type=int, help=argparse.SUPPRESS),
-    }
-    for study, flags in (
-        ("eigen-gap", ("--p", "--d-values", "--n-values")),
-        ("bootstrap-power", ("--p", "--d", "--n-values", "--B")),
-        ("subspace-error", ("--p", "--d-values", "--n-values", "--threads")),
-        ("rate", ("--sample-sizes",)),
-    ):
-        p_study = studies.add_parser(study)
-        p_study.add_argument("--replications", type=int, default=100)
-        for flag in flags:
-            p_study.add_argument(flag, **study_flags[flag])
-        add_common(p_study)
-    p_sim.add_argument(
-        "--replications",
-        "--seed",
-        "--output-dir",
-        *study_flags,
-        action=_FlagBeforeStudy,
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
+    for study, (_, flags, _) in STUDIES.items():
+        _add_parser(studies, study, "--replications", *flags, *COMMON_FLAGS)
+    read = (flag for _, flags, _ in STUDIES.values() for flag in flags)
+    p_sim.add_argument(*dict.fromkeys(("--replications", *COMMON_FLAGS, *read)),
+                       action=_FlagBeforeStudy, default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
 
-    p_den = sub.add_parser("density", help="tick manifest to density panel")
-    p_den.add_argument("--manifest", required=True)
-    p_den.add_argument("--multiplier", type=float, default=1.0)
-    p_den.add_argument("--skip-bad-days", action="store_true")
-    p_den.add_argument("--identify", action="store_true", help="chain into identify")
-    p_den.add_argument("--var-fit", action="store_true", help="chain into var-fit")
-    p_den.add_argument("--max-order", type=int, default=10)
-    add_identify_flags(p_den)
-    add_common(p_den)
-    p_den.set_defaults(func=cmd_density)
-
-    p_var = sub.add_parser("var-fit", help="fit a VAR to a loadings CSV")
-    p_var.add_argument("--loadings", required=True)
-    p_var.add_argument("--max-order", type=int, default=10)
-    add_common(p_var)
-    p_var.set_defaults(func=cmd_var_fit)
-
+    _add_parser(sub, "density", "--manifest", "--multiplier", "--skip-bad-days", "--identify",
+                "--var-fit", "--max-order", *TEST_FLAGS, "--d-max", *COMMON_FLAGS,
+                help="tick manifest to density panel").set_defaults(func=cmd_density)
+    _add_parser(sub, "var-fit", "--loadings", "--max-order", *COMMON_FLAGS,
+                help="fit a VAR to a loadings CSV").set_defaults(func=cmd_var_fit)
     return parser
 
 

@@ -38,6 +38,13 @@ SESSION_CLOSE = 16.0 * 3600.0  # 16:00
 INTERVAL_MINUTES = 5.0  # gives 78 returns per session
 SUPPORT = (-0.002, 0.002)
 GRID_POINTS = 201
+# The fixed design values a density command records in its manifest.
+DESIGN = {
+    "interval_minutes": INTERVAL_MINUTES,
+    "session": [SESSION_OPEN, SESSION_CLOSE],
+    "support": list(SUPPORT),
+    "grid_points": GRID_POINTS,
+}
 
 # 09:30, 09:35, ..., 16:00
 SAMPLING_TIMES = SESSION_OPEN + INTERVAL_MINUTES * 60.0 * np.arange(79)

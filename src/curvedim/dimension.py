@@ -58,6 +58,12 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
 
 
+def _rank_limit(panel: CurvePanel, p: int) -> int:
+    """One past the largest testable d0: the operator of ``panel`` at lag
+    budget p has at most min(n - p, m) nonzero eigenvalues."""
+    return min(panel.n - p, len(panel.grid))
+
+
 def bootstrap_test(
     dec: EigenDecomposition, d0s: Sequence[int], cfg: BootstrapConfig
 ) -> list[float]:
@@ -80,7 +86,8 @@ def bootstrap_test(
     observed eigenvalue the clamp sets to zero, or one past the
     numerical rank r of the panel's centered curves (d0 >= r), is zero
     to working precision, so the hypothesis is not rejected: its p-value
-    is 1 and it is neither fitted nor solved.
+    is 1 and it is neither fitted nor solved. A call whose observed
+    eigenvalues are all zero builds no span basis either.
 
     One resample serves every hypothesis. Replicate b draws its n row
     indices from the stream keyed by (seed, b), and the B generators are
@@ -98,7 +105,7 @@ def bootstrap_test(
     """
     panel, p = dec.panel, dec.p
     n = panel.n
-    limit = min(n - p, len(panel.grid))
+    limit = _rank_limit(panel, p)
     for d0 in d0s:
         check_int("d0", d0)
         if not 0 <= d0 < limit:
@@ -106,17 +113,21 @@ def bootstrap_test(
                 f"need 0 <= d0 < min(n - p, m), got d0={d0}, n={n}, p={p}, "
                 f"m={len(panel.grid)}"
             )
-    proj, r = _span_projection(panel)
-    live = sorted({d0 for d0 in d0s if d0 < r and dec.eigenvalues[d0] != 0.0})
-    top = max(live, default=0)
-    funcs = dec.eigenfunctions[:top]
+    live = sorted({d0 for d0 in d0s if dec.eigenvalues[d0] != 0.0})
+    if live:
+        proj, r = _span_projection(panel)
+        live = [d0 for d0 in live if d0 < r]
     if not live:
         return [1.0 for _ in d0s]
+    top = max(live)
+    funcs = dec.eigenfunctions[:top]
     n_eff, width = n - p, top + r
     # Rows of x are coordinates over time: the top fitted ones, then the
-    # replicate's r centered ones, scaled so that x_0 x_k^T is M_k.
+    # replicate's r centered ones, scaled so that x_0 x_k^T is M_k of the
+    # values over 2^exponent, whose eigenvalues are theta * 2^(-4 exponent).
     rotation = np.linalg.qr((funcs @ proj).T, mode="complete")[0]
-    y = (proj @ rotation).T @ centered_values(panel).T / np.sqrt(n_eff)
+    centered = np.ldexp(centered_values(panel), -panel.exponent)
+    y = (proj @ rotation).T @ centered.T / np.sqrt(n_eff)
     x = np.empty((width, n))
     x[:top] = y[:top]
     lead = x[:, :n_eff]
@@ -128,7 +139,7 @@ def bootstrap_test(
     lag = np.arange(p)[:, None]
     flat = (lag * width + rows[:, :, None, None]) * width + rows[:, None, None, :]
     at = (np.arange(len(live)), r - 1 - np.array(live))
-    theta = dec.eigenvalues[live]
+    theta = np.ldexp(dec.eigenvalues[live], -4 * panel.exponent)
     count = np.zeros(len(live), dtype=np.int64)
     for b in range(cfg.n_draws):
         c = np.take(y, _replicate_rng(cfg.seed, b).integers(0, n, size=n), axis=1)
@@ -196,6 +207,9 @@ def select_dimension(
 ) -> DimensionReport:
     """Scan hypotheses on eigenvalues 1..d_max and apply the threshold rule.
 
+    ``d_max`` is capped at min(n - p, m), one past the largest d0 that
+    ``bootstrap_test`` accepts, so the scan covers d0 < min(n - p, m, d_max).
+
     P-values are reported for each hypothesized rank; the selected
     dimension is the smallest d0 whose hypothesis "eigenvalue d0+1 is
     zero" is not rejected at level alpha (d_max when every hypothesis is
@@ -206,7 +220,7 @@ def select_dimension(
     """
     cfg = cfg or BootstrapConfig()
     check_int("d_max", d_max, 0)
-    d_max = min(d_max, len(panel.grid), panel.n - p - 1)
+    d_max = min(d_max, _rank_limit(panel, p))
     dec = decompose(panel, p)
     lam = dec.eigenvalues
     pvalues = bootstrap_test(dec, range(d_max), cfg)

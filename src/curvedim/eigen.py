@@ -32,6 +32,13 @@ r x r operator from lag products shared by all hypotheses; its spectrum
 agrees with the grid's to roundoff (about 1e-15 of the leading
 eigenvalue).
 
+Every operator and span basis is built from the panel's values divided
+by 2^``panel.exponent``, the binary exponent of their largest magnitude.
+Dividing by a power of two is exact, so the spectrum maps back to the
+curves' units exactly (times 2^(4 exponent)) and the decisions do not
+depend on the curves' scale; only a leading eigenvalue that the curves'
+units cannot hold as a normal double is an error (``ValidationError``).
+
 This is the package's only eigen route. The paper's (n-p) x (n-p) dual
 matrix, built from lagged Gram matrices of the centered curves, has the
 same nonzero spectrum; it lives in the test suite's ``tests/reference.py``,
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NumericalFailureError, ParseError
+from .errors import GridMismatchError, NumericalFailureError, ParseError, ValidationError
 from .grids import (
     CurvePanel,
     centered_values,
@@ -58,6 +65,7 @@ from .grids import (
 # Eigenvalues this far below the leading one are numerical noise and are
 # clamped to zero in reports.
 EIGENVALUE_CLAMP = 1e-12
+FLOAT = np.finfo(np.float64)
 
 
 def _fix_signs(curves: np.ndarray) -> np.ndarray:
@@ -89,6 +97,23 @@ def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
         floor = EIGENVALUE_CLAMP * max(float(lam[0]), 0.0)
         lam[lam < floor] = 0.0
     return lam
+
+
+def _in_curve_units(lam: np.ndarray, panel: CurvePanel) -> np.ndarray:
+    """A descending spectrum of the operator of ``panel``'s values over
+    2^exponent, times 2^(4 exponent): the spectrum in the curves' own units.
+    A positive leading eigenvalue that overflows there, or falls below the
+    smallest normal double, raises ``ValidationError``."""
+    e = 4 * panel.exponent
+    # The leading eigenvalue in the curves' units lies in [2^(top-1), 2^top).
+    top = int(np.frexp(lam[0])[1]) + e
+    if lam[0] > 0 and not FLOAT.minexp < top <= FLOAT.maxexp:
+        raise ValidationError(
+            f"curve values of magnitude {np.ldexp(0.5, panel.exponent):.3g} put the leading "
+            f"eigenvalue ({lam[0]:.3g} x 2^{e}) outside the normal double range; "
+            "rescale the curves"
+        )
+    return np.ldexp(lam, e)
 
 
 def _symmetric_solve(a: np.ndarray, vectors: bool = False):
@@ -131,16 +156,18 @@ def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
     the same row to each, which re-centering removes.
     """
     root = np.sqrt(panel.grid.weights)
-    x = centered_values(panel) * root
+    x = np.ldexp(centered_values(panel), -panel.exponent) * root
     s, u = _symmetric_solve(x.T @ x, vectors=True)
-    r = int(np.count_nonzero(s > s.size * np.finfo(np.float64).eps * s[-1]))
+    r = int(np.count_nonzero(s > s.size * FLOAT.eps * s[-1]))
     return u[:, s.size - r :] * root[:, None], r
 
 
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     """Descending unclamped eigenvalues of the cumulative lag operator."""
     check_lag_budget(panel, p)
-    return _symmetric_solve(_reduced_operator(panel.values, p, panel.grid.weights))[::-1]
+    z = np.ldexp(panel.values, -panel.exponent)
+    lam = _symmetric_solve(_reduced_operator(z, p, panel.grid.weights))[::-1]
+    return _in_curve_units(lam, panel)
 
 
 def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
@@ -153,10 +180,11 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     """
     check_lag_budget(panel, p)
     w = panel.grid.weights
-    lam, v = _symmetric_solve(_reduced_operator(panel.values, p, w), vectors=True)
+    z = np.ldexp(panel.values, -panel.exponent)
+    lam, v = _symmetric_solve(_reduced_operator(z, p, w), vectors=True)
     order = np.argsort(lam)[::-1]
     funcs = _fix_signs((v[:, order] / np.sqrt(w)[:, None]).T)
-    return EigenDecomposition(_clamp(lam[order]), funcs, panel, p)
+    return EigenDecomposition(_in_curve_units(_clamp(lam[order]), panel), funcs, panel, p)
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:

@@ -77,10 +77,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class CurvePanel:
-    """``n`` observed curves sharing one grid; row ``t`` is curve ``t``."""
+    """``n`` observed curves sharing one grid; row ``t`` is curve ``t``.
+
+    ``exponent`` is the binary exponent of the largest |value|, as
+    ``np.frexp`` gives it. The eigen routines build every operator from
+    the values divided by 2^exponent, which is exact and keeps the
+    products clear of overflow and underflow in any units.
+    """
 
     grid: Grid
     values: np.ndarray
+    exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -95,6 +102,7 @@ class CurvePanel:
         if not np.all(np.isfinite(v)):
             raise ValidationError("panel values must be finite")
         object.__setattr__(self, "values", _as_readonly(v))
+        object.__setattr__(self, "exponent", int(np.frexp(max(v.max(), -v.min()))[1]))
 
     @property
     def n(self) -> int:

@@ -10,7 +10,7 @@ import pytest
 from curvedim import cli, dimension, eigen
 from curvedim.cli import main
 from curvedim.eigen import write_loadings_csv
-from curvedim.grids import read_panel_csv, write_panel_csv
+from curvedim.grids import CurvePanel, read_panel_csv, write_panel_csv
 from curvedim.simulation import FactorModelSpec, generate_panel
 from fixtures import synthetic_tick_days, write_tick_manifest
 
@@ -181,6 +181,24 @@ class TestIdentify:
         assert rc == 1
         assert read_error(capsys)["kind"] == "insufficient-sample"
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_curves_past_double_range_exit_one_with_validation_kind(
+        self, tmp_path, capsys, scale
+    ):
+        # The leading eigenvalue scales as the fourth power of the curves:
+        # about 1e-400 or 1e400 here, which no double holds.
+        panel = generate_panel(FactorModelSpec(d=2, n=300, seed=5))
+        path = tmp_path / "scaled.csv"
+        write_panel_csv(CurvePanel(grid=panel.grid, values=scale * panel.values), path)
+        out = tmp_path / "o"
+        rc = main(["identify", "--panel", str(path), "--B", "50", "--d-max", "4",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        error = read_error(capsys)
+        assert error["kind"] == "validation"
+        assert "rescale the curves" in error["message"]
+        assert not out.exists()
+
 
 class TestTestDim:
     def test_writes_pvalue_json(
@@ -228,6 +246,18 @@ class TestTestDim:
         payload = json.loads((out / "test_dim.json").read_text())
         assert payload["observed_eigenvalue"] == 0.0
         assert payload["p_value"] == 1.0
+
+    def test_zero_observed_eigenvalue_builds_no_span_basis(self, tmp_path, span_bases):
+        # The one hypothesis is answered from the clamped eigenvalue alone,
+        # so the call needs no basis of the curves' span.
+        panel = tmp_path / "rank2.csv"
+        write_panel_csv(generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0)), panel)
+        out = tmp_path / "td"
+        rc = main(["test-dim", "--panel", str(panel), "--d0", "2", "--B", "20",
+                   "--output-dir", str(out)])
+        assert rc == 0
+        assert json.loads((out / "test_dim.json").read_text())["p_value"] == 1.0
+        assert span_bases == []
 
 
 class TestSimulate:

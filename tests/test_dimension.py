@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +35,14 @@ from reference import (
 
 def uniform_grid(m=101):
     return Grid.uniform(0.0, 1.0, m)
+
+
+def leading_stays_normal(theta1, shift):
+    """Whether theta1 * 2^shift is a finite normal double."""
+    try:
+        return math.ldexp(theta1, shift) >= sys.float_info.min
+    except OverflowError:
+        return False
 
 
 def pvalue_at(panel, d0, p, cfg):
@@ -160,8 +170,10 @@ class TestBootstrapTest:
             got = bootstrap_test(dec, range(r), cfg)
             assert got == [grid_reference_pvalue(dec, d0, cfg) for d0 in range(r)]
             assert any(0.0 < pv < 1.0 for pv in got[d:])
-            # Replicate b solves all r hypotheses at once, ascending.
-            thetas = np.array(solves)[:, np.arange(r), r - 1 - np.arange(r)]
+            # Replicate b solves all r hypotheses at once, ascending, on the
+            # values over 2^exponent: times 2^(4 exponent) is the curves' units.
+            thetas = np.ldexp(np.array(solves)[:, np.arange(r), r - 1 - np.arange(r)],
+                              4 * panel.exponent)
             want = np.array([grid_replicate_eigenvalues(dec, d0, cfg) for d0 in range(r)]).T
             assert np.max(np.abs(thetas - want)) <= 1e-12 * dec.eigenvalues[0]
 
@@ -295,18 +307,33 @@ class TestSelectDimension:
         assert report.epsilon_used > 0
         assert report.eigenfunctions.shape == (2, len(panel.grid))
 
+    @pytest.mark.parametrize("n", [300, 600])
     @pytest.mark.parametrize("d", [4, 6])
-    def test_bootstrap_recovers_dimension_past_two(self, d):
+    def test_bootstrap_recovers_dimension_past_two(self, d, n):
         # README, default_epsilon and DimensionReport say to trust the
-        # bootstrap d_hat past d = 2; at n = 600 it recovered d = 4 and 6
-        # in 28 and 27 of these 30 panels.
-        seeds = [_child_seed(707, d, 600, rep) for rep in range(30)]
+        # bootstrap d_hat past d = 2; it recovered d = 4 and 6 in 28 and 27
+        # of these 30 panels at n = 600, and in 27 and 26 at n = 300.
+        seeds = [_child_seed(707, d, n, rep) for rep in range(30)]
         cfg = BootstrapConfig(n_draws=200, seed=1)
         hits = sum(
             select_dimension(panel, p=5, cfg=cfg, d_max=d + 3).d_hat == d
-            for panel in generate_panels(FactorModelSpec(d, 600), seeds)
+            for panel in generate_panels(FactorModelSpec(d, n), seeds)
         )
         assert hits >= 24
+
+    def test_scan_covers_every_rank_the_bootstrap_tests(self):
+        # n = 12 curves at p = 5 give n - p = 7 lag pairs, so bootstrap_test
+        # accepts d0 = 0..6 and the scan reports ranks 1..7; eigenvalue 7
+        # is positive, so its hypothesis is a real test.
+        panel = generate_panel(FactorModelSpec(d=2, n=12, seed=3))
+        cfg = BootstrapConfig(n_draws=20, seed=1)
+        report = select_dimension(panel, p=5, cfg=cfg, d_max=10)
+        dec = decompose(panel, 5)
+        assert sorted(report.pvalues) == list(range(1, 8))
+        assert report.eigenvalues[6] > 0.0
+        assert report.pvalues[7] == bootstrap_test(dec, [6], cfg)[0]
+        with pytest.raises(BoundsError):
+            bootstrap_test(dec, [7], cfg)
 
     def test_report_export(self, tmp_path):
         panel = generate_panel(FactorModelSpec(d=1, n=80, seed=8))
@@ -320,21 +347,45 @@ class TestSelectDimension:
         assert "eigenvalues" in payload and "pvalues" in payload
 
     @settings(deadline=None, max_examples=10)
-    @given(k=st.integers(-20, 20))
+    @given(k=st.integers(-300, 300))
     def test_rescaling_by_power_of_two(self, k):
         # Multiplying the curves by c = 2^k scales every product exactly, so
-        # the decision is unchanged and the operator spectrum scales by c^4.
+        # the decision is unchanged and the operator spectrum scales by c^4,
+        # for every k that leaves the leading eigenvalue a normal double.
+        # Past that range the report would be wrong, so it is refused.
         panel = generate_panel(FactorModelSpec(d=2, n=60, grid=uniform_grid(21), seed=12))
         c = 2.0**k
         scaled = CurvePanel(grid=panel.grid, values=c * panel.values)
         cfg = BootstrapConfig(n_draws=20, seed=5)
         base = select_dimension(panel, p=2, cfg=cfg, d_max=3)
+        if not leading_stays_normal(base.eigenvalues[0], 4 * k):
+            with pytest.raises(ValidationError, match="rescale the curves"):
+                select_dimension(scaled, p=2, cfg=cfg, d_max=3)
+            return
         report = select_dimension(scaled, p=2, cfg=cfg, d_max=3)
         assert report.d_hat == base.d_hat
         assert report.threshold_d == base.threshold_d
         assert report.pvalues == base.pvalues
         assert np.array_equal(report.eigenfunctions, base.eigenfunctions)
         assert np.array_equal(report.eigenvalues, base.eigenvalues * c**4)
+
+    def test_rescaling_range_ends_where_the_leading_eigenvalue_leaves_the_doubles(self):
+        # The k on either side of each end of test_rescaling_by_power_of_two's
+        # range: the last k kept gives the unscaled decision, the next one
+        # past it is refused.
+        panel = generate_panel(FactorModelSpec(d=2, n=60, grid=uniform_grid(21), seed=12))
+        cfg = BootstrapConfig(n_draws=20, seed=5)
+        base = select_dimension(panel, p=2, cfg=cfg, d_max=3)
+        kept = [k for k in range(-300, 301) if leading_stays_normal(base.eigenvalues[0], 4 * k)]
+        assert kept == list(range(kept[0], kept[-1] + 1))
+        for k, ok in ((kept[0] - 1, False), (kept[0], True), (kept[-1], True),
+                      (kept[-1] + 1, False)):
+            scaled = CurvePanel(grid=panel.grid, values=np.ldexp(panel.values, k))
+            if ok:
+                assert select_dimension(scaled, p=2, cfg=cfg, d_max=3).pvalues == base.pvalues
+            else:
+                with pytest.raises(ValidationError, match="rescale the curves"):
+                    select_dimension(scaled, p=2, cfg=cfg, d_max=3)
 
 
 class TestSubspaceDistance:
