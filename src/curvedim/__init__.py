@@ -33,7 +33,6 @@ from .grids import (
 from .tsmodels import (
     PortmanteauResult,
     VarFit,
-    ar1_simulate,
     fit_var_with_aic,
     ljung_box,
     multivariate_portmanteau,
@@ -51,7 +50,6 @@ __all__ = [
     "Grid",
     "PortmanteauResult",
     "VarFit",
-    "ar1_simulate",
     "bootstrap_test",
     "decompose",
     "default_epsilon",

@@ -39,12 +39,11 @@ from .eigen import (
     decompose,
     loadings,
     read_loadings_csv,
-    write_curves_csv,
     write_decomposition_json,
     write_loadings_csv,
 )
 from .errors import CurveDimError, ValidationError, check_int, exit_code_for
-from .grids import read_panel_csv, write_csv_rows, write_json, write_panel_csv
+from .grids import read_panel_csv, write_csv_rows, write_curves_csv, write_json, write_panel_csv
 from .simulation import bootstrap_power_study, eigen_gap_study, rate_study, subspace_error_study
 from .tsmodels import (
     VarFit,
@@ -120,9 +119,12 @@ class _FlagBeforeStudy(argparse.Action):
         )
 
 
+def _bootstrap(args) -> BootstrapConfig:
+    return BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
+
+
 def _select(panel, args):
-    cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
-    return select_dimension(panel, p=args.p, cfg=cfg, d_max=args.d_max)
+    return select_dimension(panel, p=args.p, cfg=_bootstrap(args), d_max=args.d_max)
 
 
 def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
@@ -170,7 +172,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_test_dim(args) -> int:
-    cfg = BootstrapConfig(n_draws=args.B, alpha=args.alpha, seed=args.seed)
+    cfg = _bootstrap(args)
     panel = read_panel_csv(args.panel)
     dec = decompose(panel, args.p)
     [pvalue] = bootstrap_test(dec, [args.d0], cfg)

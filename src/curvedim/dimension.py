@@ -151,9 +151,11 @@ def bootstrap_test(
 
 
 def threshold_estimate(eigenvalues: np.ndarray, epsilon: float) -> int:
-    """Count eigenvalues at or above epsilon (input sorted descending)."""
+    """Count eigenvalues at or above epsilon (input finite and sorted descending)."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     check_positive_finite("epsilon", epsilon)
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError("eigenvalues must be finite")
     if lam.size and np.any(np.diff(lam) > 0):
         raise ValidationError("eigenvalues must be sorted in descending order")
     return int(np.sum(lam >= epsilon))
@@ -243,6 +245,8 @@ def _validated_basis(grid: Grid, basis: np.ndarray, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a nonempty 2-d array of curves")
     if z.shape[1] != len(grid):
         raise ValidationError(f"{name} curves do not match the grid")
+    if not np.all(np.isfinite(z)):
+        raise ValidationError(f"{name} must be finite")
     w = grid.weights
     gram = (z * w) @ z.T
     if np.max(np.abs(gram - np.eye(z.shape[0]))) > _ORTHONORMAL_TOL:
@@ -263,7 +267,7 @@ def subspace_distance_general(
     zero iff the spans coincide, one iff they are orthogonal, and
     sqrt(1 - d1/d2) for a d1-dimensional subspace of a d2-dimensional one;
     independent of the orthonormal bases chosen. Requires both bases
-    orthonormal (within 1e-6).
+    finite and orthonormal (within 1e-6).
     """
     return _overlap_distance(
         grid,

@@ -53,19 +53,18 @@ import numpy as np
 
 from .errors import GridMismatchError, NumericalFailureError, ParseError, ValidationError
 from .grids import (
+    FLOAT,
     CurvePanel,
     centered_values,
     check_lag_budget,
     read_float_rows,
     write_csv_rows,
-    write_curves_csv,  # eigenfunction CSVs use the panel layout
     write_json,
 )
 
 # Eigenvalues this far below the leading one are numerical noise and are
 # clamped to zero in reports.
 EIGENVALUE_CLAMP = 1e-12
-FLOAT = np.finfo(np.float64)
 
 
 def _fix_signs(curves: np.ndarray) -> np.ndarray:

@@ -45,12 +45,6 @@ class BoundsError(CurveDimError):
     kind = "bounds"
 
 
-class NonstationarityError(CurveDimError):
-    """Autoregressive coefficient outside the stationarity region."""
-
-    kind = "nonstationary"
-
-
 class DegenerateSeriesError(CurveDimError):
     """Series has zero variance; autocorrelations are undefined."""
 

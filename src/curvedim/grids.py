@@ -28,6 +28,8 @@ from .errors import (
     check_int,
 )
 
+FLOAT = np.finfo(np.float64)
+
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
@@ -75,14 +77,21 @@ class Grid:
         return Grid(np.linspace(a, b, m))
 
 
+def binary_exponent(values: np.ndarray) -> int:
+    """The binary exponent e of the largest |value|, as ``np.frexp`` gives it.
+    Dividing by 2^e is exact and puts every |value| below one, so the
+    moments of the quotients neither overflow nor underflow in any units."""
+    return int(np.frexp(max(values.max(), -values.min()))[1])
+
+
 @dataclass(frozen=True)
 class CurvePanel:
     """``n`` observed curves sharing one grid; row ``t`` is curve ``t``.
 
-    ``exponent`` is the binary exponent of the largest |value|, as
-    ``np.frexp`` gives it. The eigen routines build every operator from
-    the values divided by 2^exponent, which is exact and keeps the
-    products clear of overflow and underflow in any units.
+    ``exponent`` is the ``binary_exponent`` of the values. The eigen
+    routines build every operator from the values divided by 2^exponent,
+    which is exact and keeps the products clear of overflow and underflow
+    in any units.
     """
 
     grid: Grid
@@ -102,7 +111,7 @@ class CurvePanel:
         if not np.all(np.isfinite(v)):
             raise ValidationError("panel values must be finite")
         object.__setattr__(self, "values", _as_readonly(v))
-        object.__setattr__(self, "exponent", int(np.frexp(max(v.max(), -v.min()))[1]))
+        object.__setattr__(self, "exponent", binary_exponent(v))
 
     @property
     def n(self) -> int:

@@ -6,10 +6,11 @@ error against the true factor space, and the convergence-rate contrast
 between nonzero- and zero-eigenvalue estimates.
 
 The design is the paper's and is fixed: AR(1) factor scores after a
-``tsmodels.BURN_IN`` (500) step burn-in, on cosine curves; sine noise
-with weights 2^-(j-1); the 101-point grid of [0, 1] (``default_grid``);
-and in the rate study, AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) and
-lag budget ``RATE_LAG_BUDGET`` (1).
+``BURN_IN`` (500) step burn-in, on cosine curves; sine noise with
+weights 2^-(j-1); the 101-point grid of [0, 1] (``GRID``); and in the
+rate study, AR coefficient ``RATE_AR_COEFFICIENT`` (0.5) and lag budget
+``RATE_LAG_BUDGET`` (1). The stationary start, the draw order, the
+burn-in and the AR(1) recursion ``ar1_paths`` are all stated here.
 
 Every study builds one ``FactorModelSpec`` per (d, n) cell, derives one
 seed per replication from (seed, indices), and draws the cell's panels
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +45,10 @@ from .dimension import (
 from .eigen import decompose, operator_eigenvalues
 from .errors import ValidationError, check_int
 from .grids import CurvePanel, Grid
-from .tsmodels import BURN_IN, ar1_paths
 
-DEFAULT_GRID_POINTS = 101
+GRID = Grid.uniform(0.0, 1.0, 101)
+# Steps drawn and discarded before an AR(1) path is returned.
+BURN_IN = 500
 RATE_AR_COEFFICIENT = 0.5
 RATE_LAG_BUDGET = 1
 EIGEN_GAP_TOP = 10  # eigenvalues recorded per eigen-gap cell
@@ -56,8 +58,24 @@ EIGEN_GAP_TOP = 10  # eigenvalues recorded per eigen-gap cell
 DRAW_CHUNK_BYTES = 1 << 20
 
 
-def default_grid() -> Grid:
-    return Grid.uniform(0.0, 1.0, DEFAULT_GRID_POINTS)
+def ar1_paths(coefficients, innovations, start) -> np.ndarray:
+    """AR(1) paths, one per column, with their first ``BURN_IN`` steps dropped.
+
+    Column j runs x_t = e_tj + a_j x_(t-1) from x_(-1) = start_j over the
+    rows of the (BURN_IN + length, k) ``innovations``. Each step is one
+    numpy multiply and one add over all k columns; they round as the
+    scalar float operations do, so every column is bit-for-bit the path a
+    scalar loop gives from its own coefficient, innovations and start.
+    """
+    a = np.asarray(coefficients, dtype=np.float64)
+    x = np.array(innovations, dtype=np.float64, order="C")
+    prev = np.array(start, dtype=np.float64)
+    scaled = np.empty_like(prev)
+    for row in x:
+        np.multiply(a, prev, out=scaled)
+        np.add(row, scaled, out=row)
+        prev = row
+    return x[BURN_IN:]
 
 
 def default_ar_coefficients(d: int) -> tuple[float, ...]:
@@ -89,14 +107,14 @@ class FactorModelSpec:
     Each curve is sum_i xi_ti * sqrt(2) cos(pi i u) plus
     sum_j w_j Z_tj * sqrt(2) sin(pi j u), j = 1..noise_terms, with iid
     standard normal Z and the fixed weights w_j = 2^-(j-1). The factor
-    scores xi are stationary AR(1) paths as ``tsmodels.ar1_simulate``
-    draws them, with its fixed burn-in of ``tsmodels.BURN_IN`` (500)
-    steps.
+    scores xi are stationary AR(1) paths from ``ar1_paths``: each starts
+    from its stationary law and runs ``BURN_IN`` (500) steps before its
+    first sample.
     """
 
     d: int
     n: int
-    grid: Grid = field(default_factory=default_grid)
+    grid: Grid = GRID
     ar_coefficients: tuple[float, ...] | None = None
     noise_terms: int = 10
     seed: int = 0
@@ -130,7 +148,7 @@ def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[Cur
     Each seed gets its own generator, which draws every factor's
     BURN_IN + n innovations and then its stationary start, factor by
     factor, and the panel's noise only when the panel is built. One
-    ``tsmodels.ar1_paths`` recursion runs over all factors of a chunk of
+    ``ar1_paths`` recursion runs over all factors of a chunk of
     seeds whose innovations fit in ``DRAW_CHUNK_BYTES``. Every seed is
     checked as ``FactorModelSpec`` checks its own before anything is drawn.
     """
@@ -181,12 +199,11 @@ def eigen_gap_study(
     """Mean of the ``EIGEN_GAP_TOP`` largest eigenvalues per (d, n) cell:
     records ``d, n, eigenvalue_1..eigenvalue_10``."""
     _check_study(replications, seed)
-    grid = default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
         for ni, n in enumerate(n_values):
             rows = np.zeros((replications, EIGEN_GAP_TOP))
-            spec = FactorModelSpec(d=d, n=n, grid=grid)
+            spec = FactorModelSpec(d=d, n=n)
             seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
             for rep, panel in enumerate(generate_panels(spec, seeds)):
                 lam = operator_eigenvalues(panel, p)
@@ -209,10 +226,9 @@ def bootstrap_power_study(
     """P-values of the hypotheses on eigenvalue ranks d and d+1: records
     ``d, n, tested_rank, replication, p_value``."""
     _check_study(replications, seed)
-    grid = default_grid()
     records: list[dict] = []
     for ni, n in enumerate(n_values):
-        spec = FactorModelSpec(d=d, n=n, grid=grid)
+        spec = FactorModelSpec(d=d, n=n)
         for hi, d0 in enumerate((d - 1, d)):
             seeds = [_child_seed(seed, ni, hi, rep, 0) for rep in range(replications)]
             for rep, panel in enumerate(generate_panels(spec, seeds)):
@@ -240,16 +256,15 @@ def subspace_error_study(
     ``dtilde_adaptive`` uses the threshold-rule dimension estimate
     ``d_hat``; an estimate of dimension 0 is at distance 1. Both bases
     are quadrature-orthonormal as they stand (``decompose`` eigenfunctions,
-    and the cosine curves on the default grid), so neither is
+    and the cosine curves on ``GRID``), so neither is
     re-orthonormalised.
     """
     _check_study(replications, seed)
-    grid = default_grid()
     records: list[dict] = []
     for di, d in enumerate(d_values):
-        truth = factor_curves(grid, d)
+        truth = factor_curves(GRID, d)
         for ni, n in enumerate(n_values):
-            spec = FactorModelSpec(d=d, n=n, grid=grid)
+            spec = FactorModelSpec(d=d, n=n)
             seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
             for rep, panel in enumerate(generate_panels(spec, seeds)):
                 dec = decompose(panel, p)
@@ -261,9 +276,9 @@ def subspace_error_study(
                         "n": n,
                         "replication": rep,
                         "d_hat": d_hat,
-                        "dtilde": _overlap_distance(grid, dec.eigenfunctions[:d], truth),
+                        "dtilde": _overlap_distance(GRID, dec.eigenfunctions[:d], truth),
                         "dtilde_adaptive": _overlap_distance(
-                            grid, dec.eigenfunctions[:d_hat], truth
+                            GRID, dec.eigenfunctions[:d_hat], truth
                         ),
                     }
                 )
@@ -300,12 +315,11 @@ def rate_study(sample_sizes, replications: int, seed: int = 0) -> tuple[list[dic
     from quadrature and analytically.
     """
     _check_study(replications, seed)
-    grid = default_grid()
-    theta_ref = reference_rate_eigenvalue(grid, RATE_AR_COEFFICIENT)
+    theta_ref = reference_rate_eigenvalue(GRID, RATE_AR_COEFFICIENT)
     gamma1 = RATE_AR_COEFFICIENT / (1.0 - RATE_AR_COEFFICIENT**2)
     records: list[dict] = []
     for ni, n in enumerate(sample_sizes):
-        spec = FactorModelSpec(d=1, n=n, grid=grid, ar_coefficients=(RATE_AR_COEFFICIENT,))
+        spec = FactorModelSpec(d=1, n=n, ar_coefficients=(RATE_AR_COEFFICIENT,))
         seeds = [_child_seed(seed, ni, rep) for rep in range(replications)]
         for rep, panel in enumerate(generate_panels(spec, seeds)):
             lam = operator_eigenvalues(panel, RATE_LAG_BUDGET)

@@ -1,10 +1,16 @@
-"""AR(1) simulation, Yule-Walker VAR fitting, and white-noise tests.
+"""Yule-Walker VAR fitting and white-noise tests.
 
 The VAR model carries no intercept: loadings series are mean zero by
 construction, so autocovariances are raw second moments without mean
 removal. The portmanteau test, by contrast, uses mean-removed
 autocovariances as usual. There is one portmanteau statistic,
 ``multivariate_portmanteau``; Ljung-Box is its d = 1 case.
+
+Every moment is taken of the series over 2^e, e its ``binary_exponent``,
+as the eigen routines do with curves: that is exact, so coefficients,
+AIC order and p-values do not depend on the series' scale. The
+innovation covariance maps back by 2^(2e); one the series' units cannot
+hold as normal doubles raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -14,57 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    DegenerateSeriesError,
-    NonstationarityError,
-    ValidationError,
-    check_int,
-)
-from .grids import write_json
-
-# Steps drawn and discarded before an AR(1) path is returned.
-BURN_IN = 500
+from .errors import ConditioningError, DegenerateSeriesError, ValidationError, check_int
+from .grids import FLOAT, binary_exponent, write_json
 
 # Above this condition number a moment matrix is not inverted.
 _MAX_CONDITION = 1e12
-
-
-def ar1_paths(coefficients, innovations, start) -> np.ndarray:
-    """AR(1) paths, one per column, with their first ``BURN_IN`` steps dropped.
-
-    Column j runs x_t = e_tj + a_j x_(t-1) from x_(-1) = start_j over the
-    rows of the (BURN_IN + length, k) ``innovations``. Each step is one
-    numpy multiply and one add over all k columns; they round as the
-    scalar float operations do, so every column is bit-for-bit the path a
-    scalar loop gives from its own coefficient, innovations and start.
-    """
-    a = np.asarray(coefficients, dtype=np.float64)
-    x = np.array(innovations, dtype=np.float64, order="C")
-    prev = np.array(start, dtype=np.float64)
-    scaled = np.empty_like(prev)
-    for row in x:
-        np.multiply(a, prev, out=scaled)
-        np.add(row, scaled, out=row)
-        prev = row
-    return x[BURN_IN:]
-
-
-def ar1_simulate(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Stationary AR(1) path with unit-variance Gaussian innovations.
-
-    The chain starts from its stationary law and ``BURN_IN`` steps are
-    discarded on top, so the returned path is stationary from the first
-    sample. ``rng`` draws the BURN_IN + length innovations, then the
-    start.
-    """
-    a = float(coefficient)
-    if not abs(a) < 1.0:  # NaN fails this too
-        raise NonstationarityError(f"AR(1) coefficient must satisfy |a| < 1, got {a}")
-    check_int("length", length, 1)
-    innovations = rng.standard_normal((BURN_IN + length, 1))
-    start = rng.standard_normal() / np.sqrt(1.0 - a * a)
-    return ar1_paths([a], innovations, [start])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -91,8 +51,11 @@ def _as_columns(series) -> np.ndarray:
     return x
 
 
-def _autocovariances(series: np.ndarray, max_lag: int) -> list[np.ndarray]:
-    """Raw second-moment autocovariances Gamma(h) = E[x_t x_{t-h}'], divisor T."""
+def _autocovariances(series: np.ndarray, max_lag: int) -> tuple[list[np.ndarray], int]:
+    """Raw second-moment autocovariances Gamma(h) = E[x_t x_{t-h}'], divisor T,
+    of the series over 2^e, and e, the series' ``binary_exponent``."""
+    e = binary_exponent(series)
+    series = np.ldexp(series, -e)
     t_len = series.shape[0]
     out = []
     for h in range(max_lag + 1):
@@ -100,7 +63,7 @@ def _autocovariances(series: np.ndarray, max_lag: int) -> list[np.ndarray]:
         if h == 0:
             g = (g + g.T) / 2.0
         out.append(g)
-    return out
+    return out, e
 
 
 def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
@@ -113,11 +76,12 @@ def var_fit_yule_walker(series: np.ndarray, order: int) -> VarFit:
     x = _as_columns(series)
     check_int("order", order, 0)
     t_len = x.shape[0]
-    return _yule_walker(_autocovariances(x, min(order, t_len)), t_len, order)
+    return _yule_walker(*_autocovariances(x, min(order, t_len)), t_len, order)
 
 
-def _yule_walker(gammas: list[np.ndarray], t_len: int, order: int) -> VarFit:
-    """VAR(order) from the moments Gamma(0..order) of a length-``t_len`` series.
+def _yule_walker(gammas: list[np.ndarray], exponent: int, t_len: int, order: int) -> VarFit:
+    """VAR(order) from the moments Gamma(0..order) of a length-``t_len``
+    series over 2^exponent, with the innovation covariance in its units.
 
     The series must be longer than order * d + 1; that is checked before
     ``gammas`` is read, so the list may stop at lag min(order, t_len).
@@ -128,7 +92,7 @@ def _yule_walker(gammas: list[np.ndarray], t_len: int, order: int) -> VarFit:
             f"series of length {t_len} too short for VAR({order}) in dimension {d}"
         )
     if order == 0:
-        return VarFit(order=0, coefficient_matrices=[], innovation_covariance=gammas[0])
+        return VarFit(0, [], _in_series_units(gammas[0], exponent, order))
     big = np.empty((order * d, order * d))
     for i in range(order):
         for j in range(order):
@@ -147,8 +111,22 @@ def _yule_walker(gammas: list[np.ndarray], t_len: int, order: int) -> VarFit:
     sigma = gammas[0].copy()
     for k in range(1, order + 1):
         sigma -= mats[k - 1] @ gammas[k].T
-    sigma = (sigma + sigma.T) / 2.0
+    sigma = _in_series_units((sigma + sigma.T) / 2.0, exponent, order)
     return VarFit(order=order, coefficient_matrices=mats, innovation_covariance=sigma)
+
+
+def _in_series_units(sigma: np.ndarray, exponent: int, order: int) -> np.ndarray:
+    """The innovation covariance ``sigma`` of the series over 2^exponent in
+    the series' units; a nonzero entry that overflows there or falls below
+    the smallest normal double raises ``ValidationError``."""
+    # Each nonzero entry in the series' units lies in [2^(top-1), 2^top).
+    top = np.frexp(sigma[sigma != 0])[1] + 2 * exponent
+    if np.any((top <= FLOAT.minexp) | (top > FLOAT.maxexp)):
+        raise ValidationError(
+            f"series values of magnitude {np.ldexp(0.5, exponent):.3g} put the VAR({order}) "
+            "innovation covariance outside the normal double range; rescale the series"
+        )
+    return np.ldexp(sigma, 2 * exponent)
 
 
 def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
@@ -163,10 +141,10 @@ def fit_var_with_aic(series: np.ndarray, max_order: int) -> VarFit:
     x = _as_columns(series)
     check_int("max_order", max_order, 0)
     t_len, d = x.shape
-    gammas = _autocovariances(x, min(max_order, t_len))
+    gammas, e = _autocovariances(x, min(max_order, t_len))
     fits, raw = [], {}
     for tau in range(max_order + 1):
-        fit = _yule_walker(gammas, t_len, tau)
+        fit = _yule_walker(gammas, e, t_len, tau)
         sign, logdet = np.linalg.slogdet(fit.innovation_covariance)
         if sign <= 0:
             raise ConditioningError(
@@ -278,7 +256,8 @@ def multivariate_portmanteau(
     check_int("fitted_order", fitted_order, 0)
     if t_len <= q:
         raise ValidationError(f"series length {t_len} must exceed q={q}")
-    c0, *lagged = _autocovariances(x - x.mean(axis=0), q)
+    x = np.ldexp(x, -binary_exponent(x))  # so the mean cannot overflow
+    (c0, *lagged), _ = _autocovariances(x - x.mean(axis=0), q)
     if np.any(np.diag(c0) <= 0.0):
         raise DegenerateSeriesError("constant column: autocorrelations undefined")
     try:

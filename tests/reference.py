@@ -29,8 +29,8 @@ import numpy as np
 from curvedim.dimension import BootstrapConfig, _replicate_rng
 from curvedim.eigen import EigenDecomposition, _clamp, loadings
 from curvedim.grids import CurvePanel, Grid, centered_values, check_lag_budget, mean_curve
-from curvedim.simulation import factor_curves, noise_curves
-from curvedim.tsmodels import BURN_IN, VarFit
+from curvedim.simulation import BURN_IN, factor_curves, noise_curves
+from curvedim.tsmodels import VarFit
 
 _DROP_TOL = 1e-10
 
@@ -240,8 +240,10 @@ def subspace_distance(grid: Grid, basis1: np.ndarray, basis2: np.ndarray) -> flo
 
 
 def ar1_lfilter(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
-    """``tsmodels.ar1_simulate`` as a linear filter: the same draws, run
-    through ``scipy.signal.lfilter`` with the stationary start as its state."""
+    """One stationary AR(1) path of ``simulation.ar1_paths`` as a linear
+    filter: ``rng`` draws the BURN_IN + length innovations, then the start,
+    and ``scipy.signal.lfilter`` runs them with the stationary start as its
+    state."""
     from scipy.signal import lfilter  # scipy is a test-only dependency
 
     a = float(coefficient)
@@ -252,7 +254,8 @@ def ar1_lfilter(coefficient: float, length: int, rng: np.random.Generator) -> np
 
 
 def ar1_loop(coefficient: float, length: int, rng: np.random.Generator) -> np.ndarray:
-    """``tsmodels.ar1_simulate`` as a scalar float loop over the same draws."""
+    """One stationary AR(1) path of ``simulation.ar1_paths`` as a scalar
+    float loop over the draws ``ar1_lfilter`` makes."""
     a = float(coefficient)
     innovations = rng.standard_normal(BURN_IN + length).tolist()
     prev = float(rng.standard_normal() / np.sqrt(1.0 - a * a))

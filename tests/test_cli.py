@@ -749,6 +749,21 @@ class TestVarFitCommand:
         assert read_error(capsys)["kind"] == kind
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_loadings_past_the_double_range_exit_one_naming_the_scale(
+        self, tmp_path, capfd, scale
+    ):
+        # The innovation covariance would be about 1e-320 or 1e320.
+        path = tmp_path / "loadings.csv"
+        write_loadings_csv(np.random.default_rng(8).standard_normal((250, 3)) * scale, path)
+        out = tmp_path / "o"
+        assert main(["var-fit", "--loadings", str(path), "--output-dir", str(out)]) == 1
+        [line] = capfd.readouterr().err.splitlines()  # the JSON report alone
+        err = json.loads(line)["error"]
+        assert err["kind"] == "validation"
+        assert "series values of magnitude" in err["message"]
+        assert not out.exists()
+
     def test_zero_component_loadings_exit_one_naming_no_components(
         self, two_factor_panel_csv, tmp_path, capsys
     ):

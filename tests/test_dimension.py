@@ -22,7 +22,14 @@ from curvedim.dimension import (
 from curvedim.eigen import _span_projection, decompose, operator_eigenvalues
 from curvedim.errors import BoundsError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
-from curvedim.simulation import FactorModelSpec, _child_seed, generate_panel, generate_panels
+from curvedim.simulation import (
+    GRID,
+    FactorModelSpec,
+    _child_seed,
+    factor_curves,
+    generate_panel,
+    generate_panels,
+)
 from fixtures import synthetic_tick_days
 from reference import (
     bootstrap_fit,
@@ -275,6 +282,13 @@ class TestThresholdEstimate:
         with pytest.raises(ValidationError):
             threshold_estimate(np.array([1.0, 2.0]), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_eigenvalues(self, bad):
+        # NaN compares False in the descending-order check, so it must be
+        # rejected on its own rather than counted past.
+        with pytest.raises(ValidationError, match="eigenvalues must be finite"):
+            threshold_estimate(np.array([bad, 1.0, 0.5]), 0.7)
+
     @settings(deadline=None, max_examples=50)
     @given(
         eps=st.tuples(
@@ -420,6 +434,17 @@ class TestSubspaceDistance:
 
 
 class TestSubspaceDistanceGeneral:
+    @pytest.mark.parametrize("name", ["basis1", "basis2"])
+    def test_rejects_a_nan_basis(self, name):
+        # A NaN passes the orthonormality check (nan > tol is False) and
+        # max(0, nan) is 0, so unchecked it would read as coinciding spans.
+        good = factor_curves(GRID, 2)
+        bad = good.copy()
+        bad[1, 7] = np.nan
+        bases = {"basis1": good, "basis2": good} | {name: bad}
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            subspace_distance_general(GRID, bases["basis1"], bases["basis2"])
+
     def test_reduces_to_equal_dim_metric(self):
         g = uniform_grid()
         b1 = random_orthonormal_basis(g, 3, seed=5)

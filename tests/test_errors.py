@@ -28,7 +28,6 @@ from curvedim.simulation import (
     subspace_error_study,
 )
 from curvedim.tsmodels import (
-    ar1_simulate,
     fit_var_with_aic,
     multivariate_portmanteau,
     var_fit_yule_walker,
@@ -57,7 +56,6 @@ INTEGER_PARAMETERS = {
     ),
     "default_epsilon.n": (lambda v: default_epsilon(np.array([2.0, 1.0]), v), 1),
     "Grid.uniform.m": (lambda v: Grid.uniform(0.0, 1.0, v), 2),
-    "ar1_simulate.length": (lambda v: ar1_simulate(0.5, v, np.random.default_rng(0)), 1),
     "var_fit_yule_walker.order": (lambda v: var_fit_yule_walker(_series(), v), 0),
     "fit_var_with_aic.max_order": (lambda v: fit_var_with_aic(_series(), v), 0),
     "multivariate_portmanteau.q": (lambda v: multivariate_portmanteau(_series(), v), 1),

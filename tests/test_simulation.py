@@ -10,14 +10,16 @@ from curvedim.eigen import decompose, operator_eigenvalues
 from curvedim.errors import ValidationError
 from curvedim.grids import CurvePanel, Grid
 from curvedim.simulation import (
+    BURN_IN,
     DRAW_CHUNK_BYTES,
+    GRID,
     RATE_AR_COEFFICIENT,
     RATE_LAG_BUDGET,
     FactorModelSpec,
     _child_seed,
+    ar1_paths,
     bootstrap_power_study,
     default_ar_coefficients,
-    default_grid,
     eigen_gap_study,
     factor_curves,
     generate_panel,
@@ -27,8 +29,7 @@ from curvedim.simulation import (
     reference_rate_eigenvalue,
     subspace_error_study,
 )
-from curvedim.tsmodels import BURN_IN
-from reference import factor_panel, rate_regression_slopes
+from reference import ar1_lfilter, ar1_loop, factor_panel, rate_regression_slopes
 
 
 def panels_per_chunk(d: int, n: int) -> int:
@@ -47,10 +48,56 @@ def one_panel_at_a_time(monkeypatch, study, **kwargs):
         return study(**kwargs)
 
 
+def stationary_ar1(a: float, length: int, rng: np.random.Generator) -> np.ndarray:
+    """One stationary path through ``ar1_paths``, drawn in the reference
+    order: the BURN_IN + length innovations, then the start."""
+    innovations = rng.standard_normal((BURN_IN + length, 1))
+    start = rng.standard_normal() / np.sqrt(1.0 - a * a)
+    return ar1_paths([a], innovations, [start])[:, 0]
+
+
 def mean_eigenvalues(records, d, n) -> np.ndarray:
     """The eigenvalue columns of the eigen-gap record of cell (d, n)."""
     [row] = [r for r in records if r["d"] == d and r["n"] == n]
     return np.array([row[f"eigenvalue_{j}"] for j in range(1, 11)])
+
+
+class TestAr1Paths:
+    def test_matches_linear_filter_bit_for_bit(self):
+        draws = np.random.default_rng(19)
+        for _ in range(200):
+            a = float(draws.uniform(-0.99, 0.99))
+            length = int(draws.integers(1, 700))
+            seed = int(draws.integers(2**32))
+            got = stationary_ar1(a, length, np.random.default_rng(seed))
+            want = ar1_lfilter(a, length, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_columns_match_scalar_loops_bit_for_bit(self):
+        coefficients = [0.9, -0.65, 0.0, 0.4, -0.99]
+        length = 300
+        columns, starts = [], []
+        for seed, a in enumerate(coefficients):
+            rng = np.random.default_rng(seed)
+            columns.append(rng.standard_normal(BURN_IN + length))
+            starts.append(rng.standard_normal() / np.sqrt(1.0 - a * a))
+        got = ar1_paths(coefficients, np.column_stack(columns), starts)
+        assert got.shape == (length, len(coefficients))
+        for j, a in enumerate(coefficients):
+            want = ar1_loop(a, length, np.random.default_rng(j))
+            assert got[:, j].tobytes() == want.tobytes()
+
+    def test_zero_coefficient_is_iid_unit_variance(self):
+        t_len = 10000
+        x = stationary_ar1(0.0, t_len, np.random.default_rng(0))
+        assert abs(x.var() - 1.0) <= 3 * np.sqrt(2 / t_len)
+
+    def test_lag_one_autocorrelation(self):
+        x = stationary_ar1(0.5, 100000, np.random.default_rng(2))
+        c = x - x.mean()
+        acf1 = (c[:-1] @ c[1:]) / (c @ c)
+        assert abs(acf1 - 0.5) <= 0.02
 
 
 class TestFactorModelSpec:
@@ -190,10 +237,9 @@ def test_study_records_match_one_panel_at_a_time(monkeypatch, study, kwargs):
 
 class TestEigenGapStudy:
     def test_noiseless_rank_one_mean_spectrum(self):
-        grid = default_grid()
         rows = []
         for rep in range(10):
-            spec = FactorModelSpec(d=1, n=60, grid=grid, seed=rep, noise_terms=0)
+            spec = FactorModelSpec(d=1, n=60, seed=rep, noise_terms=0)
             lam = operator_eigenvalues(generate_panel(spec), 5)
             padded = np.zeros(10)
             padded[: min(10, lam.size)] = lam[:10]
@@ -255,27 +301,24 @@ class TestBootstrapPowerStudy:
 class TestSubspaceErrorStudy:
     @pytest.mark.parametrize("d", range(1, 11))
     def test_factor_curves_quadrature_orthonormal(self, d):
-        grid = default_grid()
-        curves = factor_curves(grid, d)
-        gram = (curves * grid.weights) @ curves.T
+        curves = factor_curves(GRID, d)
+        gram = (curves * GRID.weights) @ curves.T
         assert np.max(np.abs(gram - np.eye(d))) <= 1e-12
 
     def test_empty_estimate_is_at_distance_one(self):
-        grid = default_grid()
-        empty = np.empty((0, len(grid)))
-        assert _overlap_distance(grid, empty, factor_curves(grid, 3)) == 1.0
+        empty = np.empty((0, len(GRID)))
+        assert _overlap_distance(GRID, empty, factor_curves(GRID, 3)) == 1.0
 
     def test_distances_match_subspace_distance_general(self):
         seed, d, n = 14, 3, 100
         records, _ = subspace_error_study([d], [n], 4, p=5, seed=seed)
-        grid = default_grid()
-        truth = factor_curves(grid, d)
+        truth = factor_curves(GRID, d)
         for r in records:
             spec = FactorModelSpec(d=d, n=n, seed=_child_seed(seed, 0, 0, r["replication"]))
             basis = decompose(generate_panel(spec), 5).eigenfunctions
             assert r["d_hat"] >= 1
             for key, k in (("dtilde", d), ("dtilde_adaptive", r["d_hat"])):
-                want = subspace_distance_general(grid, basis[:k], truth)
+                want = subspace_distance_general(GRID, basis[:k], truth)
                 assert abs(r[key] - want) <= 1e-12
 
     def test_records_complete_and_bounded(self):
@@ -302,8 +345,7 @@ class TestSubspaceErrorStudy:
 
 class TestRateStudy:
     def test_reference_eigenvalue_matches_analytic_value(self):
-        grid = default_grid()
-        ref = reference_rate_eigenvalue(grid, 0.5)
+        ref = reference_rate_eigenvalue(GRID, 0.5)
         gamma1 = 0.5 / (1 - 0.25)
         assert abs(ref - gamma1**2) < 1e-3  # quadrature bias only
         fine = reference_rate_eigenvalue(Grid.uniform(0.0, 1.0, 801), 0.5)
@@ -312,7 +354,7 @@ class TestRateStudy:
     def test_records_and_reference_wiring(self):
         records, design = rate_study((100, 200), 5, seed=2)
         assert len(records) == 10
-        theta_ref = reference_rate_eigenvalue(default_grid(), RATE_AR_COEFFICIENT)
+        theta_ref = reference_rate_eigenvalue(GRID, RATE_AR_COEFFICIENT)
         assert design == {
             "p": RATE_LAG_BUDGET,
             "ar_coefficient": RATE_AR_COEFFICIENT,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from curvedim import tsmodels
 from curvedim.errors import (
     ConditioningError,
     DegenerateSeriesError,
-    NonstationarityError,
     ValidationError,
 )
+from curvedim.grids import binary_exponent
 from curvedim.tsmodels import (
     VarFit,
     _chi2_sf,
-    ar1_simulate,
     fit_var_with_aic,
     ljung_box,
     ljung_box_from_autocorrelations,
@@ -22,7 +23,7 @@ from curvedim.tsmodels import (
     var_residuals,
     write_var_fit_json,
 )
-from reference import ar1_lfilter, companion_spectral_radius
+from reference import companion_spectral_radius
 
 
 def simulate_var(mats, t_len, rng, burn=500):
@@ -37,39 +38,6 @@ def simulate_var(mats, t_len, rng, burn=500):
 
 
 ZERO_ACF_PATTERN = np.tile([1.0, 0.0, 0.0, -1.0, 0.0, 0.0], 50)  # zero acf at lags 1, 2
-
-
-class TestAr1Simulate:
-    def test_degenerate_coefficient_is_iid(self):
-        t_len = 10000
-        x = ar1_simulate(0.0, t_len, np.random.default_rng(0))
-        assert abs(x.var() - 1.0) <= 3 * np.sqrt(2 / t_len)
-
-    def test_stationary_variance(self):
-        x = ar1_simulate(0.5, 100000, np.random.default_rng(1))
-        assert abs(x.var() - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
-
-    def test_lag_one_autocorrelation(self):
-        x = ar1_simulate(0.5, 100000, np.random.default_rng(2))
-        c = x - x.mean()
-        acf1 = (c[:-1] @ c[1:]) / (c @ c)
-        assert abs(acf1 - 0.5) <= 0.02
-
-    def test_rejects_nonstationary(self):
-        for a in (1.0, -1.5, np.inf, np.nan):
-            with pytest.raises(NonstationarityError):
-                ar1_simulate(a, 10, np.random.default_rng(0))
-
-    def test_matches_linear_filter_bit_for_bit(self):
-        draws = np.random.default_rng(19)
-        for _ in range(200):
-            a = float(draws.uniform(-0.99, 0.99))
-            length = int(draws.integers(1, 700))
-            seed = int(draws.integers(2**32))
-            got = ar1_simulate(a, length, np.random.default_rng(seed))
-            want = ar1_lfilter(a, length, np.random.default_rng(seed))
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
 
 
 class TestChi2Tail:
@@ -290,6 +258,66 @@ class TestMultivariatePortmanteau:
             if multivariate_portmanteau(rng.standard_normal((1000, 2)), 3).pvalue <= 0.05:
                 rej += 1
         assert 0.03 <= rej / runs <= 0.08
+
+
+# A fixed VAR(1) path in three components, for the scale checks.
+SCALE_SERIES = simulate_var(
+    [np.array([[0.5, 0.1, 0.0], [0.0, -0.3, 0.2], [0.1, 0.0, 0.4]])],
+    250,
+    np.random.default_rng(31),
+)
+
+
+def fit_and_pvalues(series, max_order=4):
+    """The AIC fit of ``series`` and the portmanteau results its diagnostics read."""
+    fit = fit_var_with_aic(series, max_order)
+    resid = var_residuals(series, fit)
+    tests = [multivariate_portmanteau(resid, q, fitted_order=fit.order) for q in (1, 3, 5)]
+    tests += [ljung_box(series[:, j], 3) for j in range(series.shape[1])]
+    return fit, tests
+
+
+class TestScaleOfTheSeries:
+    """The fit and the tests take their moments of the series over 2^e."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(k=st.integers(-500, 500))
+    def test_power_of_two_scale_moves_only_the_covariance(self, k):
+        base, base_tests = fit_and_pvalues(SCALE_SERIES)
+        fit, tests = fit_and_pvalues(np.ldexp(SCALE_SERIES, k))
+        assert fit.order == base.order
+        assert [a.tobytes() for a in fit.coefficient_matrices] == [
+            a.tobytes() for a in base.coefficient_matrices
+        ]
+        assert np.array_equal(
+            fit.innovation_covariance, np.ldexp(base.innovation_covariance, 2 * k)
+        )
+        assert fit.aic_table == pytest.approx(base.aic_table, rel=1e-12, abs=1e-9)
+        assert tests == base_tests
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_tests_hold_where_the_moments_leave_the_doubles(self, scale):
+        # The raw second moments are about 1e-320 (subnormal) or 1e320 (inf).
+        _, base_tests = fit_and_pvalues(SCALE_SERIES)
+        scaled = SCALE_SERIES * scale
+        fit = var_fit_yule_walker(SCALE_SERIES, 1)
+        tests = [
+            multivariate_portmanteau(var_residuals(scaled, fit), q, fitted_order=1)
+            for q in (1, 3, 5)
+        ] + [ljung_box(scaled[:, j], 3) for j in range(3)]
+        for got, want in zip(tests, base_tests):
+            assert got.dof == want.dof
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
+            assert got.pvalue == pytest.approx(want.pvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_covariance_outside_the_doubles_names_the_scale(self, scale, capfd):
+        scaled = SCALE_SERIES * scale
+        magnitude = re.escape(f"magnitude {np.ldexp(0.5, binary_exponent(scaled)):.3g} ")
+        for call in (lambda x: fit_var_with_aic(x, 4), lambda x: var_fit_yule_walker(x, 1)):
+            with pytest.raises(ValidationError, match=f"{magnitude}.*rescale the series"):
+                call(scaled)
+        assert capfd.readouterr().err == ""  # LAPACK printed nothing
 
 
 class TestVarHelpers:
