@@ -214,21 +214,6 @@ class PortmanteauResult:
     pvalue: float
 
 
-def _portmanteau(terms, t_len: int, dof: int) -> PortmanteauResult:
-    """T(T+2) sum_k t_k/(T-k) over the lag terms t_1..t_q, chi-square on ``dof``."""
-    ks = np.arange(1, len(terms) + 1)
-    stat = float(t_len * (t_len + 2) * np.sum(np.asarray(terms) / (t_len - ks)))
-    return PortmanteauResult(statistic=stat, dof=dof, pvalue=_chi2_sf(stat, dof))
-
-
-def ljung_box_from_autocorrelations(acfs: np.ndarray, n: int) -> PortmanteauResult:
-    """Ljung-Box statistic n(n+2) sum_k r_k^2/(n-k) from the autocorrelations
-    r_1..r_q of a series of length n > q, with a chi-square tail on q."""
-    r = np.asarray(acfs, dtype=np.float64)
-    check_int("n", n, r.size + 1)
-    return _portmanteau(r**2, n, r.size)
-
-
 def ljung_box(series: np.ndarray, q: int) -> PortmanteauResult:
     """Ljung-Box white-noise test on a scalar series: the portmanteau test
     ``multivariate_portmanteau`` on the series as one column."""
@@ -266,8 +251,10 @@ def multivariate_portmanteau(
         raise ConditioningError(f"singular lag-0 covariance: {exc}") from exc
     if np.linalg.cond(c0) > _MAX_CONDITION:
         raise ConditioningError("lag-0 covariance too ill-conditioned")
-    terms = [np.trace(ck.T @ c0_inv @ ck @ c0_inv) for ck in lagged]
-    return _portmanteau(terms, t_len, max(d * d * (q - fitted_order), 1))
+    terms = np.array([np.trace(ck.T @ c0_inv @ ck @ c0_inv) for ck in lagged])
+    stat = float(t_len * (t_len + 2) * np.sum(terms / (t_len - np.arange(1, q + 1))))
+    dof = max(d * d * (q - fitted_order), 1)
+    return PortmanteauResult(statistic=stat, dof=dof, pvalue=_chi2_sf(stat, dof))
 
 
 def write_var_fit_json(fit: VarFit, path) -> None:

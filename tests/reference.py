@@ -12,9 +12,11 @@ acceptance criterion 1 compares two independent constructions. And it
 keeps the bootstrap on the grid: each replicate's curves are the fitted
 curves plus resampled residuals, and its operator is the m x m
 quadrature-weighted matrix, where the package works in rotated span
-coordinates. Last, it keeps the factor-model draw as one scalar AR(1)
-loop per factor, where the package runs one vectorised recursion over
-the factors of many panels.
+coordinates. It keeps the factor-model draw as one scalar AR(1) loop
+per factor, where the package runs one vectorised recursion over the
+factors of many panels. Last, it keeps the Ljung-Box statistic written
+out from autocorrelations, where the package takes it as the d = 1 case
+of Hosking's multivariate portmanteau test.
 
 Inputs come from the tests, so nothing here validates its arguments
 beyond the lag budget of ``dual_matrix``.
@@ -308,3 +310,21 @@ def rate_regression_slopes(records: list[dict]) -> tuple[float, float]:
     slope1 = np.polyfit(np.log(ns), np.log(np.array(err1)), 1)[0]
     slope2 = np.polyfit(np.log(ns), np.log(np.array(err2)), 1)[0]
     return float(slope1), float(slope2)
+
+
+def ljung_box_from_autocorrelations(acfs, n: int) -> tuple[float, float]:
+    """Ljung-Box statistic Q = n(n+2) sum_{k=1..q} r_k^2/(n-k) from the
+    autocorrelations r_1..r_q of a series of length n > q, and its
+    chi-square tail on q degrees of freedom: (Q, p-value).
+
+    Written out term by term with scipy's tail, so it shares no code with
+    ``curvedim.tsmodels.multivariate_portmanteau``.
+    """
+    from scipy.stats import chi2  # scipy is a test-only dependency
+
+    q = len(acfs)
+    total = 0.0
+    for k in range(1, q + 1):
+        total += acfs[k - 1] ** 2 / (n - k)
+    statistic = float(n * (n + 2) * total)
+    return statistic, float(chi2.sf(statistic, q))

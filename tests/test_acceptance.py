@@ -28,7 +28,7 @@ from curvedim.simulation import (
     subspace_error_study,
     _child_seed,
 )
-from curvedim.tsmodels import ljung_box, ljung_box_from_autocorrelations, multivariate_portmanteau
+from curvedim.tsmodels import ljung_box, multivariate_portmanteau
 from fixtures import synthetic_tick_days, write_tick_manifest
 from reference import (
     discretized_operator,
@@ -38,6 +38,7 @@ from reference import (
     gram_matrix,
     gram_schmidt,
     inner_product,
+    ljung_box_from_autocorrelations,
     rate_regression_slopes,
     subspace_distance,
 )
@@ -293,17 +294,33 @@ def test_criterion_08_diagnostics():
             mv_rej += 1
     lb_size = lb_rej / runs
     mv_size = mv_rej / runs
-    worked = ljung_box_from_autocorrelations(np.array([0.2]), 100).statistic
+    # The worked example checks the independent Ljung-Box formula in
+    # tests/reference.py; the package's ljung_box must then match it on
+    # autocorrelations computed here.
+    worked, worked_p = ljung_box_from_autocorrelations([0.2], 100)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=808, spawn_key=(2,)))
+    x = rng.standard_normal(500)
+    c = x - x.mean()
+    worst = 0.0
+    for q in (1, 3, 5):
+        acfs = [c[k:] @ c[:-k] / (c @ c) for k in range(1, q + 1)]
+        want_stat, want_p = ljung_box_from_autocorrelations(acfs, x.size)
+        res = ljung_box(x, q)
+        worst = max(worst, abs(res.statistic / want_stat - 1), abs(res.pvalue / want_p - 1))
     ok = (
         0.03 <= lb_size <= 0.08
         and 0.03 <= mv_size <= 0.08
         and abs(worked - 4.1212) <= 1e-3
+        and abs(worked_p - 0.0424) <= 5e-4
+        and worst <= 1e-12
     )
     _report(
         "criterion 8 (diagnostics size)",
         ok,
         f"scalar-test size {lb_size:.3f}, multivariate size {mv_size:.3f} "
-        f"(need [0.03, 0.08]), worked statistic {worked:.4f} vs 4.1212",
+        f"(need [0.03, 0.08]), worked statistic {worked:.4f} vs 4.1212 "
+        f"(p {worked_p:.4f} vs 0.0424), ljung_box vs the reference formula at "
+        f"q = 1, 3, 5: {worst:.1e} relative (need <= 1e-12)",
         time.time() - start,
         120.0,
     )

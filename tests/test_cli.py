@@ -181,6 +181,23 @@ class TestIdentify:
         assert rc == 1
         assert read_error(capsys)["kind"] == "insufficient-sample"
 
+    def test_eigensolver_failure_exits_two_with_numerical_failure_kind(
+        self, two_factor_panel_csv, tmp_path, capsys, monkeypatch
+    ):
+        # A LAPACK failure is a numerical failure, not a user error: exit 2.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        out = tmp_path / "o"
+        rc = main(["identify", "--panel", str(two_factor_panel_csv), "--B", "20",
+                   "--output-dir", str(out)])
+        assert rc == 2
+        error = read_error(capsys)
+        assert error["kind"] == "numerical-failure"
+        assert "symmetric eigensolver failed" in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
     def test_curves_past_double_range_exit_one_with_validation_kind(
         self, tmp_path, capsys, scale
@@ -729,15 +746,22 @@ class TestVarFitCommand:
         assert read_error(capsys)["kind"] == "io"
 
     @pytest.mark.parametrize(
-        "rows, max_order, kind",
-        [(50, "-1", "validation"), (3, "5", "validation"), (50, "1", "degenerate-series"),
-         (50, "1000000000", "validation")],
-        ids=["negative-order", "too-short", "constant-column", "order-past-length"],
+        "rows, max_order, kind, code",
+        [(50, "-1", "validation", 1), (3, "5", "validation", 1),
+         (50, "1", "degenerate-series", 1), (50, "1000000000", "validation", 1),
+         (50, "1", "conditioning", 2)],
+        ids=["negative-order", "too-short", "constant-column", "order-past-length",
+             "identical-columns"],
     )
-    def test_failed_fit_leaves_no_output_dir(self, tmp_path, capsys, rows, max_order, kind):
+    def test_failed_fit_leaves_no_output_dir(
+        self, tmp_path, capsys, rows, max_order, kind, code
+    ):
         series = np.random.default_rng(8).standard_normal((rows, 2))
         if kind == "degenerate-series":
             series[:, 1] = 1.0  # fits, but its Ljung-Box diagnostic is undefined
+        if kind == "conditioning":
+            # A singular moment matrix is a numerical failure, not a user error.
+            series[:, 1] = series[:, 0]
         path = tmp_path / "loadings.csv"
         write_loadings_csv(series, path)
         out = tmp_path / "o"
@@ -745,7 +769,7 @@ class TestVarFitCommand:
             ["var-fit", "--loadings", str(path), "--max-order", max_order,
              "--output-dir", str(out)]
         )
-        assert rc == 1
+        assert rc == code
         assert read_error(capsys)["kind"] == kind
         assert not out.exists()
 

@@ -17,13 +17,12 @@ from curvedim.tsmodels import (
     _chi2_sf,
     fit_var_with_aic,
     ljung_box,
-    ljung_box_from_autocorrelations,
     multivariate_portmanteau,
     var_fit_yule_walker,
     var_residuals,
     write_var_fit_json,
 )
-from reference import companion_spectral_radius
+from reference import companion_spectral_radius, ljung_box_from_autocorrelations
 
 
 def simulate_var(mats, t_len, rng, burn=500):
@@ -174,16 +173,29 @@ class TestLjungBox:
             assert res.pvalue == 1.0
 
     def test_worked_example(self):
-        res = ljung_box_from_autocorrelations(np.array([0.2]), 100)
-        assert abs(res.statistic - 100 * 102 * 0.04 / 99) < 1e-12
-        assert abs(res.statistic - 4.1212) < 1e-3
-        assert abs(res.pvalue - 0.0424) < 5e-4
+        # The textbook case checks the reference formula; the package's
+        # ljung_box is then checked against that formula, fed
+        # autocorrelations computed here.
+        stat, pvalue = ljung_box_from_autocorrelations([0.2], 100)
+        assert abs(stat - 100 * 102 * 0.04 / 99) < 1e-12
+        assert abs(stat - 4.1212) < 1e-3
+        assert abs(pvalue - 0.0424) < 5e-4
+        x = np.random.default_rng(19).standard_normal(250)
+        c = x - x.mean()
+        for q in (1, 3, 5):
+            acfs = [c[k:] @ c[:-k] / (c @ c) for k in range(1, q + 1)]
+            want_stat, want_p = ljung_box_from_autocorrelations(acfs, x.size)
+            res = ljung_box(x, q)
+            assert res.dof == q
+            assert res.statistic == pytest.approx(want_stat, rel=1e-12, abs=0.0)
+            assert res.pvalue == pytest.approx(want_p, rel=1e-12, abs=0.0)
 
     def test_series_length_must_exceed_lag_count(self):
-        # n <= q would divide by n - k = 0 and report a certain rejection.
-        for acfs, n in ((np.array([0.1, 0.2]), 2), (np.array([0.1]), 1)):
-            with pytest.raises(ValidationError, match="n must be >= "):
-                ljung_box_from_autocorrelations(acfs, n)
+        # T <= q would divide by T - k = 0 and report a certain rejection.
+        x = np.random.default_rng(20).standard_normal(3)
+        for q in (3, 4):
+            with pytest.raises(ValidationError, match=f"series length 3 must exceed q={q}"):
+                ljung_box(x, q)
 
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateSeriesError):
