@@ -18,9 +18,9 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .eigen import EigenDecomposition, _span_projection, _symmetric_solve, decompose
+from .eigen import EigenDecomposition, _symmetric_solve, decompose, loadings
 from .errors import BoundsError, ValidationError, check_int, check_positive_finite
-from .grids import CurvePanel, Grid, centered_values, write_json
+from .grids import CurvePanel, Grid, write_json
 
 _ORTHONORMAL_TOL = 1e-6
 
@@ -86,17 +86,18 @@ def bootstrap_test(
     observed eigenvalue the clamp sets to zero, or one past the
     numerical rank r of the panel's centered curves (d0 >= r), is zero
     to working precision, so the hypothesis is not rejected: its p-value
-    is 1 and it is neither fitted nor solved. A call whose observed
-    eigenvalues are all zero builds no span basis either.
+    is 1 and it is neither fitted nor solved.
 
     One resample serves every hypothesis. Replicate b draws its n row
     indices from the stream keyed by (seed, b), and the B generators are
     built once per call, so a hypothesis gets the same p-value whether
     it is tested alone or with others (replicate eigenvalues agree to
     roundoff). Every replicate curve lies in the span of the panel's
-    centered curves, whose coordinates are rotated so that the first
-    ``top`` axes are the leading fitted eigenfunctions, ``top`` being
-    the largest tested d0. In them, the replicate of hypothesis d0 keeps
+    centered curves, and the r eigenfunctions of ``dec`` are an
+    orthonormal basis of it, so the test builds no basis of its own.
+    Its coordinates are the loadings on them, and the first ``top`` axes
+    are the leading fitted eigenfunctions, ``top`` being the largest
+    tested d0. In them, the replicate of hypothesis d0 keeps
     the panel's first d0 coordinates and resamples the rest, so its lag
     products M_k = Z_0^T Z_k / (n-p) are blocks of one product of the
     ``top`` fitted and the r resampled columns. One batched product over
@@ -113,21 +114,17 @@ def bootstrap_test(
                 f"need 0 <= d0 < min(n - p, m), got d0={d0}, n={n}, p={p}, "
                 f"m={len(panel.grid)}"
             )
+    # Entries past the rank r are exact zeros, so every live d0 is below r.
     live = sorted({d0 for d0 in d0s if dec.eigenvalues[d0] != 0.0})
-    if live:
-        proj, r = _span_projection(panel)
-        live = [d0 for d0 in live if d0 < r]
     if not live:
         return [1.0 for _ in d0s]
-    top = max(live)
-    funcs = dec.eigenfunctions[:top]
+    funcs = dec.eigenfunctions
+    top, r = max(live), len(funcs)
     n_eff, width = n - p, top + r
-    # Rows of x are coordinates over time: the top fitted ones, then the
-    # replicate's r centered ones, scaled so that x_0 x_k^T is M_k of the
-    # values over 2^exponent, whose eigenvalues are theta * 2^(-4 exponent).
-    rotation = np.linalg.qr((funcs @ proj).T, mode="complete")[0]
-    centered = np.ldexp(centered_values(panel), -panel.exponent)
-    y = (proj @ rotation).T @ centered.T / np.sqrt(n_eff)
+    # Rows of y are the centered curves' coordinates over time on the r
+    # eigenfunctions, scaled so that y_0 y_k^T is M_k of the values over
+    # 2^exponent, whose eigenvalues are theta * 2^(-4 exponent).
+    y = np.ldexp(loadings(panel, funcs), -panel.exponent).T / np.sqrt(n_eff)
     x = np.empty((width, n))
     x[:top] = y[:top]
     lead = x[:, :n_eff]

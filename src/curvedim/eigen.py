@@ -1,36 +1,38 @@
 """Eigenanalysis of the cumulative lag-autocovariance operator.
 
 The operator of interest is K(u, v) = sum over lags k = 1..p of the
-composition of the lag-k autocovariance kernel with its adjoint.
-``_reduced_operator`` is the one build of it on the grid: for curves
-given as rows of grid values with the quadrature weights w, it centers
-the rows and returns the symmetric m x m matrix W^{1/2} K W^{1/2},
-summing (M_k W) M_k^T with M_k = Z_0^T Z_k / (n-p). Its eigenvectors
-divided by sqrt(w) are quadrature-orthonormal eigenfunctions.
+composition of the lag-k autocovariance kernel with its adjoint. Every
+centered curve lies in the span of the panel's centered curves, and so
+does the range of K, so its nonzero spectrum is that of an r x r matrix,
+r being the panel's numerical rank (the method of snapshots, Sirovich,
+1987). This module solves it there, and only there.
+
+``_span_projection`` finds an orthonormal basis of that span. It factors
+the smaller of X X^T (n x n) and X^T X (m x m), X being the root-weighted
+centered curves, with a diagonally pivoted Cholesky factorization (a
+short numpy loop over pivots), stops at LAPACK ``dpstrf``'s tolerance,
+size * eps times the largest diagonal entry of the uncentered curves'
+matrix, and orthonormalizes the pivot curves or pivot columns with
+Householder ``qr``. Its cost grows with min(n, m), never as m^3. In the
+basis' coordinates the quadrature weights are one, and
+``_reduced_operator`` builds the r x r matrix sum_k M_k M_k^T with
+M_k = Z_0^T Z_k / (n-p), Z being the centered coordinates.
 
 ``decompose`` is the entry point for an observed panel: one symmetric
-eigensolve of that matrix gives the spectrum with eigenvalues below
-EIGENVALUE_CLAMP of the leading one set to zero, which is the rule every
-report and decision applies, together with one sign-fixed eigenfunction
-per eigenvalue. The ``EigenDecomposition`` it returns holds the panel
-and lag budget it was built from, so callers solve an observed panel
-once and pass the decomposition on: the bootstrap test reads its
-eigenvalues, panel and p, and ``loadings`` projects the curves on its
-eigenfunctions. ``operator_eigenvalues`` is the raw, unclamped,
-eigenvalues-only solve of the same m x m matrix, which the Monte Carlo
-eigenvalue studies use.
-
-Every curve a bootstrap replicate holds (fitted curves plus resampled
-residuals) lies in the span of the panel's centered curves, so its
-nonzero spectrum is that of an r x r matrix, r being the panel's
-numerical rank. ``_span_projection`` finds an orthonormal basis of that
-span with one symmetric eigensolve of the m x m second-moment matrix of
-the root-weighted centered curves; in its coordinates the weights are
-one. ``dimension.bootstrap_test`` rotates those coordinates so that the
-leading axes are the fitted eigenfunctions and builds every replicate's
-r x r operator from lag products shared by all hypotheses; its spectrum
-agrees with the grid's to roundoff (about 1e-15 of the leading
-eigenvalue).
+eigensolve of that r x r matrix gives the spectrum, with eigenvalues
+below EIGENVALUE_CLAMP of the leading one set to zero (the rule every
+report and decision applies), and one sign-fixed eigenfunction per
+computed eigenvalue. The spectrum keeps m entries, and those past r are
+exactly zero. The r eigenfunctions are a quadrature-orthonormal basis of
+the span, so the ``EigenDecomposition`` carries the basis along with the
+panel and lag budget it was built from: ``dimension.bootstrap_test``
+takes every replicate's coordinates from it and builds no basis of its
+own, and ``loadings`` projects the curves on it.
+``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
+of the same r x r matrix, padded with zeros to m entries, which the
+Monte Carlo eigenvalue studies use. Both agree with the m x m
+quadrature-weighted grid operator to roundoff (about 1e-15 of the
+leading eigenvalue).
 
 Every operator and span basis is built from the panel's values divided
 by 2^``panel.exponent``, the binary exponent of their largest magnitude.
@@ -39,10 +41,11 @@ curves' units exactly (times 2^(4 exponent)) and the decisions do not
 depend on the curves' scale; only a leading eigenvalue that the curves'
 units cannot hold as a normal double is an error (``ValidationError``).
 
-This is the package's only eigen route. The paper's (n-p) x (n-p) dual
-matrix, built from lagged Gram matrices of the centered curves, has the
-same nonzero spectrum; it lives in the test suite's ``tests/reference.py``,
-which acceptance criterion 1 checks this module against.
+This is the package's only eigen route. The grid-weighted m x m operator
+and the paper's (n-p) x (n-p) dual matrix, built from lagged Gram
+matrices of the centered curves, have the same nonzero spectrum; they
+live in the test suite's ``tests/reference.py``, which acceptance
+criterion 1 and the eigen tests check this module against.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ def _fix_signs(curves: np.ndarray) -> np.ndarray:
 class EigenDecomposition:
     """Ordered spectrum and orthonormal eigenfunctions of ``panel``'s operator at ``p``.
 
-    ``eigenvalues`` holds the full computed spectrum (descending, entries
-    below EIGENVALUE_CLAMP of the leading one clamped to zero), and
-    ``eigenfunctions`` one orthonormal sign-fixed curve per eigenvalue.
+    ``eigenvalues`` holds the m-entry spectrum (descending, entries below
+    EIGENVALUE_CLAMP of the leading one clamped to zero, exact zeros past
+    the numerical rank r), and ``eigenfunctions`` one orthonormal
+    sign-fixed curve for each of the leading r: a basis of the span of
+    the panel's centered curves.
     """
 
     eigenvalues: np.ndarray
@@ -123,15 +128,12 @@ def _symmetric_solve(a: np.ndarray, vectors: bool = False):
         raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _reduced_operator(z: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
-    """The symmetric operator W^{1/2} K W^{1/2} for curves given as rows of ``z``.
+def _reduced_operator(z: np.ndarray, p: int) -> np.ndarray:
+    """The symmetric operator sum_k M_k M_k^T for curves given as rows of ``z``
+    in orthonormal coordinates, such as ``_span_projection``'s.
 
-    ``w`` holds the diagonal weights of the coordinates' inner product:
-    the quadrature weights when ``z`` holds grid values, unit weights when
-    it holds coordinates in an orthonormal basis of a space holding every
-    centered curve, such as ``_span_projection``'s. The rows are centered
-    here. An eigenvector v of the result on the grid maps to the
-    eigenfunction v / sqrt(w).
+    The rows are centered here, and M_k = Z_0^T Z_k / (n-p) is the lag-k
+    product of the centered rows.
     """
     c = z - z.mean(axis=0)
     n_eff = c.shape[0] - p
@@ -139,51 +141,99 @@ def _reduced_operator(z: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
     acc = np.zeros((c.shape[1], c.shape[1]))
     for k in range(1, p + 1):
         mk = c0.T @ c[k : k + n_eff] / n_eff
-        acc += (mk * w) @ mk.T
-    root = np.sqrt(w)
-    sym = acc * root[:, None] * root[None, :]
-    return (sym + sym.T) / 2.0
+        acc += mk @ mk.T
+    return (acc + acc.T) / 2.0
+
+
+def _cholesky_pivots(gram: np.ndarray, tol: float) -> list[int]:
+    """Pivot order of the diagonally pivoted Cholesky factorization of the
+    positive semidefinite ``gram`` (Higham, 1990).
+
+    Each step pivots on the largest diagonal entry of the Schur complement
+    left by the previous ones, and the factorization stops once no entry
+    exceeds ``tol``, as LAPACK's ``dpstrf`` does. The pivot columns span
+    the column space of ``gram`` to within that tolerance. Row i of the
+    symmetric ``gram`` stands in for its column i.
+    """
+    size = gram.shape[0]
+    factor = np.empty((size, size))  # row j: column j of the Cholesky factor
+    diag = gram.diagonal().copy()
+    pivots: list[int] = []
+    for j in range(size):
+        i = int(np.argmax(diag))
+        if not diag[i] > tol:
+            break
+        col = factor[j]
+        np.subtract(gram[i], factor[:j, i] @ factor[:j], out=col)
+        col /= np.sqrt(diag[i])
+        diag -= col * col
+        diag[i] = -np.inf
+        pivots.append(i)
+    return pivots
 
 
 def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
     """The m x r matrix taking curves to span coordinates, and the rank r.
 
-    The span is that of the panel's root-weighted centered curves X. Its
-    basis is the eigenvectors of X^T X above m * eps of the largest
-    eigenvalue, and the matrix is those r columns times sqrt(w), so
-    ``values @ proj`` gives a panel's coordinates: the mean curve adds
-    the same row to each, which re-centering removes.
+    The span is that of the panel's root-weighted centered curves X over
+    2^exponent. A pivoted Cholesky factorization of the smaller of X X^T
+    and X^T X finds r pivots: curves (rows of X) or grid points (columns
+    of X^T X) that span it, and Householder ``qr`` orthonormalizes them.
+    The factorization stops at ``dpstrf``'s tolerance, size * eps times
+    the largest diagonal entry, taken on the uncentered curves: what
+    centering leaves of a panel of identical curves is roundoff, rank 0.
+    The matrix is the basis times sqrt(w), so ``values @ proj`` gives a
+    panel's coordinates: the mean curve adds the same row to each, which
+    re-centering removes.
     """
     root = np.sqrt(panel.grid.weights)
-    x = np.ldexp(centered_values(panel), -panel.exponent) * root
-    s, u = _symmetric_solve(x.T @ x, vectors=True)
-    r = int(np.count_nonzero(s > s.size * FLOAT.eps * s[-1]))
-    return u[:, s.size - r :] * root[:, None], r
+    raw = np.ldexp(panel.values, -panel.exponent) * root
+    x = raw - raw.mean(axis=0)
+    wide = x.shape[0] <= x.shape[1]
+    gram = x @ x.T if wide else x.T @ x
+    tol = min(x.shape) * FLOAT.eps * float(np.max(np.sum(raw * raw, axis=1 if wide else 0)))
+    pivots = _cholesky_pivots(gram, tol)
+    spanning = x[pivots].T if wide else gram[:, pivots]
+    return np.linalg.qr(spanning)[0] * root[:, None], len(pivots)
+
+
+def _span_operator(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_span_projection``'s matrix and the r x r operator of the panel's
+    values over 2^exponent in its coordinates."""
+    check_lag_budget(panel, p)
+    proj, _ = _span_projection(panel)
+    z = np.ldexp(centered_values(panel), -panel.exponent) @ proj
+    return proj, _reduced_operator(z, p)
 
 
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
-    """Descending unclamped eigenvalues of the cumulative lag operator."""
-    check_lag_budget(panel, p)
-    z = np.ldexp(panel.values, -panel.exponent)
-    lam = _symmetric_solve(_reduced_operator(z, p, panel.grid.weights))[::-1]
+    """Descending unclamped eigenvalues of the cumulative lag operator: the
+    r eigenvalues of its span operator, then m - r exact zeros."""
+    _, op = _span_operator(panel, p)
+    lam = np.zeros(len(panel.grid))
+    lam[: op.shape[0]] = _symmetric_solve(op)[::-1]
     return _in_curve_units(lam, panel)
 
 
 def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     """Full pipeline: spectrum plus orthonormal eigenfunction curves.
 
-    The eigenfunctions are the quadrature-orthonormal eigenvectors of the
-    grid operator, one per eigenvalue and in the same order; callers keep
-    the leading k with ``eigenfunctions[:k]``. Eigenfunction signs follow
-    the positive-peak convention so output is deterministic.
+    The spectrum has m entries: the r eigenvalues of the span operator,
+    clamped, then m - r exact zeros. The eigenfunctions are the r
+    eigenvectors of the span operator mapped back to the grid, in the
+    same order, so they are a quadrature-orthonormal basis of the span of
+    the centered curves; callers keep the leading k with
+    ``eigenfunctions[:k]``. Eigenfunction signs follow the positive-peak
+    convention so output is deterministic.
     """
-    check_lag_budget(panel, p)
-    w = panel.grid.weights
-    z = np.ldexp(panel.values, -panel.exponent)
-    lam, v = _symmetric_solve(_reduced_operator(z, p, w), vectors=True)
-    order = np.argsort(lam)[::-1]
-    funcs = _fix_signs((v[:, order] / np.sqrt(w)[:, None]).T)
-    return EigenDecomposition(_in_curve_units(_clamp(lam[order]), panel), funcs, panel, p)
+    proj, op = _span_operator(panel, p)
+    s, v = _symmetric_solve(op, vectors=True)
+    lam = np.zeros(len(panel.grid))
+    lam[: s.size] = s[::-1]
+    # proj is the grid basis times sqrt(w); an eigenfunction is the basis
+    # vector over sqrt(w).
+    funcs = _fix_signs((proj @ v[:, ::-1]).T / panel.grid.weights)
+    return EigenDecomposition(_in_curve_units(_clamp(lam), panel), funcs, panel, p)
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:

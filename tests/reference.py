@@ -1,22 +1,24 @@
 """Reference computations the tests check the package against.
 
-The package solves the cumulative lag operator one way, with
-``curvedim.eigen._reduced_operator``. This module keeps the paper's
-other route, the (n-p) x (n-p) dual matrix
-K* = (n-p)^-2 (sum_{k=1..p} G_k) G_0 built from lagged Gram matrices of
-the centered curves (same quadrature, same nonzero spectrum), whose
-eigenvectors weight the centered curves into eigenfunctions. It also
-keeps the lag-k kernels M_k that the grid operator sum_k M_k W M_k^T is
-made of (the form of Lam, Yao & Bathia 2011), built on their own, so
-acceptance criterion 1 compares two independent constructions. And it
-keeps the bootstrap on the grid: each replicate's curves are the fitted
-curves plus resampled residuals, and its operator is the m x m
-quadrature-weighted matrix, where the package works in rotated span
-coordinates. It keeps the factor-model draw as one scalar AR(1) loop
-per factor, where the package runs one vectorised recursion over the
-factors of many panels. Last, it keeps the Ljung-Box statistic written
-out from autocorrelations, where the package takes it as the d = 1 case
-of Hosking's multivariate portmanteau test.
+The package solves the cumulative lag operator one way: as an r x r
+matrix in an orthonormal basis of the span of the centered curves
+(``curvedim.eigen``). This module keeps the m x m quadrature-weighted
+grid operator (``discretized_operator``) and the paper's other route,
+the (n-p) x (n-p) dual matrix K* = (n-p)^-2 (sum_{k=1..p} G_k) G_0
+built from lagged Gram matrices of the centered curves (same
+quadrature, same nonzero spectrum), whose eigenvectors weight the
+centered curves into eigenfunctions. The grid operator
+sum_k M_k W M_k^T is built from lag-k kernels M_k made on their own
+(the form of Lam, Yao & Bathia 2011), so acceptance criterion 1
+compares two independent constructions. This module also keeps the
+bootstrap on the grid: each replicate's curves are the fitted curves
+plus resampled residuals, and its operator is the m x m
+quadrature-weighted matrix, where the package works in the coordinates
+of the panel's eigenfunctions. It keeps the factor-model draw as one
+scalar AR(1) loop per factor, where the package runs one vectorised
+recursion over the factors of many panels. Last, it keeps the Ljung-Box
+statistic written out from autocorrelations, where the package takes it
+as the d = 1 case of Hosking's multivariate portmanteau test.
 
 Inputs come from the tests, so nothing here validates its arguments
 beyond the lag budget of ``dual_matrix``.

@@ -29,10 +29,10 @@ def read_error(capsys):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Operators built on the grid for an eigensolve, in call order, as
-    the shape of the curves each was built from.
+    """Operators built for an eigensolve, in call order, as the shape of
+    the span coordinates (n x r) each was built from.
 
-    Observed panels build their operator through the one grid kernel
+    Observed panels build their operator through the one kernel
     ``eigen._reduced_operator``; bootstrap replicates do not.
     """
     built = []
@@ -77,15 +77,15 @@ def replicate_solves(monkeypatch):
 
 @pytest.fixture
 def span_bases(monkeypatch):
-    """Span bases ``dimension`` built, as the panel size of each."""
+    """Span bases ``eigen`` built, as the panel size of each."""
     built = []
-    build = dimension._span_projection
+    build = eigen._span_projection
 
     def counted(panel):
         built.append(panel.n)
         return build(panel)
 
-    monkeypatch.setattr(dimension, "_span_projection", counted)
+    monkeypatch.setattr(eigen, "_span_projection", counted)
     return built
 
 
@@ -122,10 +122,10 @@ class TestIdentify:
         loadings = (out / "loadings.csv").read_text().splitlines()
         assert loadings[0] == "component_1,component_2"
         assert len(loadings) == 601
-        # One grid solve for the report; the tests and the output files
-        # reuse it.
-        assert eigensolves == [(600, 101)]
-        # One span basis serves every hypothesis, and each replicate's rows
+        # One solve of the panel's rank-12 span operator for the report;
+        # the tests and the output files reuse it.
+        assert eigensolves == [(600, 12)]
+        # Its span basis serves every hypothesis, and each replicate's rows
         # are drawn once and solved once for all four hypotheses.
         assert span_bases == [600]
         assert replicate_draws == list(range(100))
@@ -148,7 +148,7 @@ class TestIdentify:
         assert report["d_hat"] == 2
         # The panel's rank is two: the batched solve of each replicate holds
         # the hypotheses d0 = 0 and 1 only, as 2 x 2 span operators.
-        assert eigensolves == [(120, 101)]
+        assert eigensolves == [(120, 2)]
         assert len(span_bases) == 1
         assert replicate_draws == list(range(20))
         assert replicate_solves == [(2, 2, 2)] * 20
@@ -239,7 +239,7 @@ class TestTestDim:
         assert "p-value" in capsys.readouterr().out
         # One observed solve gives the eigenvalue and the fit; then one
         # draw and one solve of the one hypothesis per replicate.
-        assert eigensolves == [(600, 101)]
+        assert eigensolves == [(600, 12)]
         assert replicate_draws == list(range(50))
         assert replicate_solves == [(1, 12, 12)] * 50
 
@@ -264,9 +264,12 @@ class TestTestDim:
         assert payload["observed_eigenvalue"] == 0.0
         assert payload["p_value"] == 1.0
 
-    def test_zero_observed_eigenvalue_builds_no_span_basis(self, tmp_path, span_bases):
-        # The one hypothesis is answered from the clamped eigenvalue alone,
-        # so the call needs no basis of the curves' span.
+    def test_zero_observed_eigenvalue_builds_no_span_basis(
+        self, tmp_path, span_bases, replicate_draws
+    ):
+        # The one hypothesis is answered from the clamped eigenvalue alone:
+        # the test builds no basis of the curves' span and draws no
+        # replicate. The one basis is the observed solve's.
         panel = tmp_path / "rank2.csv"
         write_panel_csv(generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0)), panel)
         out = tmp_path / "td"
@@ -274,7 +277,8 @@ class TestTestDim:
                    "--output-dir", str(out)])
         assert rc == 0
         assert json.loads((out / "test_dim.json").read_text())["p_value"] == 1.0
-        assert span_bases == []
+        assert span_bases == [120]
+        assert replicate_draws == []
 
 
 class TestSimulate:

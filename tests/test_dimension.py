@@ -501,3 +501,26 @@ class TestDimensionEdgeCases:
         panel = generate_panel(FactorModelSpec(d=1, n=200, seed=9, noise_terms=0))
         lam = operator_eigenvalues(panel, 2)
         assert threshold_estimate(lam, default_epsilon(lam, 200)) == 1
+
+    @pytest.mark.parametrize(
+        "n, scale", [(185, 1e-3), (200, 0.1), (233, 1.0), (250, 7.0), (271, 3e2), (289, 1e3)]
+    )
+    def test_identical_curves_have_dimension_zero(self, n, scale):
+        # What centering leaves of n copies of one curve is roundoff, so
+        # the span has rank 0 at a tolerance taken on the uncentered
+        # curves: every eigenvalue is zero and no hypothesis is rejected.
+        # A tolerance relative to the centered roundoff found rank >= 1,
+        # and reported d_hat = threshold_d = 1 with p-value 0.
+        g = uniform_grid()
+        curve = scale * (1.0 + 0.5 * np.sin(2 * np.pi * g.points) + g.points**2)
+        panel = CurvePanel(grid=g, values=np.tile(curve, (n, 1)))
+        report = select_dimension(panel, p=5, cfg=BootstrapConfig(n_draws=50), d_max=4)
+        assert (report.d_hat, report.threshold_d) == (0, 0)
+        assert set(report.pvalues.values()) == {1.0}
+        assert not np.any(report.eigenvalues)
+        # A genuine factor at 1e-4 of the mean curve's level is kept.
+        factor = generate_panel(FactorModelSpec(d=1, n=n, noise_terms=0, seed=3)).values
+        panel = CurvePanel(grid=g, values=curve + 1e-4 * scale * factor / np.abs(factor).max())
+        report = select_dimension(panel, p=5, cfg=BootstrapConfig(n_draws=50), d_max=4)
+        assert (report.d_hat, report.threshold_d) == (1, 1)
+        assert len(decompose(panel, 5).eigenfunctions) == 1

@@ -1,9 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedim.dimension import default_epsilon, threshold_estimate
+from curvedim.dimension import (
+    BootstrapConfig,
+    default_epsilon,
+    select_dimension,
+    threshold_estimate,
+)
 
 from curvedim.eigen import (
     _reduced_operator,
@@ -68,7 +75,7 @@ def dual_reference(panel, p, n_components):
     """Dual-route spectrum and orthonormal positive-peak eigenfunctions.
 
     The reference side of the duality tests: the pipeline itself only
-    solves the grid operator.
+    solves the span operator.
     """
     lam, gamma = eigen_dual(dual_matrix(panel, p), gram_matrix(panel, 0, p))
     raw = eigenfunctions_from_dual(panel, gamma, n_components)
@@ -265,7 +272,7 @@ class TestDecompose:
             assert np.max(np.abs(f1 - f2)) < 1e-6
 
     def test_span_route_matches_grid_operator(self):
-        # Bootstrap replicates are solved in span coordinates. On n < m,
+        # Every operator is solved in span coordinates. On n < m,
         # n > m (the span is the whole grid, r = m) and a noise-free
         # rank-two panel, the r span eigenvalues are the grid spectrum's
         # leading r and the rest of the grid spectrum is roundoff.
@@ -275,7 +282,7 @@ class TestDecompose:
         for panel, p, rank in cases:
             proj, r = _span_projection(panel)
             assert r == rank and proj.shape == (len(panel.grid), r)
-            lam = _symmetric_solve(_reduced_operator(panel.values @ proj, p, np.ones(r)))[::-1]
+            lam = _symmetric_solve(_reduced_operator(panel.values @ proj, p))[::-1]
             oracle = grid_operator_spectrum(panel, p)
             assert np.all(np.diff(lam) <= 0)
             assert np.max(np.abs(lam - oracle[:r])) <= 1e-12 * oracle[0]
@@ -301,12 +308,14 @@ class TestDecompose:
             assert np.max(np.abs(f1 - f2)) < 1e-7
 
     def test_one_eigenfunction_per_eigenvalue(self):
-        # n - p = 17 < m = 31: the clamp zeroes most of the spectrum, and
-        # each clamped eigenvalue still has its eigenfunction.
+        # n - p = 17 < r = 19 < m = 31: the spectrum keeps its m entries,
+        # those past the rank r of the centered curves are exact zeros, and
+        # each of the r others, clamped ones included, has an eigenfunction.
         panel = random_panel(20, 31, seed=26)
         dec = decompose(panel, 3)
         assert dec.eigenvalues.shape == (31,)
-        assert dec.eigenfunctions.shape == (31, 31)
+        assert dec.eigenfunctions.shape == (19, 31)
+        assert np.all(dec.eigenvalues[19:] == 0.0)
         assert np.count_nonzero(dec.eigenvalues) < len(dec.eigenfunctions)
         # The lag budget is checked first: an oversized p reports the sample.
         with pytest.raises(InsufficientSampleError):
@@ -326,24 +335,48 @@ class TestDecompose:
         assert np.all(lam >= 0.0)
 
     def test_eigenfunctions_orthonormal_both_routes(self):
-        # The noise-free one-factor panel has rank one; the eigenfunctions
-        # past its rank must still be orthonormal.
+        # decompose returns one eigenfunction per dimension of the span of
+        # the centered curves: r = m = 31 at n = 80, and r = 1 for the
+        # noise-free one-factor panel. All r are orthonormal, and the
+        # spectrum is exactly zero past r.
         rank_one = generate_panel(FactorModelSpec(d=1, n=30, noise_terms=0, seed=0))
         cases = (
-            ("dual", random_panel(25, 51, seed=25), 4),
-            ("grid", random_panel(80, 31, seed=25), 4),
-            ("grid", rank_one, 2),
+            ("dual", random_panel(25, 51, seed=25), 4, 3),
+            ("span", random_panel(80, 31, seed=25), 4, 31),
+            ("span", rank_one, 2, 1),
         )
-        for route, panel, p in cases:
+        for route, panel, p, count in cases:
             if route == "dual":
-                _, funcs = dual_reference(panel, p, 3)
+                _, funcs = dual_reference(panel, p, count)
             else:
                 dec = decompose(panel, p)
-                assert len(dec.eigenfunctions) == len(panel.grid)
-                funcs = dec.eigenfunctions[:3]
+                funcs = dec.eigenfunctions
+                assert funcs.shape == (count, len(panel.grid))
+                assert np.all(dec.eigenvalues[count:] == 0.0)
             w = panel.grid.weights
             gram = (funcs * w) @ funcs.T
-            assert np.max(np.abs(gram - np.eye(3))) < 1e-8
+            assert np.max(np.abs(gram - np.eye(count))) < 1e-8
+
+
+class TestWideGrid:
+    def test_wide_grid_matches_dual_and_selects_within_budget(self):
+        # n = 200 curves on m = 2001 points: the dual has n - p = 195
+        # eigenvalues, and every one past the panel's rank r = 12 is
+        # roundoff. The span route solves 12 x 12 operators, so
+        # select_dimension (B 200, d_max 4) stays within a 1 s budget; the
+        # m x m grid operator took 4.2-5.4 s on a 2-vCPU Xeon.
+        grid = uniform_grid(2001)
+        panel = generate_panel(FactorModelSpec(d=2, n=200, grid=grid, seed=8))
+        p = 5
+        lam = decompose(panel, p).eigenvalues
+        dual, _ = eigen_dual(dual_matrix(panel, p), gram_matrix(panel, 0, p))
+        assert lam.shape == (2001,) and np.all(lam[12:] == 0.0)
+        assert np.max(np.abs(lam[:195] - dual)) <= 1e-10 * dual[0]
+        start = time.perf_counter()
+        report = select_dimension(panel, p, BootstrapConfig(n_draws=200), d_max=4)
+        elapsed = time.perf_counter() - start
+        assert report.threshold_d == 2 and report.pvalues[1] == 0.0
+        assert elapsed < 1.0, f"select_dimension took {elapsed:.2f} s"
 
 
 class TestGridRefinement:
