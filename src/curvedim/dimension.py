@@ -18,7 +18,7 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .eigen import EigenDecomposition, _symmetric_solve, decompose, loadings
+from .eigen import EigenDecomposition, _symmetric_solve, decompose
 from .errors import BoundsError, ValidationError, check_int, check_positive_finite
 from .grids import CurvePanel, Grid, write_json
 
@@ -92,17 +92,14 @@ def bootstrap_test(
     indices from the stream keyed by (seed, b), and the B generators are
     built once per call, so a hypothesis gets the same p-value whether
     it is tested alone or with others (replicate eigenvalues agree to
-    roundoff). Every replicate curve lies in the span of the panel's
-    centered curves, and the r eigenfunctions of ``dec`` are an
-    orthonormal basis of it, so the test builds no basis of its own.
-    Its coordinates are the loadings on them, and the first ``top`` axes
-    are the leading fitted eigenfunctions, ``top`` being the largest
-    tested d0. In them, the replicate of hypothesis d0 keeps
-    the panel's first d0 coordinates and resamples the rest, so its lag
-    products M_k = Z_0^T Z_k / (n-p) are blocks of one product of the
-    ``top`` fitted and the r resampled columns. One batched product over
-    the p lags serves every hypothesis, and one batched ``eigvalsh``
-    solves the r x r operators sum_k M_k M_k^T of all of them.
+    roundoff). The replicates resample ``dec.coordinates``, the centered
+    curves on the r eigenfunctions of ``dec``. Hypothesis d0 keeps the
+    first d0 and resamples the rest, so with ``top`` the largest tested
+    d0 its lag products M_k = Z_0^T Z_k / (n-p) are blocks of one
+    product of the ``top`` fitted and the r resampled columns. One
+    batched product over the p lags serves every hypothesis, and one
+    batched ``eigvalsh`` solves the r x r operators sum_k M_k M_k^T of
+    all of them.
     """
     panel, p = dec.panel, dec.p
     n = panel.n
@@ -118,13 +115,12 @@ def bootstrap_test(
     live = sorted({d0 for d0 in d0s if dec.eigenvalues[d0] != 0.0})
     if not live:
         return [1.0 for _ in d0s]
-    funcs = dec.eigenfunctions
-    top, r = max(live), len(funcs)
+    top, r = max(live), dec.coordinates.shape[1]
     n_eff, width = n - p, top + r
-    # Rows of y are the centered curves' coordinates over time on the r
-    # eigenfunctions, scaled so that y_0 y_k^T is M_k of the values over
-    # 2^exponent, whose eigenvalues are theta * 2^(-4 exponent).
-    y = np.ldexp(loadings(panel, funcs), -panel.exponent).T / np.sqrt(n_eff)
+    # Rows of y are the coordinates over time, scaled so that y_0 y_k^T is
+    # M_k of the values over 2^exponent, whose eigenvalues are
+    # theta * 2^(-4 exponent).
+    y = dec.coordinates.T / np.sqrt(n_eff)
     x = np.empty((width, n))
     x[:top] = y[:top]
     lead = x[:, :n_eff]

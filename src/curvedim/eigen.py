@@ -7,16 +7,16 @@ does the range of K, so its nonzero spectrum is that of an r x r matrix,
 r being the panel's numerical rank (the method of snapshots, Sirovich,
 1987). This module solves it there, and only there.
 
-``_span_projection`` finds an orthonormal basis of that span. It factors
-the smaller of X X^T (n x n) and X^T X (m x m), X being the root-weighted
-centered curves, with a diagonally pivoted Cholesky factorization (a
-short numpy loop over pivots), stops at LAPACK ``dpstrf``'s tolerance,
-size * eps times the largest diagonal entry of the uncentered curves'
-matrix, and orthonormalizes the pivot curves or pivot columns with
-Householder ``qr``. Its cost grows with min(n, m), never as m^3. In the
-basis' coordinates the quadrature weights are one, and
-``_reduced_operator`` builds the r x r matrix sum_k M_k M_k^T with
-M_k = Z_0^T Z_k / (n-p), Z being the centered coordinates.
+``_span_coordinates`` forms X, the root-weighted centered curves over
+2^exponent, once, and finds an orthonormal basis Q of their span. It
+factors the smaller of X X^T (n x n) and X^T X (m x m) with a diagonally
+pivoted Cholesky factorization (a short numpy loop over pivots), stops
+at LAPACK ``dpstrf``'s tolerance, size * eps times the largest diagonal
+entry of the uncentered curves' matrix, and orthonormalizes the pivot
+curves or pivot columns with Householder ``qr``. Its cost grows with
+min(n, m), never as m^3. In the coordinates X Q the quadrature weights
+are one, and ``_reduced_operator`` builds the r x r matrix
+sum_k M_k M_k^T with M_k = Z_0^T Z_k / (n-p), Z being those coordinates.
 
 ``decompose`` is the entry point for an observed panel: one symmetric
 eigensolve of that r x r matrix gives the spectrum, with eigenvalues
@@ -24,10 +24,10 @@ below EIGENVALUE_CLAMP of the leading one set to zero (the rule every
 report and decision applies), and one sign-fixed eigenfunction per
 computed eigenvalue. The spectrum keeps m entries, and those past r are
 exactly zero. The r eigenfunctions are a quadrature-orthonormal basis of
-the span, so the ``EigenDecomposition`` carries the basis along with the
-panel and lag budget it was built from: ``dimension.bootstrap_test``
-takes every replicate's coordinates from it and builds no basis of its
-own, and ``loadings`` projects the curves on it.
+the span, and the ``EigenDecomposition`` carries the centered curves'
+coordinates on them along with the panel and lag budget: every
+``dimension.bootstrap_test`` replicate resamples those coordinates, so
+the panel is scaled, weighted and centered once per solve.
 ``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
 of the same r x r matrix, padded with zeros to m entries, which the
 Monte Carlo eigenvalue studies use. Both agree with the m x m
@@ -70,12 +70,6 @@ from .grids import (
 EIGENVALUE_CLAMP = 1e-12
 
 
-def _fix_signs(curves: np.ndarray) -> np.ndarray:
-    """Flip each curve so its largest-magnitude grid value is positive."""
-    peaks = curves[np.arange(curves.shape[0]), np.argmax(np.abs(curves), axis=1)]
-    return curves * np.where(peaks < 0, -1.0, 1.0)[:, None]
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ordered spectrum and orthonormal eigenfunctions of ``panel``'s operator at ``p``.
@@ -84,11 +78,14 @@ class EigenDecomposition:
     EIGENVALUE_CLAMP of the leading one clamped to zero, exact zeros past
     the numerical rank r), and ``eigenfunctions`` one orthonormal
     sign-fixed curve for each of the leading r: a basis of the span of
-    the panel's centered curves.
+    the panel's centered curves. ``coordinates`` (n x r) holds those
+    curves over 2^exponent on the r eigenfunctions, signs included:
+    ``loadings(panel, eigenfunctions)`` over 2^exponent, to roundoff.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
+    coordinates: np.ndarray
     panel: CurvePanel
     p: int
 
@@ -129,18 +126,14 @@ def _symmetric_solve(a: np.ndarray, vectors: bool = False):
 
 
 def _reduced_operator(z: np.ndarray, p: int) -> np.ndarray:
-    """The symmetric operator sum_k M_k M_k^T for curves given as rows of ``z``
-    in orthonormal coordinates, such as ``_span_projection``'s.
-
-    The rows are centered here, and M_k = Z_0^T Z_k / (n-p) is the lag-k
-    product of the centered rows.
-    """
-    c = z - z.mean(axis=0)
-    n_eff = c.shape[0] - p
-    c0 = c[:n_eff]
-    acc = np.zeros((c.shape[1], c.shape[1]))
+    """The symmetric operator sum_k M_k M_k^T for centered curves given as
+    rows of ``z`` in orthonormal coordinates, such as ``_span_coordinates``'s:
+    M_k = Z_0^T Z_k / (n-p) is the lag-k product of the rows."""
+    n_eff = z.shape[0] - p
+    z0 = z[:n_eff]
+    acc = np.zeros((z.shape[1], z.shape[1]))
     for k in range(1, p + 1):
-        mk = c0.T @ c[k : k + n_eff] / n_eff
+        mk = z0.T @ z[k : k + n_eff] / n_eff
         acc += mk @ mk.T
     return (acc + acc.T) / 2.0
 
@@ -172,20 +165,19 @@ def _cholesky_pivots(gram: np.ndarray, tol: float) -> list[int]:
     return pivots
 
 
-def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
-    """The m x r matrix taking curves to span coordinates, and the rank r.
+def _span_coordinates(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal basis Q (m x r) of the span of X, the panel's
+    root-weighted centered curves over 2^exponent, and X's coordinates
+    X Q (n x r), after checking the lag budget ``p``.
 
-    The span is that of the panel's root-weighted centered curves X over
-    2^exponent. A pivoted Cholesky factorization of the smaller of X X^T
-    and X^T X finds r pivots: curves (rows of X) or grid points (columns
-    of X^T X) that span it, and Householder ``qr`` orthonormalizes them.
-    The factorization stops at ``dpstrf``'s tolerance, size * eps times
-    the largest diagonal entry, taken on the uncentered curves: what
+    A pivoted Cholesky factorization of the smaller of X X^T and X^T X
+    finds r pivots: curves (rows of X) or grid points (columns of X^T X)
+    that span X, and Householder ``qr`` orthonormalizes them. The
+    factorization stops at ``dpstrf``'s tolerance, size * eps times the
+    largest diagonal entry, taken on the uncentered curves: what
     centering leaves of a panel of identical curves is roundoff, rank 0.
-    The matrix is the basis times sqrt(w), so ``values @ proj`` gives a
-    panel's coordinates: the mean curve adds the same row to each, which
-    re-centering removes.
     """
+    check_lag_budget(panel, p)
     root = np.sqrt(panel.grid.weights)
     raw = np.ldexp(panel.values, -panel.exponent) * root
     x = raw - raw.mean(axis=0)
@@ -193,25 +185,16 @@ def _span_projection(panel: CurvePanel) -> tuple[np.ndarray, int]:
     gram = x @ x.T if wide else x.T @ x
     tol = min(x.shape) * FLOAT.eps * float(np.max(np.sum(raw * raw, axis=1 if wide else 0)))
     pivots = _cholesky_pivots(gram, tol)
-    spanning = x[pivots].T if wide else gram[:, pivots]
-    return np.linalg.qr(spanning)[0] * root[:, None], len(pivots)
-
-
-def _span_operator(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_span_projection``'s matrix and the r x r operator of the panel's
-    values over 2^exponent in its coordinates."""
-    check_lag_budget(panel, p)
-    proj, _ = _span_projection(panel)
-    z = np.ldexp(centered_values(panel), -panel.exponent) @ proj
-    return proj, _reduced_operator(z, p)
+    q = np.linalg.qr(x[pivots].T if wide else gram[:, pivots])[0]
+    return q, x @ q
 
 
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     """Descending unclamped eigenvalues of the cumulative lag operator: the
     r eigenvalues of its span operator, then m - r exact zeros."""
-    _, op = _span_operator(panel, p)
+    _, z = _span_coordinates(panel, p)
     lam = np.zeros(len(panel.grid))
-    lam[: op.shape[0]] = _symmetric_solve(op)[::-1]
+    lam[: z.shape[1]] = _symmetric_solve(_reduced_operator(z, p))[::-1]
     return _in_curve_units(lam, panel)
 
 
@@ -223,17 +206,22 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     eigenvectors of the span operator mapped back to the grid, in the
     same order, so they are a quadrature-orthonormal basis of the span of
     the centered curves; callers keep the leading k with
-    ``eigenfunctions[:k]``. Eigenfunction signs follow the positive-peak
-    convention so output is deterministic.
+    ``eigenfunctions[:k]``. Each eigenfunction, and its column of
+    ``coordinates``, is flipped so its largest-magnitude grid value is
+    positive, so output is deterministic.
     """
-    proj, op = _span_operator(panel, p)
-    s, v = _symmetric_solve(op, vectors=True)
+    q, z = _span_coordinates(panel, p)
+    s, v = _symmetric_solve(_reduced_operator(z, p), vectors=True)
+    v = v[:, ::-1]
     lam = np.zeros(len(panel.grid))
     lam[: s.size] = s[::-1]
-    # proj is the grid basis times sqrt(w); an eigenfunction is the basis
-    # vector over sqrt(w).
-    funcs = _fix_signs((proj @ v[:, ::-1]).T / panel.grid.weights)
-    return EigenDecomposition(_in_curve_units(_clamp(lam), panel), funcs, panel, p)
+    # An eigenfunction is its basis vector over sqrt(w).
+    funcs = (q @ v).T / np.sqrt(panel.grid.weights)
+    peaks = funcs[np.arange(s.size), np.argmax(np.abs(funcs), axis=1)]
+    sign = np.where(peaks < 0, -1.0, 1.0)
+    return EigenDecomposition(
+        _in_curve_units(_clamp(lam), panel), funcs * sign[:, None], (z @ v) * sign, panel, p
+    )
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:

@@ -79,13 +79,13 @@ def replicate_solves(monkeypatch):
 def span_bases(monkeypatch):
     """Span bases ``eigen`` built, as the panel size of each."""
     built = []
-    build = eigen._span_projection
+    build = eigen._span_coordinates
 
-    def counted(panel):
+    def counted(panel, p):
         built.append(panel.n)
-        return build(panel)
+        return build(panel, p)
 
-    monkeypatch.setattr(eigen, "_span_projection", counted)
+    monkeypatch.setattr(eigen, "_span_coordinates", counted)
     return built
 
 

@@ -19,7 +19,7 @@ from curvedim.dimension import (
     threshold_estimate,
     write_dimension_report_json,
 )
-from curvedim.eigen import _span_projection, decompose, operator_eigenvalues
+from curvedim.eigen import decompose, operator_eigenvalues
 from curvedim.errors import BoundsError, ValidationError
 from curvedim.grids import CurvePanel, Grid, mean_curve
 from curvedim.simulation import (
@@ -172,7 +172,7 @@ class TestBootstrapTest:
         for d, seed in ((4, 51), (6, 52)):
             panel = generate_panel(FactorModelSpec(d=d, n=100, seed=seed))
             dec = decompose(panel, 3)
-            r = _span_projection(panel)[1]
+            r = len(dec.eigenfunctions)
             solves.clear()
             got = bootstrap_test(dec, range(r), cfg)
             assert got == [grid_reference_pvalue(dec, d0, cfg) for d0 in range(r)]

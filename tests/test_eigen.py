@@ -14,7 +14,7 @@ from curvedim.dimension import (
 
 from curvedim.eigen import (
     _reduced_operator,
-    _span_projection,
+    _span_coordinates,
     _symmetric_solve,
     decompose,
     loadings,
@@ -280,13 +280,35 @@ class TestDecompose:
         cases = ((random_panel(40, 101, seed=31), 3, 40 - 1),
                  (random_panel(90, 31, seed=32), 4, 31), (rank_two, 5, 2))
         for panel, p, rank in cases:
-            proj, r = _span_projection(panel)
-            assert r == rank and proj.shape == (len(panel.grid), r)
-            lam = _symmetric_solve(_reduced_operator(panel.values @ proj, p))[::-1]
+            q, z = _span_coordinates(panel, p)
+            r = z.shape[1]
+            assert r == rank and q.shape == (len(panel.grid), r) and z.shape == (panel.n, r)
+            # The coordinates are of the values over 2^exponent.
+            lam = np.ldexp(_symmetric_solve(_reduced_operator(z, p))[::-1], 4 * panel.exponent)
             oracle = grid_operator_spectrum(panel, p)
             assert np.all(np.diff(lam) <= 0)
             assert np.max(np.abs(lam - oracle[:r])) <= 1e-12 * oracle[0]
             assert np.max(np.abs(oracle[r:]), initial=0.0) <= 1e-12 * oracle[0]
+
+    def test_coordinates_are_scaled_loadings_with_zero_column_means(self):
+        # The bootstrap resamples dec.coordinates in place of the loadings:
+        # on n < m, n > m at full rank, a noise-free rank-two panel and
+        # identical curves (r = 0) they are the centered curves over
+        # 2^exponent on the r eigenfunctions, with column means zero.
+        g = uniform_grid(31)
+        rank_two = generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0, seed=3))
+        same = CurvePanel(grid=g, values=np.tile(np.cos(g.points), (12, 1)))
+        cases = ((random_panel(40, 101, seed=33), 3, 39), (random_panel(90, 31, seed=34), 4, 31),
+                 (rank_two, 5, 2), (same, 2, 0))
+        for panel, p, r in cases:
+            dec = decompose(panel, p)
+            assert dec.coordinates.shape == (panel.n, r) == (panel.n, len(dec.eigenfunctions))
+            want = loadings(panel, dec.eigenfunctions)
+            scale = np.max(np.abs(want), initial=0.0)
+            got = np.ldexp(dec.coordinates, panel.exponent)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+            largest = np.max(np.abs(dec.coordinates), initial=0.0)
+            assert np.max(np.abs(dec.coordinates.mean(axis=0)), initial=0.0) <= 1e-14 * largest
 
     def test_eigenvalue_count_bounded(self):
         for n, m, p in ((20, 101, 3), (80, 31, 5)):
