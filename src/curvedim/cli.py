@@ -37,7 +37,6 @@ from .dimension import (
 )
 from .eigen import (
     decompose,
-    loadings,
     read_loadings_csv,
     write_decomposition_json,
     write_loadings_csv,
@@ -127,12 +126,12 @@ def _select(panel, args):
     return select_dimension(panel, p=args.p, cfg=_bootstrap(args), d_max=args.d_max)
 
 
-def _write_identify(panel, report, lam: np.ndarray, out: Path) -> None:
+def _write_identify(panel, report, out: Path) -> None:
     """Write the report, its decomposition, eigenfunctions and loadings."""
     write_dimension_report_json(report, out / "dimension_report.json")
     write_decomposition_json(report.eigenvalues, report.d_hat, out / "decomposition.json")
     write_curves_csv(panel.grid, report.eigenfunctions, out / "eigenfunctions.csv")
-    write_loadings_csv(lam, out / "loadings.csv")
+    write_loadings_csv(report.loadings, out / "loadings.csv")
 
 
 def _var_fit(series: np.ndarray, max_order: int) -> tuple[VarFit, dict]:
@@ -166,7 +165,7 @@ def cmd_identify(args) -> int:
     panel = read_panel_csv(args.panel)
     report = _select(panel, args)
     out = _outdir(args)
-    _write_identify(panel, report, loadings(panel, report.eigenfunctions), out)
+    _write_identify(panel, report, out)
     _manifest(out, args)
     return 0
 
@@ -208,18 +207,16 @@ def cmd_density(args) -> int:
         days, args.multiplier, skip_bad_days=args.skip_bad_days
     )
     report = _select(panel, args) if args.identify else None
-    lam = var = None
-    if report is not None:
-        lam = loadings(panel, report.eigenfunctions)
-        if args.var_fit:
-            if report.d_hat == 0:
-                raise ValidationError("identify found no components; nothing to fit")
-            var = _var_fit(lam, args.max_order)
+    var = None
+    if args.var_fit:
+        if report.d_hat == 0:
+            raise ValidationError("identify found no components; nothing to fit")
+        var = _var_fit(report.loadings, args.max_order)
     out = _outdir(args)
     write_panel_csv(panel, out / "panel.csv")
     write_day_metadata_json(metadata, out / "day_metadata.json")
     if report is not None:
-        _write_identify(panel, report, lam, out)
+        _write_identify(panel, report, out)
     if var is not None:
         _write_var_fit(*var, out)
     _manifest(out, args, **DESIGN)

@@ -92,14 +92,14 @@ def bootstrap_test(
     indices from the stream keyed by (seed, b), and the B generators are
     built once per call, so a hypothesis gets the same p-value whether
     it is tested alone or with others (replicate eigenvalues agree to
-    roundoff). The replicates resample ``dec.coordinates``, the centered
-    curves on the r eigenfunctions of ``dec``. Hypothesis d0 keeps the
-    first d0 and resamples the rest, so with ``top`` the largest tested
-    d0 its lag products M_k = Z_0^T Z_k / (n-p) are blocks of one
-    product of the ``top`` fitted and the r resampled columns. One
-    batched product over the p lags serves every hypothesis, and one
-    batched ``eigvalsh`` solves the r x r operators sum_k M_k M_k^T of
-    all of them.
+    roundoff). The replicates resample ``dec.loadings`` (the centered
+    curves on the r eigenfunctions of ``dec``) over 2^exponent, an exact
+    scaling. Hypothesis d0 keeps the first d0 and resamples the rest, so
+    with ``top`` the largest tested d0 its lag products M_k = Z_0^T Z_k /
+    (n-p) are blocks of one product of the ``top`` fitted and the r
+    resampled columns. One batched product over the p lags serves every
+    hypothesis, and one batched ``eigvalsh`` solves the r x r operators
+    sum_k M_k M_k^T of all of them.
     """
     panel, p = dec.panel, dec.p
     n = panel.n
@@ -115,12 +115,11 @@ def bootstrap_test(
     live = sorted({d0 for d0 in d0s if dec.eigenvalues[d0] != 0.0})
     if not live:
         return [1.0 for _ in d0s]
-    top, r = max(live), dec.coordinates.shape[1]
+    top, r = max(live), dec.loadings.shape[1]
     n_eff, width = n - p, top + r
-    # Rows of y are the coordinates over time, scaled so that y_0 y_k^T is
-    # M_k of the values over 2^exponent, whose eigenvalues are
-    # theta * 2^(-4 exponent).
-    y = dec.coordinates.T / np.sqrt(n_eff)
+    # Rows of y: the loadings over 2^exponent, scaled so that y_0 y_k^T is M_k
+    # of the values over 2^exponent, whose eigenvalues are theta * 2^(-4 exponent).
+    y = np.ldexp(dec.loadings, -panel.exponent).T / np.sqrt(n_eff)
     x = np.empty((width, n))
     x[:top] = y[:top]
     lead = x[:, :n_eff]
@@ -175,9 +174,9 @@ def default_epsilon(eigenvalues: np.ndarray, n: int) -> float:
 class DimensionReport:
     """Outcome of the dimension determination on one panel.
 
-    ``eigenvalues`` is the observed panel's clamped spectrum and
-    ``eigenfunctions`` its ``d_hat`` leading eigenfunctions, both from the
-    one ``decompose`` call the report is built on.
+    ``eigenvalues`` (the clamped spectrum), ``eigenfunctions`` (its
+    ``d_hat`` leading ones) and ``loadings`` (the centered curves on them,
+    n x d_hat) come from the one ``decompose`` call the report is built on.
 
     ``threshold_d`` counts the eigenvalues at or above ``epsilon_used``.
     The default cutoff (``default_epsilon``) was calibrated at d = 2: at
@@ -192,6 +191,7 @@ class DimensionReport:
     epsilon_used: float
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
+    loadings: np.ndarray
 
 
 def select_dimension(
@@ -229,6 +229,7 @@ def select_dimension(
         epsilon_used=eps,
         eigenvalues=lam,
         eigenfunctions=dec.eigenfunctions[:d_hat],
+        loadings=dec.loadings[:, :d_hat],
     )
 
 

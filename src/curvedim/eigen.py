@@ -19,20 +19,17 @@ are one, and ``_reduced_operator`` builds the r x r matrix
 sum_k M_k M_k^T with M_k = Z_0^T Z_k / (n-p), Z being those coordinates.
 
 ``decompose`` is the entry point for an observed panel: one symmetric
-eigensolve of that r x r matrix gives the spectrum, with eigenvalues
-below EIGENVALUE_CLAMP of the leading one set to zero (the rule every
-report and decision applies), and one sign-fixed eigenfunction per
-computed eigenvalue. The spectrum keeps m entries, and those past r are
-exactly zero. The r eigenfunctions are a quadrature-orthonormal basis of
-the span, and the ``EigenDecomposition`` carries the centered curves'
-coordinates on them along with the panel and lag budget: every
-``dimension.bootstrap_test`` replicate resamples those coordinates, so
-the panel is scaled, weighted and centered once per solve.
+eigensolve of that r x r matrix gives the spectrum, clamped to zero
+below EIGENVALUE_CLAMP of the leading eigenvalue (the rule every report
+and decision applies) and exactly zero past r, and r sign-fixed
+eigenfunctions, a quadrature-orthonormal basis of the span. The
+``EigenDecomposition`` also carries its panel, its lag budget and the
+centered curves' loadings on the eigenfunctions, in the curves' units:
+the commands write those and fit their VAR, and the bootstrap resamples
+them, so each panel is scaled, weighted, centered and projected once.
 ``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
-of the same r x r matrix, padded with zeros to m entries, which the
-Monte Carlo eigenvalue studies use. Both agree with the m x m
-quadrature-weighted grid operator to roundoff (about 1e-15 of the
-leading eigenvalue).
+for the Monte Carlo studies. Both agree with the m x m quadrature-weighted
+grid operator to roundoff (about 1e-15 of the leading eigenvalue).
 
 Every operator and span basis is built from the panel's values divided
 by 2^``panel.exponent``, the binary exponent of their largest magnitude.
@@ -78,14 +75,14 @@ class EigenDecomposition:
     EIGENVALUE_CLAMP of the leading one clamped to zero, exact zeros past
     the numerical rank r), and ``eigenfunctions`` one orthonormal
     sign-fixed curve for each of the leading r: a basis of the span of
-    the panel's centered curves. ``coordinates`` (n x r) holds those
-    curves over 2^exponent on the r eigenfunctions, signs included:
-    ``loadings(panel, eigenfunctions)`` over 2^exponent, to roundoff.
+    the panel's centered curves. ``loadings`` (n x r) holds those curves'
+    loadings on the r eigenfunctions, in the curves' units:
+    ``loadings(panel, eigenfunctions)`` to roundoff.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    coordinates: np.ndarray
+    loadings: np.ndarray
     panel: CurvePanel
     p: int
 
@@ -207,7 +204,7 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     same order, so they are a quadrature-orthonormal basis of the span of
     the centered curves; callers keep the leading k with
     ``eigenfunctions[:k]``. Each eigenfunction, and its column of
-    ``coordinates``, is flipped so its largest-magnitude grid value is
+    ``loadings``, is flipped so its largest-magnitude grid value is
     positive, so output is deterministic.
     """
     q, z = _span_coordinates(panel, p)
@@ -219,9 +216,8 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     funcs = (q @ v).T / np.sqrt(panel.grid.weights)
     peaks = funcs[np.arange(s.size), np.argmax(np.abs(funcs), axis=1)]
     sign = np.where(peaks < 0, -1.0, 1.0)
-    return EigenDecomposition(
-        _in_curve_units(_clamp(lam), panel), funcs * sign[:, None], (z @ v) * sign, panel, p
-    )
+    return EigenDecomposition(_in_curve_units(_clamp(lam), panel), funcs * sign[:, None],
+                              np.ldexp((z @ v) * sign, panel.exponent), panel, p)
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -247,6 +243,14 @@ def write_loadings_csv(values: np.ndarray, path) -> None:
     write_csv_rows(path, values, header)
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def read_loadings_csv(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -254,12 +258,10 @@ def read_loadings_csv(path) -> np.ndarray:
         # write_loadings_csv's file for a report with d_hat = 0: a blank
         # header and one blank line per curve.
         raise ParseError(f"{path}: holds no components (the report found d_hat = 0)")
-    # The header, if any, is the first non-blank line.
+    # A header is the first non-blank line, when none of its fields is a number.
     head = next((i for i, line in enumerate(lines) if line.strip()), 0)
     columns = None
-    try:
-        [float(tok) for line in lines[head : head + 1] for tok in line.split(",")]
-    except ValueError:
+    if lines and not any(map(_is_float, lines[head].split(","))):
         columns = lines[head].count(",") + 1  # rows hold one value per header field
         lines[head] = ""  # header row
     rows = read_float_rows(lines, path, columns=columns)

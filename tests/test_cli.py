@@ -713,6 +713,19 @@ class TestVarFitCommand:
             written.append((out / "var_fit.json").read_bytes())
         assert written[0] == written[1]
 
+    def test_malformed_first_row_is_data_not_a_header(self, tmp_path, capsys):
+        # A first line with a number in it is a data row: its bad field is
+        # a parse error, not a header that drops the row.
+        path = tmp_path / "loadings.csv"
+        path.write_text("0.1,0.2x\n0.3,0.4\n0.5,0.6\n")
+        out = tmp_path / "o"
+        rc = main(["var-fit", "--loadings", str(path), "--output-dir", str(out)])
+        assert rc == 1
+        err = read_error(capsys)
+        assert err["kind"] == "parse"
+        assert f"{path}: line 1:" in err["message"]
+        assert not out.exists()
+
     def test_nonfinite_loading_exits_one_with_parse_kind(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         path = tmp_path / "loadings.csv"

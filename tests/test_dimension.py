@@ -388,6 +388,7 @@ class TestSelectDimension:
         assert report.pvalues == base.pvalues
         assert np.array_equal(report.eigenfunctions, base.eigenfunctions)
         assert np.array_equal(report.eigenvalues, base.eigenvalues * c**4)
+        assert np.array_equal(report.loadings, base.loadings * c)
 
     def test_rescaling_range_ends_where_the_leading_eigenvalue_leaves_the_doubles(self):
         # The k on either side of each end of test_rescaling_by_power_of_two's
@@ -518,6 +519,7 @@ class TestDimensionEdgeCases:
         assert (report.d_hat, report.threshold_d) == (0, 0)
         assert set(report.pvalues.values()) == {1.0}
         assert not np.any(report.eigenvalues)
+        assert report.loadings.shape == (n, 0)
         # A genuine factor at 1e-4 of the mean curve's level is kept.
         factor = generate_panel(FactorModelSpec(d=1, n=n, noise_terms=0, seed=3)).values
         panel = CurvePanel(grid=g, values=curve + 1e-4 * scale * factor / np.abs(factor).max())

@@ -290,11 +290,11 @@ class TestDecompose:
             assert np.max(np.abs(lam - oracle[:r])) <= 1e-12 * oracle[0]
             assert np.max(np.abs(oracle[r:]), initial=0.0) <= 1e-12 * oracle[0]
 
-    def test_coordinates_are_scaled_loadings_with_zero_column_means(self):
-        # The bootstrap resamples dec.coordinates in place of the loadings:
+    def test_decomposition_loadings_match_projection_with_zero_column_means(self):
+        # The commands write dec.loadings and the bootstrap resamples them:
         # on n < m, n > m at full rank, a noise-free rank-two panel and
-        # identical curves (r = 0) they are the centered curves over
-        # 2^exponent on the r eigenfunctions, with column means zero.
+        # identical curves (r = 0) they are the centered curves' loadings
+        # on the r eigenfunctions, in the curves' units, with column means zero.
         g = uniform_grid(31)
         rank_two = generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0, seed=3))
         same = CurvePanel(grid=g, values=np.tile(np.cos(g.points), (12, 1)))
@@ -302,13 +302,12 @@ class TestDecompose:
                  (rank_two, 5, 2), (same, 2, 0))
         for panel, p, r in cases:
             dec = decompose(panel, p)
-            assert dec.coordinates.shape == (panel.n, r) == (panel.n, len(dec.eigenfunctions))
+            assert dec.loadings.shape == (panel.n, r) == (panel.n, len(dec.eigenfunctions))
             want = loadings(panel, dec.eigenfunctions)
             scale = np.max(np.abs(want), initial=0.0)
-            got = np.ldexp(dec.coordinates, panel.exponent)
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
-            largest = np.max(np.abs(dec.coordinates), initial=0.0)
-            assert np.max(np.abs(dec.coordinates.mean(axis=0)), initial=0.0) <= 1e-14 * largest
+            assert np.max(np.abs(dec.loadings - want), initial=0.0) <= 1e-12 * scale
+            largest = np.max(np.abs(dec.loadings), initial=0.0)
+            assert np.max(np.abs(dec.loadings.mean(axis=0)), initial=0.0) <= 1e-14 * largest
 
     def test_eigenvalue_count_bounded(self):
         for n, m, p in ((20, 101, 3), (80, 31, 5)):
