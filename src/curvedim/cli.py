@@ -9,7 +9,10 @@ flag it parsed plus the fixed design values it applied. Exit codes: 0
 success, 1 user/data error (reported as JSON on stderr), 2 internal
 numerical failure (likewise) or a flag the command does not take. ``main``
 runs BLAS on one thread unless a BLAS thread variable is set, so the bytes
-do not depend on the core count.
+do not depend on the core count. When this module is what loads numpy and
+no such variable is set, numpy's bundled OpenBLAS loads on one thread, so
+no worker thread starts at all. A command imports ``density``, ``tsmodels``
+or ``simulation`` only when it runs them.
 """
 
 from __future__ import annotations
@@ -22,11 +25,27 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-# Loaded at start-up, not inside a command's first random draw, where
-# numpy 2 would load it lazily (about 40 ms).
-import numpy.random
+# Variables through which a user sets the BLAS thread count; any of them set
+# leaves BLAS as the user configured it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# numpy's bundled OpenBLAS reads its thread count once, when numpy loads, and
+# starts a worker thread per extra core. Every command runs BLAS on one thread
+# (``_one_blas_thread``), so if this import is what loads numpy, load it on
+# one thread, then leave the environment as the user set it.
+_PIN_AT_LOAD = "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS)
+if _PIN_AT_LOAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+    # Loaded at start-up, not inside a command's first random draw, where
+    # numpy 2 would load it lazily (about 40 ms).
+    import numpy.random
+finally:
+    if _PIN_AT_LOAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .dimension import (
@@ -43,21 +62,11 @@ from .eigen import (
 )
 from .errors import CurveDimError, ValidationError, check_int, exit_code_for
 from .grids import read_panel_csv, write_csv_rows, write_curves_csv, write_json, write_panel_csv
-from .simulation import bootstrap_power_study, eigen_gap_study, rate_study, subspace_error_study
-from .tsmodels import (
-    VarFit,
-    fit_var_with_aic,
-    ljung_box,
-    multivariate_portmanteau,
-    var_residuals,
-    write_var_fit_json,
-)
-from .density import DESIGN, build_density_panel, read_tick_manifest, write_day_metadata_json
+
+if TYPE_CHECKING:
+    from .tsmodels import VarFit
 
 DIAGNOSTIC_LAGS = (1, 3, 5)
-# Variables through which a user sets the BLAS thread count; any of them set
-# leaves BLAS as the user configured it.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Parsed values that are not configuration: the subcommand and its handler,
 # where outputs go, the seed (recorded on its own) and the ignored --threads.
 NOT_CONFIG = {"command", "func", "output_dir", "seed", "threads"}
@@ -136,6 +145,8 @@ def _write_identify(panel, report, out: Path) -> None:
 
 def _var_fit(series: np.ndarray, max_order: int) -> tuple[VarFit, dict]:
     """The AIC-selected VAR fit and its white-noise diagnostics."""
+    from .tsmodels import fit_var_with_aic, ljung_box, multivariate_portmanteau, var_residuals
+
     fit = fit_var_with_aic(series, max_order)
     diagnostics = {"ljung_box": {}, "portmanteau": {}}
     for j in range(series.shape[1]):
@@ -157,6 +168,8 @@ def _var_fit(series: np.ndarray, max_order: int) -> tuple[VarFit, dict]:
 
 
 def _write_var_fit(fit: VarFit, diagnostics: dict, out: Path) -> None:
+    from .tsmodels import write_var_fit_json
+
     write_var_fit_json(fit, out / "var_fit.json")
     write_json(out / "diagnostics.json", diagnostics)
 
@@ -191,8 +204,10 @@ def cmd_test_dim(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation
+
     csv, _, run = STUDIES[args.study]
-    records, design = run(args)
+    records, design = run(simulation, args)
     out = _outdir(args)
     write_csv_rows(out / csv, (r.values() for r in records), list(records[0]))
     _manifest(out, args, **design)
@@ -200,6 +215,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from .density import DESIGN, build_density_panel, read_tick_manifest, write_day_metadata_json
+
     if args.var_fit and not args.identify:
         raise ValidationError("--var-fit fits the loadings of --identify; pass both")
     days = read_tick_manifest(args.manifest)
@@ -262,27 +279,29 @@ TEST_FLAGS = ("--p", "--B", "--alpha")
 COMMON_FLAGS = ("--seed", "--output-dir")
 
 # Each simulate study: its CSV, the flags it reads besides --replications,
-# --seed and --output-dir, and its run on the parsed flags.
+# --seed and --output-dir, and its run on the simulation module and the parsed flags.
 STUDIES = {
     "eigen-gap": (
         "figure1_eigenvalues.csv", ("--p", "--d-values", "--n-values"),
-        lambda a: eigen_gap_study(a.d_values, a.n_values, a.replications, p=a.p, seed=a.seed),
+        lambda sim, a: sim.eigen_gap_study(
+            a.d_values, a.n_values, a.replications, p=a.p, seed=a.seed
+        ),
     ),
     "bootstrap-power": (
         "figure2_pvalues.csv", ("--p", "--d", "--n-values", "--B"),
-        lambda a: bootstrap_power_study(
+        lambda sim, a: sim.bootstrap_power_study(
             a.d, a.n_values, a.replications, n_draws=a.B, p=a.p, seed=a.seed
         ),
     ),
     "subspace-error": (
         "figure3_dtilde.csv", ("--p", "--d-values", "--n-values", "--threads"),
-        lambda a: subspace_error_study(
+        lambda sim, a: sim.subspace_error_study(
             a.d_values, a.n_values, a.replications, p=a.p, seed=a.seed
         ),
     ),
     "rate": (
         "rate_study.csv", ("--sample-sizes",),
-        lambda a: rate_study(a.sample_sizes, a.replications, seed=a.seed),
+        lambda sim, a: sim.rate_study(a.sample_sizes, a.replications, seed=a.seed),
     ),
 }
 

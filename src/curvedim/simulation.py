@@ -176,7 +176,10 @@ def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[Cur
         paths = ar1_paths(a, draws[:, :steps].T, draws[:, steps] / np.sqrt(1.0 - a * a))
         del draws
         for i, rng in enumerate(rngs):
-            values = np.ascontiguousarray(paths[:, i * d : (i + 1) * d]) @ curves
+            factors = paths[:, i * d : (i + 1) * d]
+            # One factor: a K = 1 product rounds once per entry, so a broadcast
+            # multiply gives the matmul's bits at about half its cost.
+            values = factors * curves if d == 1 else np.ascontiguousarray(factors) @ curves
             if noise_terms:
                 z = rng.standard_normal((n, noise_terms))
                 values = values + (z * weights) @ noise

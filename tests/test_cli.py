@@ -1009,22 +1009,65 @@ def test_user_blas_thread_variable_leaves_blas_alone(var, monkeypatch, tmp_path)
     assert calls == []
 
 
-def test_cli_import_leaves_blas_thread_count_alone():
-    if cli._openblas() is None:
-        pytest.skip("numpy is not built on its bundled OpenBLAS")
-    # Reads the count through its own lookup, before and after the import.
-    code = (
-        "import ctypes, pathlib, numpy\n"
-        "[lib] = (pathlib.Path(numpy.__file__).parents[1] / 'numpy.libs')"
-        ".glob('libscipy_openblas64_*')\n"
-        "get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_\n"
-        "before = get()\n"
-        "import curvedim.cli\n"
-        "print(before, get())\n"
-    )
+# Prints the bundled OpenBLAS's thread count, read through its own lookup.
+_PRINT_BLAS_THREADS = (
+    "import ctypes, pathlib, numpy\n"
+    "[lib] = (pathlib.Path(numpy.__file__).parents[1] / 'numpy.libs')"
+    ".glob('libscipy_openblas64_*')\n"
+    "print(ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_())\n"
+)
+# The modules only some commands run, which they import themselves.
+COMMAND_MODULES = ("curvedim.density", "curvedim.tsmodels", "curvedim.simulation")
+
+
+def _run_fresh(code: str, **env) -> list[str]:
+    """The whitespace-separated words ``code`` prints in a fresh interpreter,
+    run with no BLAS thread variable set except those in ``env``."""
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=_env_without_blas_threads(),
+        env=_env_without_blas_threads(**env),
     )
-    before, after = done.stdout.split()
+    return done.stdout.split()
+
+
+@pytest.fixture
+def bundled_openblas():
+    if cli._openblas() is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+
+
+def test_cli_import_leaves_blas_thread_count_alone(bundled_openblas):
+    # numpy loaded first: the import leaves the count it started with.
+    before, after = _run_fresh(
+        _PRINT_BLAS_THREADS + "import curvedim.cli\n" + _PRINT_BLAS_THREADS
+    )
     assert after == before
+
+
+def test_cli_loading_numpy_starts_openblas_on_one_thread(bundled_openblas):
+    code = (
+        "import curvedim.cli\n"
+        + _PRINT_BLAS_THREADS
+        + "import os, sys\n"
+        + "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
+        + f"print(*[m for m in {COMMAND_MODULES!r} if m in sys.modules])\n"
+    )
+    assert _run_fresh(code) == ["1", "False"]
+
+
+def test_cli_import_keeps_a_user_thread_variable(bundled_openblas):
+    cli_first = _run_fresh("import curvedim.cli\n" + _PRINT_BLAS_THREADS, OMP_NUM_THREADS="2")
+    assert cli_first == _run_fresh(_PRINT_BLAS_THREADS, OMP_NUM_THREADS="2")
+
+
+def test_package_names_load_on_first_access():
+    assert _run_fresh("import sys, curvedim; print('numpy' in sys.modules)") == ["False"]
+    import curvedim
+
+    for name in curvedim.__all__:
+        obj = getattr(curvedim, name)
+        assert obj.__module__.startswith("curvedim.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(curvedim.__all__) <= set(dir(curvedim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        curvedim.no_such_name
