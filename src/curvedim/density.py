@@ -11,6 +11,9 @@ setting, the bandwidth multiplier. Densities are evaluated at
 [-0.002, 0.002] and stacked into a curve panel for the eigenanalysis
 front end. The support truncates the density; no renormalization is
 applied after truncation.
+
+A tick CSV's ``epoch_seconds`` column holds seconds since the day's
+midnight, not Unix time: a day of Unix timestamps has no opening tick.
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ def build_density_panel(
     return CurvePanel(grid=DENSITY_GRID, values=np.array(curves)), metadata
 
 
-# File formats: per-day CSV with columns (epoch_seconds, price) and a JSON
-# manifest listing day files in panel order.
+# File formats: per-day CSV with columns (epoch_seconds, price), time in
+# seconds since midnight, and a JSON manifest listing day files in order.
 
 def read_tick_csv(path, day_id: str) -> TickDay:
     with open(path, "r", encoding="utf-8") as fh:

@@ -8,14 +8,14 @@ r being the panel's numerical rank (the method of snapshots, Sirovich,
 1987). This module solves it there, and only there.
 
 ``_span_coordinates`` forms X, the root-weighted centered curves over
-2^exponent, once, and finds an orthonormal basis Q of their span. It
-factors the smaller of X X^T (n x n) and X^T X (m x m) with a diagonally
-pivoted Cholesky factorization (a short numpy loop over pivots), stops
-at LAPACK ``dpstrf``'s tolerance, size * eps times the largest diagonal
-entry of the uncentered curves' matrix, and orthonormalizes the pivot
-curves or pivot columns with Householder ``qr``. Its cost grows with
-min(n, m), never as m^3. In the coordinates X Q the quadrature weights
-are one, and ``_reduced_operator`` builds the r x r matrix
+2^exponent, once, and finds an orthonormal basis Q of their span. A
+diagonally pivoted Cholesky factorization of the curve Gram matrix X X^T
+(a short numpy loop over pivots) picks r pivot curves and forms only its
+pivots' Gram rows, so no n x n or m x m matrix is built. It stops at
+LAPACK ``dpstrf``'s tolerance, n * eps times the largest squared norm of
+the uncentered curves, and Householder ``qr`` orthonormalizes the pivot
+curves. The basis costs O(r n m). In the coordinates X Q the quadrature
+weights are one, and ``_reduced_operator`` builds the r x r matrix
 sum_k M_k M_k^T with M_k = Z_0^T Z_k / (n-p), Z being those coordinates.
 
 ``decompose`` is the entry point for an observed panel: one symmetric
@@ -125,37 +125,36 @@ def _symmetric_solve(a: np.ndarray, vectors: bool = False):
 def _reduced_operator(z: np.ndarray, p: int) -> np.ndarray:
     """The symmetric operator sum_k M_k M_k^T for centered curves given as
     rows of ``z`` in orthonormal coordinates, such as ``_span_coordinates``'s:
-    M_k = Z_0^T Z_k / (n-p) is the lag-k product of the rows."""
+    M_k = Z_0^T Z_k / (n-p) is the lag-k product of the rows. numpy forms
+    each M_k M_k^T as a symmetric product, so the sum is exactly symmetric."""
     n_eff = z.shape[0] - p
     z0 = z[:n_eff]
     acc = np.zeros((z.shape[1], z.shape[1]))
     for k in range(1, p + 1):
         mk = z0.T @ z[k : k + n_eff] / n_eff
         acc += mk @ mk.T
-    return (acc + acc.T) / 2.0
+    return acc
 
 
-def _cholesky_pivots(gram: np.ndarray, tol: float) -> list[int]:
-    """Pivot order of the diagonally pivoted Cholesky factorization of the
-    positive semidefinite ``gram`` (Higham, 1990).
-
-    Each step pivots on the largest diagonal entry of the Schur complement
-    left by the previous ones, and the factorization stops once no entry
-    exceeds ``tol``, as LAPACK's ``dpstrf`` does. The pivot columns span
-    the column space of ``gram`` to within that tolerance. Row i of the
-    symmetric ``gram`` stands in for its column i.
+def _cholesky_pivots(x: np.ndarray, tol: float) -> list[int]:
+    """Pivot curves (rows of ``x``) of the diagonally pivoted Cholesky
+    factorization of X X^T (Higham, 1990). Each step pivots on the largest
+    diagonal entry of the Schur complement left by the previous ones and
+    forms only that pivot's Gram row (Harbrecht, Peters and Schneider,
+    2012); the factorization stops once no entry exceeds ``tol``, as
+    LAPACK's ``dpstrf`` does, and the pivot curves span the rest to within it.
     """
-    size = gram.shape[0]
-    factor = np.empty((size, size))  # row j: column j of the Cholesky factor
-    diag = gram.diagonal().copy()
+    factor = np.empty((min(x.shape), x.shape[0]))  # row j: column j of the Cholesky factor
+    diag = np.einsum("ij,ij->i", x, x)
     pivots: list[int] = []
-    for j in range(size):
+    for j in range(len(factor)):
         i = int(np.argmax(diag))
-        if not diag[i] > tol:
+        top = float(diag[i])
+        if not top > tol:
             break
         col = factor[j]
-        np.subtract(gram[i], factor[:j, i] @ factor[:j], out=col)
-        col /= np.sqrt(diag[i])
+        np.subtract(x @ x[i], factor[:j, i] @ factor[:j], out=col)
+        col /= np.sqrt(top)
         diag -= col * col
         diag[i] = -np.inf
         pivots.append(i)
@@ -165,24 +164,16 @@ def _cholesky_pivots(gram: np.ndarray, tol: float) -> list[int]:
 def _span_coordinates(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal basis Q (m x r) of the span of X, the panel's
     root-weighted centered curves over 2^exponent, and X's coordinates
-    X Q (n x r), after checking the lag budget ``p``.
-
-    A pivoted Cholesky factorization of the smaller of X X^T and X^T X
-    finds r pivots: curves (rows of X) or grid points (columns of X^T X)
-    that span X, and Householder ``qr`` orthonormalizes them. The
-    factorization stops at ``dpstrf``'s tolerance, size * eps times the
-    largest diagonal entry, taken on the uncentered curves: what
-    centering leaves of a panel of identical curves is roundoff, rank 0.
+    X Q (n x r), after checking the lag budget ``p``. The rank tolerance
+    is taken on the uncentered curves: what centering leaves of a panel
+    of identical curves is roundoff, rank 0.
     """
     check_lag_budget(panel, p)
     root = np.sqrt(panel.grid.weights)
     raw = np.ldexp(panel.values, -panel.exponent) * root
     x = raw - raw.mean(axis=0)
-    wide = x.shape[0] <= x.shape[1]
-    gram = x @ x.T if wide else x.T @ x
-    tol = min(x.shape) * FLOAT.eps * float(np.max(np.sum(raw * raw, axis=1 if wide else 0)))
-    pivots = _cholesky_pivots(gram, tol)
-    q = np.linalg.qr(x[pivots].T if wide else gram[:, pivots])[0]
+    tol = x.shape[0] * FLOAT.eps * float(np.max(np.einsum("ij,ij->i", raw, raw)))
+    q = np.linalg.qr(x[_cholesky_pivots(x, tol)].T)[0]
     return q, x @ q
 
 

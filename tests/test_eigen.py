@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,22 +274,41 @@ class TestDecompose:
 
     def test_span_route_matches_grid_operator(self):
         # Every operator is solved in span coordinates. On n < m,
-        # n > m (the span is the whole grid, r = m) and a noise-free
-        # rank-two panel, the r span eigenvalues are the grid spectrum's
-        # leading r and the rest of the grid spectrum is roundoff.
+        # n > m (the span is the whole grid, r = m) and noise-free
+        # rank-two panels, the r span eigenvalues are the grid spectrum's
+        # leading r and the rest of the grid spectrum is roundoff. At
+        # n = 2000, m = 31 each curve Gram entry is a length-31 dot
+        # product, so roundoff is largest against the rank tolerance.
         rank_two = generate_panel(FactorModelSpec(d=2, n=120, noise_terms=0, seed=3))
+        tall = generate_panel(FactorModelSpec(d=2, n=2000, grid=uniform_grid(31),
+                                              noise_terms=0, seed=3))
         cases = ((random_panel(40, 101, seed=31), 3, 40 - 1),
-                 (random_panel(90, 31, seed=32), 4, 31), (rank_two, 5, 2))
+                 (random_panel(90, 31, seed=32), 4, 31), (rank_two, 5, 2), (tall, 5, 2))
         for panel, p, rank in cases:
             q, z = _span_coordinates(panel, p)
             r = z.shape[1]
             assert r == rank and q.shape == (len(panel.grid), r) and z.shape == (panel.n, r)
+            op = _reduced_operator(z, p)
+            assert np.array_equal(op, op.T)
             # The coordinates are of the values over 2^exponent.
-            lam = np.ldexp(_symmetric_solve(_reduced_operator(z, p))[::-1], 4 * panel.exponent)
+            lam = np.ldexp(_symmetric_solve(op)[::-1], 4 * panel.exponent)
             oracle = grid_operator_spectrum(panel, p)
             assert np.all(np.diff(lam) <= 0)
             assert np.max(np.abs(lam - oracle[:r])) <= 1e-12 * oracle[0]
             assert np.max(np.abs(oracle[r:]), initial=0.0) <= 1e-12 * oracle[0]
+
+    def test_span_basis_builds_no_curve_gram(self):
+        # n = 20,000 curves on m = 11 points: the pivoted Cholesky loop
+        # keeps an 11 x n factor, so no n x n matrix (3.2 GB) is allocated.
+        panel = random_panel(20_000, 11, seed=35)
+        tracemalloc.start()
+        try:
+            q, z = _span_coordinates(panel, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.shape == (11, 11) and z.shape == (20_000, 11)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_decomposition_loadings_match_projection_with_zero_column_means(self):
         # The commands write dec.loadings and the bootstrap resamples them:
