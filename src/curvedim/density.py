@@ -85,9 +85,9 @@ def previous_tick_prices(day: TickDay) -> np.ndarray:
     """
     idx = np.searchsorted(day.times, SAMPLING_TIMES, side="right") - 1
     if idx[0] < 0:
-        raise MissingOpeningTickError(
-            f"day {day.day_id}: no tick at or before the first sampling time"
-        )
+        # No day id here: DayProcessingError names the day, and the metadata
+        # of a skipped day carries it.
+        raise MissingOpeningTickError("no tick at or before the first sampling time")
     return day.prices[idx]
 
 

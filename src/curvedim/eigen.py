@@ -7,29 +7,39 @@ does the range of K, so its nonzero spectrum is that of an r x r matrix,
 r being the panel's numerical rank (the method of snapshots, Sirovich,
 1987). This module solves it there, and only there.
 
-``_span_coordinates`` forms X, the root-weighted centered curves over
-2^exponent, once, and finds an orthonormal basis Q of their span. A
-diagonally pivoted Cholesky factorization of the curve Gram matrix X X^T
-(a short numpy loop over pivots) picks r pivot curves and forms only its
-pivots' Gram rows, so no n x n or m x m matrix is built. It stops at
-LAPACK ``dpstrf``'s tolerance, n * eps times the largest squared norm of
-the uncentered curves, and Householder ``qr`` orthonormalizes the pivot
-curves. The basis costs O(r n m). In the coordinates X Q the quadrature
-weights are one, and ``_reduced_operator`` builds the r x r matrix
-sum_k M_k M_k^T with M_k = Z_0^T Z_k / (n-p), Z being those coordinates.
+Every step takes a stack: K panels of n curves on one m-point grid, as
+a (K, n, m) array, so many same-shape panels cost a few numpy calls
+each, not a few per panel. ``_span_coordinates`` forms X, each panel's
+root-weighted centered curves over 2^exponent, once, and finds an
+orthonormal basis Q of their span. A diagonally pivoted Cholesky
+factorization of the curve Gram matrix X X^T (a short numpy loop over
+pivots, all panels at once) picks r pivot curves and forms only its
+pivots' Gram rows, so no n x n or m x m matrix is built. Each panel
+stops at LAPACK ``dpstrf``'s tolerance, n * eps times the largest
+squared norm of its uncentered curves, while the others go on. The
+panels are then grouped by rank r, and Householder ``qr``
+orthonormalizes each group's pivot curves. The basis costs O(r n m) per
+panel. In the coordinates X Q the quadrature weights are one, and
+``_reduced_operator`` builds the r x r matrices sum_k M_k M_k^T with
+M_k = Z_0^T Z_k / (n-p), Z being those coordinates. Every numpy call on
+a stack makes, slice by slice, the call the panel alone would make, so
+a panel's results do not depend on the stack it is solved in: they are
+the same to the bit.
 
-``decompose`` is the entry point for an observed panel: one symmetric
-eigensolve of that r x r matrix gives the spectrum, clamped to zero
-below EIGENVALUE_CLAMP of the leading eigenvalue (the rule every report
-and decision applies) and exactly zero past r, and r sign-fixed
-eigenfunctions, a quadrature-orthonormal basis of the span. The
-``EigenDecomposition`` also carries its panel, its lag budget and the
-centered curves' loadings on the eigenfunctions, in the curves' units:
-the commands write those and fit their VAR, and the bootstrap resamples
-them, so each panel is scaled, weighted, centered and projected once.
-``operator_eigenvalues`` is the raw, unclamped, eigenvalues-only solve
-for the Monte Carlo studies. Both agree with the m x m quadrature-weighted
-grid operator to roundoff (about 1e-15 of the leading eigenvalue).
+``decompose`` is the entry point for an observed panel, a stack of one
+(``decompose_stack`` solves many): one symmetric eigensolve of that
+r x r matrix gives the spectrum, clamped to zero below EIGENVALUE_CLAMP
+of the leading eigenvalue (the rule every report and decision applies)
+and exactly zero past r, and r sign-fixed eigenfunctions, a
+quadrature-orthonormal basis of the span. The ``EigenDecomposition``
+also carries its panel, its lag budget and the centered curves'
+loadings on the eigenfunctions, in the curves' units: the commands
+write those and fit their VAR, and the bootstrap resamples them, so
+each panel is scaled, weighted, centered and projected once.
+``operator_eigenvalues`` (and ``operator_eigenvalues_stack``) is the
+raw, unclamped, eigenvalues-only solve for the Monte Carlo studies.
+Both agree with the m x m quadrature-weighted grid operator to roundoff
+(about 1e-15 of the leading eigenvalue).
 
 Every operator and span basis is built from the panel's values divided
 by 2^``panel.exponent``, the binary exponent of their largest magnitude.
@@ -55,6 +65,8 @@ from .errors import GridMismatchError, NumericalFailureError, ParseError, Valida
 from .grids import (
     FLOAT,
     CurvePanel,
+    Grid,
+    binary_exponent,
     centered_values,
     check_lag_budget,
     read_float_rows,
@@ -88,34 +100,35 @@ class EigenDecomposition:
 
 
 def _clamp(eigenvalues: np.ndarray) -> np.ndarray:
-    """Copy of a descending spectrum with entries below EIGENVALUE_CLAMP of
-    the leading one set to zero."""
+    """Copy of descending spectra (one per row of a stack, or one alone)
+    with entries below EIGENVALUE_CLAMP of their leading one set to zero."""
     lam = eigenvalues.copy()
-    if lam.size:
-        floor = EIGENVALUE_CLAMP * max(float(lam[0]), 0.0)
-        lam[lam < floor] = 0.0
+    lam[lam < EIGENVALUE_CLAMP * np.maximum(lam[..., :1], 0.0)] = 0.0
     return lam
 
 
-def _in_curve_units(lam: np.ndarray, panel: CurvePanel) -> np.ndarray:
-    """A descending spectrum of the operator of ``panel``'s values over
-    2^exponent, times 2^(4 exponent): the spectrum in the curves' own units.
-    A positive leading eigenvalue that overflows there, or falls below the
-    smallest normal double, raises ``ValidationError``."""
-    e = 4 * panel.exponent
+def _in_curve_units(lam: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Descending spectra (K x m) of the operators of K panels' values over
+    2^exponent, each times 2^(4 exponent): the spectra in the curves' own
+    units. A positive leading eigenvalue that overflows there, or falls
+    below the smallest normal double, raises ``ValidationError``."""
+    e = 4 * exponents
     # The leading eigenvalue in the curves' units lies in [2^(top-1), 2^top).
-    top = int(np.frexp(lam[0])[1]) + e
-    if lam[0] > 0 and not FLOAT.minexp < top <= FLOAT.maxexp:
+    top = np.frexp(lam[:, 0])[1] + e
+    bad = (lam[:, 0] > 0) & ~((FLOAT.minexp < top) & (top <= FLOAT.maxexp))
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ValidationError(
-            f"curve values of magnitude {np.ldexp(0.5, panel.exponent):.3g} put the leading "
-            f"eigenvalue ({lam[0]:.3g} x 2^{e}) outside the normal double range; "
+            f"curve values of magnitude {np.ldexp(0.5, exponents[k]):.3g} put the leading "
+            f"eigenvalue ({lam[k, 0]:.3g} x 2^{e[k]}) outside the normal double range; "
             "rescale the curves"
         )
-    return np.ldexp(lam, e)
+    return np.ldexp(lam, e[:, None])
 
 
 def _symmetric_solve(a: np.ndarray, vectors: bool = False):
-    """Ascending ``eigvalsh`` (or ``eigh`` with ``vectors``) of a symmetric matrix."""
+    """Ascending ``eigvalsh`` (or ``eigh`` with ``vectors``) of a stack of
+    symmetric matrices."""
     try:
         return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -123,67 +136,120 @@ def _symmetric_solve(a: np.ndarray, vectors: bool = False):
 
 
 def _reduced_operator(z: np.ndarray, p: int) -> np.ndarray:
-    """The symmetric operator sum_k M_k M_k^T for centered curves given as
-    rows of ``z`` in orthonormal coordinates, such as ``_span_coordinates``'s:
-    M_k = Z_0^T Z_k / (n-p) is the lag-k product of the rows. numpy forms
-    each M_k M_k^T as a symmetric product, so the sum is exactly symmetric."""
-    n_eff = z.shape[0] - p
-    z0 = z[:n_eff]
-    acc = np.zeros((z.shape[1], z.shape[1]))
+    """The symmetric operators sum_k M_k M_k^T of a stack of panels whose
+    centered curves are given as the rows of each z[i] in orthonormal
+    coordinates, such as ``_span_coordinates``'s: M_k = Z_0^T Z_k / (n-p)
+    is the lag-k product of the rows. numpy forms each M_k M_k^T as a
+    symmetric product, so every sum is exactly symmetric."""
+    n_eff = z.shape[1] - p
+    z0t = z[:, :n_eff].transpose(0, 2, 1)
+    acc = np.zeros((z.shape[0], z.shape[2], z.shape[2]))
     for k in range(1, p + 1):
-        mk = z0.T @ z[k : k + n_eff] / n_eff
-        acc += mk @ mk.T
+        mk = z0t @ z[:, k : k + n_eff] / n_eff
+        acc += mk @ mk.transpose(0, 2, 1)
     return acc
 
 
-def _cholesky_pivots(x: np.ndarray, tol: float) -> list[int]:
-    """Pivot curves (rows of ``x``) of the diagonally pivoted Cholesky
-    factorization of X X^T (Higham, 1990). Each step pivots on the largest
-    diagonal entry of the Schur complement left by the previous ones and
-    forms only that pivot's Gram row (Harbrecht, Peters and Schneider,
-    2012); the factorization stops once no entry exceeds ``tol``, as
-    LAPACK's ``dpstrf`` does, and the pivot curves span the rest to within it.
+def _cholesky_pivots(x: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot curves of the diagonally pivoted Cholesky factorization of
+    X X^T (Higham, 1990) for each panel X = x[i] of a stack, as the pivot
+    indices (K x steps, in pivot order) and the count r of each panel's.
+    Each step pivots every panel on the largest diagonal entry of the Schur
+    complement left by its previous pivots and forms only that pivot's Gram
+    row (Harbrecht, Peters and Schneider, 2012); a panel stops once no entry
+    exceeds its ``tol``, as LAPACK's ``dpstrf`` does, and its pivot curves
+    span the rest to within it. A stopped panel's later steps divide by
+    infinity, so they add nothing to its Schur complement.
     """
-    factor = np.empty((min(x.shape), x.shape[0]))  # row j: column j of the Cholesky factor
-    diag = np.einsum("ij,ij->i", x, x)
-    pivots: list[int] = []
-    for j in range(len(factor)):
-        i = int(np.argmax(diag))
-        top = float(diag[i])
-        if not top > tol:
+    count, n = x.shape[:2]
+    factor = np.empty((count, min(x.shape[1:]), n))  # [i, j]: column j of panel i's factor
+    pivots = np.empty((count, factor.shape[1]), dtype=np.intp)
+    ranks = np.zeros(count, dtype=np.intp)
+    diag = np.einsum("kij,kij->ki", x, x)
+    live = np.ones(count, dtype=bool)
+    at = np.arange(count)
+    for j in range(factor.shape[1]):
+        i = np.argmax(diag, axis=1)
+        top = diag[at, i]
+        live &= top > tol
+        if not live.any():
             break
-        col = factor[j]
-        np.subtract(x @ x[i], factor[:j, i] @ factor[:j], out=col)
-        col /= np.sqrt(top)
+        ranks += live
+        pivots[:, j] = i
+        col = factor[:, j]
+        np.subtract((x @ x[at, i, :, None])[..., 0],
+                    (factor[at, None, :j, i] @ factor[:, :j])[:, 0], out=col)
+        col /= np.sqrt(np.where(live, top, np.inf))[:, None]
         diag -= col * col
-        diag[i] = -np.inf
-        pivots.append(i)
-    return pivots
+        diag[at, i] = -np.inf
+    return pivots, ranks
 
 
-def _span_coordinates(panel: CurvePanel, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal basis Q (m x r) of the span of X, the panel's
-    root-weighted centered curves over 2^exponent, and X's coordinates
-    X Q (n x r), after checking the lag budget ``p``. The rank tolerance
-    is taken on the uncentered curves: what centering leaves of a panel
-    of identical curves is roundoff, rank 0.
+def _span_coordinates(values: np.ndarray, weights: np.ndarray, p: int):
+    """Span bases of a (K, n, m) stack of panels on one grid with quadrature
+    ``weights``, after checking the lag budget ``p``: the binary exponent
+    of each panel's values, then one (panels, Q, Z) group per numerical
+    rank r found. Q (k x m x r) holds the orthonormal bases of the spans
+    of X, the root-weighted centered curves over 2^exponent, of the k
+    panels of that rank, and Z (k x n x r) their coordinates X Q. The rank
+    tolerance is taken on the uncentered curves: what centering leaves of
+    a panel of identical curves is roundoff, rank 0.
     """
-    check_lag_budget(panel, p)
-    root = np.sqrt(panel.grid.weights)
-    raw = np.ldexp(panel.values, -panel.exponent) * root
-    x = raw - raw.mean(axis=0)
-    tol = x.shape[0] * FLOAT.eps * float(np.max(np.einsum("ij,ij->i", raw, raw)))
-    q = np.linalg.qr(x[_cholesky_pivots(x, tol)].T)[0]
-    return q, x @ q
+    check_lag_budget(values.shape[1], p)
+    # As C ints, numpy's ldexp takes its vector loop.
+    exponents = np.array([binary_exponent(v) for v in values], dtype=np.intc)
+    # Scaled, weighted and centered in place: each new buffer of this size
+    # costs its page faults.
+    x = np.ldexp(values, -exponents[:, None, None])
+    x *= np.sqrt(weights)
+    tol = x.shape[1] * FLOAT.eps * np.einsum("kij,kij->ki", x, x).max(axis=1)
+    x -= x.mean(axis=1, keepdims=True)
+    pivots, ranks = _cholesky_pivots(x, tol)
+    groups = []
+    for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma, about 15 ms
+        at = np.flatnonzero(ranks == r)
+        xs = x if at.size == len(x) else x[at]
+        q = np.linalg.qr(xs[np.arange(at.size)[:, None], pivots[at, :r]].transpose(0, 2, 1))[0]
+        groups.append((at, q, xs @ q))
+    return exponents, groups
+
+
+def operator_eigenvalues_stack(values: np.ndarray, grid: Grid, p: int) -> np.ndarray:
+    """``operator_eigenvalues`` of each panel of a (K, n, m) stack of panel
+    values on ``grid``, as the rows of a K x m array."""
+    exponents, groups = _span_coordinates(values, grid.weights, p)
+    lam = np.zeros((len(values), len(grid)))
+    for at, _, z in groups:
+        lam[at, : z.shape[2]] = _symmetric_solve(_reduced_operator(z, p))[:, ::-1]
+    return _in_curve_units(lam, exponents)
 
 
 def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     """Descending unclamped eigenvalues of the cumulative lag operator: the
     r eigenvalues of its span operator, then m - r exact zeros."""
-    _, z = _span_coordinates(panel, p)
-    lam = np.zeros(len(panel.grid))
-    lam[: z.shape[1]] = _symmetric_solve(_reduced_operator(z, p))[::-1]
-    return _in_curve_units(lam, panel)
+    return operator_eigenvalues_stack(panel.values[None], panel.grid, p)[0]
+
+
+def decompose_stack(values: np.ndarray, grid: Grid, p: int) -> list[tuple]:
+    """``decompose`` of each panel of a (K, n, m) stack of panel values on
+    ``grid``: one (eigenvalues, eigenfunctions, loadings) triple per panel,
+    in order, as ``EigenDecomposition`` holds them."""
+    exponents, groups = _span_coordinates(values, grid.weights, p)
+    lam = np.zeros((len(values), len(grid)))
+    funcs, scores = [None] * len(values), [None] * len(values)
+    for at, q, z in groups:
+        s, v = _symmetric_solve(_reduced_operator(z, p), vectors=True)
+        v = v[:, :, ::-1]
+        lam[at, : s.shape[1]] = s[:, ::-1]
+        # An eigenfunction is its basis vector over sqrt(w).
+        f = (q @ v).transpose(0, 2, 1) / np.sqrt(grid.weights)
+        peaks = np.take_along_axis(f, np.argmax(np.abs(f), axis=2)[:, :, None], axis=2)
+        sign = np.where(peaks < 0, -1.0, 1.0)
+        f = f * sign
+        y = np.ldexp((z @ v) * sign.transpose(0, 2, 1), exponents[at, None, None])
+        for k, i in enumerate(at.tolist()):
+            funcs[i], scores[i] = f[k], y[k]
+    return list(zip(_in_curve_units(_clamp(lam), exponents), funcs, scores))
 
 
 def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
@@ -198,17 +264,8 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     ``loadings``, is flipped so its largest-magnitude grid value is
     positive, so output is deterministic.
     """
-    q, z = _span_coordinates(panel, p)
-    s, v = _symmetric_solve(_reduced_operator(z, p), vectors=True)
-    v = v[:, ::-1]
-    lam = np.zeros(len(panel.grid))
-    lam[: s.size] = s[::-1]
-    # An eigenfunction is its basis vector over sqrt(w).
-    funcs = (q @ v).T / np.sqrt(panel.grid.weights)
-    peaks = funcs[np.arange(s.size), np.argmax(np.abs(funcs), axis=1)]
-    sign = np.where(peaks < 0, -1.0, 1.0)
-    return EigenDecomposition(_in_curve_units(_clamp(lam), panel), funcs * sign[:, None],
-                              np.ldexp((z @ v) * sign, panel.exponent), panel, p)
+    [solved] = decompose_stack(panel.values[None], panel.grid, p)
+    return EigenDecomposition(*solved, panel, p)
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:

@@ -84,6 +84,12 @@ def binary_exponent(values: np.ndarray) -> int:
     return int(np.frexp(max(values.max(), -values.min()))[1])
 
 
+def check_finite_values(values: np.ndarray) -> None:
+    """Reject curve values, of one panel or a stack of them, that are not all finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("panel values must be finite")
+
+
 @dataclass(frozen=True)
 class CurvePanel:
     """``n`` observed curves sharing one grid; row ``t`` is curve ``t``.
@@ -108,8 +114,7 @@ class CurvePanel:
             raise GridMismatchError(
                 f"panel rows have {v.shape[1]} values but grid has {len(self.grid)} points"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("panel values must be finite")
+        check_finite_values(v)
         object.__setattr__(self, "values", _as_readonly(v))
         object.__setattr__(self, "exponent", binary_exponent(v))
 
@@ -128,12 +133,13 @@ def centered_values(panel: CurvePanel) -> np.ndarray:
     return panel.values - mean_curve(panel)
 
 
-def check_lag_budget(panel: CurvePanel, p: int) -> None:
-    """Reject a lag budget that is not an integer with 1 <= p < n."""
+def check_lag_budget(n: int, p: int) -> None:
+    """Reject a lag budget that is not an integer with 1 <= p < n, n being
+    the curves per panel."""
     check_int("lag budget p", p, 1)
-    if p >= panel.n:
+    if p >= n:
         raise InsufficientSampleError(
-            f"lag budget p={p} requires more than p curves, panel has n={panel.n}"
+            f"lag budget p={p} requires more than p curves, panel has n={n}"
         )
 
 

@@ -14,11 +14,17 @@ burn-in and the AR(1) recursion ``ar1_paths`` are all stated here.
 
 Every study builds one ``FactorModelSpec`` per (d, n) cell, derives one
 seed per replication from (seed, indices), and draws the cell's panels
-through ``generate_panels(spec, seeds)``: one AR(1) recursion runs over
-the factors of as many replications as fit in ``DRAW_CHUNK_BYTES`` of
-innovations, and each panel is bit-for-bit the one ``generate_panel``
-draws from ``replace(spec, seed=s)`` alone. So results are reproducible
-bit-for-bit, the first k replications of a run do not depend on how many
+as stacks of values, (K, n, m) arrays, through ``_value_stacks(spec,
+seeds)``: one AR(1) recursion runs over the factors of as many
+replications as fit in ``DRAW_CHUNK_BYTES`` of innovations, and each
+stack holds as many panels as fit in ``DRAW_CHUNK_BYTES`` of values.
+Each panel is bit-for-bit the one ``generate_panel`` draws from
+``replace(spec, seed=s)`` alone. The eigen-gap, subspace-error and rate
+studies hand each stack to ``eigen``'s stacked solve, whose results
+are, to the bit, those of each panel solved alone; the bootstrap-power
+study tests one panel at a time, through ``generate_panels``, as its
+replicates dominate its cost. So results are reproducible bit-for-bit,
+the first k replications of a run do not depend on how many
 replications follow them, and the draw memory does not grow with the
 replication count.
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,9 +49,9 @@ from .dimension import (
     default_epsilon,
     threshold_estimate,
 )
-from .eigen import decompose, operator_eigenvalues
+from .eigen import decompose, decompose_stack, operator_eigenvalues_stack
 from .errors import ValidationError, check_int
-from .grids import CurvePanel, Grid
+from .grids import CurvePanel, Grid, check_finite_values
 
 GRID = Grid.uniform(0.0, 1.0, 101)
 # Steps drawn and discarded before an AR(1) path is returned.
@@ -52,9 +59,10 @@ BURN_IN = 500
 RATE_AR_COEFFICIENT = 0.5
 RATE_LAG_BUDGET = 1
 EIGEN_GAP_TOP = 10  # eigenvalues recorded per eigen-gap cell
-# Bytes of factor innovations ``generate_panels`` draws at once: a chunk
-# holds as many panels as fit (at least one), and its draw needs about
-# twice this while the recursion runs, whatever the replication count.
+# Bytes of factor innovations ``_value_stacks`` draws at once, and of
+# values it yields in one stack: each holds as many panels as fit (at
+# least one). The draw needs about twice this while the recursion runs,
+# and a stack's solve a few times this, whatever the replication count.
 DRAW_CHUNK_BYTES = 1 << 20
 
 
@@ -143,14 +151,26 @@ def generate_panel(spec: FactorModelSpec) -> CurvePanel:
 
 
 def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[CurvePanel]:
-    """The panel of ``replace(spec, seed=s)`` for each seed, in order.
+    """The panel of ``replace(spec, seed=s)`` for each seed, in order: the
+    panels of ``_value_stacks``, one at a time."""
+    for values in _value_stacks(spec, seeds):
+        for v in values:
+            yield CurvePanel(grid=spec.grid, values=v)
+
+
+def _value_stacks(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[np.ndarray]:
+    """The values of the panel of ``replace(spec, seed=s)`` for each seed, in
+    order, as read-only (K, n, m) stacks of consecutive panels.
 
     Each seed gets its own generator, which draws every factor's
     BURN_IN + n innovations and then its stationary start, factor by
-    factor, and the panel's noise only when the panel is built. One
-    ``ar1_paths`` recursion runs over all factors of a chunk of
-    seeds whose innovations fit in ``DRAW_CHUNK_BYTES``. Every seed is
-    checked as ``FactorModelSpec`` checks its own before anything is drawn.
+    factor, and then the panel's noise. One ``ar1_paths`` recursion runs
+    over all factors of a chunk of seeds whose innovations fit in
+    ``DRAW_CHUNK_BYTES``, and one product turns the factors and noise of
+    as many of its panels as fit in ``DRAW_CHUNK_BYTES`` of values (at
+    least one) into a stack. Every seed is checked as ``FactorModelSpec``
+    checks its own before anything is drawn, and every stack's values as
+    ``CurvePanel`` checks a panel's.
     """
     seeds = list(seeds)
     for s in seeds:
@@ -162,6 +182,7 @@ def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[Cur
     noise = noise_curves(grid, noise_terms)
     steps = BURN_IN + n
     per_chunk = max(1, DRAW_CHUNK_BYTES // (8 * d * steps))
+    per_stack = max(1, DRAW_CHUNK_BYTES // (8 * n * len(grid)))
     for lo in range(0, len(seeds), per_chunk):
         rngs = [
             np.random.default_rng(np.random.SeedSequence(entropy=s))
@@ -175,16 +196,21 @@ def generate_panels(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[Cur
         a = np.tile(coefficients, len(rngs))
         paths = ar1_paths(a, draws[:, :steps].T, draws[:, steps] / np.sqrt(1.0 - a * a))
         del draws
-        for i, rng in enumerate(rngs):
-            factors = paths[:, i * d : (i + 1) * d]
+        for i in range(0, len(rngs), per_stack):
+            stack = rngs[i : i + per_stack]
+            factors = paths[:, i * d : (i + len(stack)) * d].reshape(n, len(stack), d)
+            factors = factors.transpose(1, 0, 2)
             # One factor: a K = 1 product rounds once per entry, so a broadcast
             # multiply gives the matmul's bits at about half its cost.
             values = factors * curves if d == 1 else np.ascontiguousarray(factors) @ curves
             if noise_terms:
-                z = rng.standard_normal((n, noise_terms))
-                values = values + (z * weights) @ noise
-            values.setflags(write=False)  # fresh, so CurvePanel keeps it uncopied
-            yield CurvePanel(grid=grid, values=values)
+                z = np.empty((len(stack), n, noise_terms))
+                for rng, out in zip(stack, z):
+                    rng.standard_normal(out=out)
+                values += (z * weights) @ noise
+            check_finite_values(values)
+            values.setflags(write=False)  # fresh, so CurvePanel keeps each panel uncopied
+            yield values
 
 
 def _check_study(replications: int, seed: int) -> None:
@@ -205,12 +231,10 @@ def eigen_gap_study(
     records: list[dict] = []
     for di, d in enumerate(d_values):
         for ni, n in enumerate(n_values):
-            rows = np.zeros((replications, EIGEN_GAP_TOP))
             spec = FactorModelSpec(d=d, n=n)
             seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
-            for rep, panel in enumerate(generate_panels(spec, seeds)):
-                lam = operator_eigenvalues(panel, p)
-                rows[rep, : min(EIGEN_GAP_TOP, lam.size)] = lam[:EIGEN_GAP_TOP]
+            rows = np.concatenate([operator_eigenvalues_stack(values, GRID, p)[:, :EIGEN_GAP_TOP]
+                                   for values in _value_stacks(spec, seeds)])
             means = rows.mean(axis=0).tolist()
             records.append(
                 {"d": d, "n": n} | {f"eigenvalue_{j + 1}": v for j, v in enumerate(means)}
@@ -273,9 +297,8 @@ def subspace_error_study(
         for ni, n in enumerate(n_values):
             spec = FactorModelSpec(d=d, n=n)
             seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
-            for rep, panel in enumerate(generate_panels(spec, seeds)):
-                dec = decompose(panel, p)
-                lam = dec.eigenvalues
+            solved = (decompose_stack(values, GRID, p) for values in _value_stacks(spec, seeds))
+            for rep, (lam, funcs, _) in enumerate(chain.from_iterable(solved)):
                 d_hat = threshold_estimate(lam, default_epsilon(lam, n))
                 records.append(
                     {
@@ -283,10 +306,8 @@ def subspace_error_study(
                         "n": n,
                         "replication": rep,
                         "d_hat": d_hat,
-                        "dtilde": _overlap_distance(GRID, dec.eigenfunctions[:d], truth),
-                        "dtilde_adaptive": _overlap_distance(
-                            GRID, dec.eigenfunctions[:d_hat], truth
-                        ),
+                        "dtilde": _overlap_distance(GRID, funcs[:d], truth),
+                        "dtilde_adaptive": _overlap_distance(GRID, funcs[:d_hat], truth),
                     }
                 )
     return records, {}
@@ -328,15 +349,15 @@ def rate_study(sample_sizes, replications: int, seed: int = 0) -> tuple[list[dic
     for ni, n in enumerate(sample_sizes):
         spec = FactorModelSpec(d=1, n=n, ar_coefficients=(RATE_AR_COEFFICIENT,))
         seeds = [_child_seed(seed, ni, rep) for rep in range(replications)]
-        for rep, panel in enumerate(generate_panels(spec, seeds)):
-            lam = operator_eigenvalues(panel, RATE_LAG_BUDGET)
-            theta1 = float(lam[0])
+        solved = (operator_eigenvalues_stack(values, GRID, RATE_LAG_BUDGET)[:, :2].tolist()
+                  for values in _value_stacks(spec, seeds))
+        for rep, (theta1, theta2) in enumerate(chain.from_iterable(solved)):
             records.append(
                 {
                     "n": n,
                     "replication": rep,
                     "theta1": theta1,
-                    "theta2": float(lam[1]) if lam.size > 1 else 0.0,
+                    "theta2": theta2,
                     "abs_err_theta1": abs(theta1 - theta_ref),
                 }
             )

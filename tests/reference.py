@@ -158,7 +158,7 @@ def dual_matrix(panel: CurvePanel, p: int) -> DualMatrix:
     and s+k, so each G_k is a diagonal block of the one n x n Gram matrix
     of the centered curves.
     """
-    check_lag_budget(panel, p)
+    check_lag_budget(panel.n, p)
     c = centered_values(panel)
     g = (c * panel.grid.weights) @ c.T
     g = (g + g.T) / 2.0

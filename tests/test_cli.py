@@ -32,15 +32,16 @@ def eigensolves(monkeypatch):
     """Operators built for an eigensolve, in call order, as the shape of
     the span coordinates (n x r) each was built from.
 
-    Observed panels build their operator through the one kernel
-    ``eigen._reduced_operator``; bootstrap replicates do not.
+    Observed panels build their operators through the one kernel
+    ``eigen._reduced_operator``, a stack at a time; bootstrap replicates
+    do not.
     """
     built = []
     build = eigen._reduced_operator
 
-    def counted(*args):
-        built.append(args[0].shape)
-        return build(*args)
+    def counted(z, p):
+        built.extend([z.shape[1:]] * len(z))
+        return build(z, p)
 
     monkeypatch.setattr(eigen, "_reduced_operator", counted)
     return built
@@ -81,9 +82,9 @@ def span_bases(monkeypatch):
     built = []
     build = eigen._span_coordinates
 
-    def counted(panel, p):
-        built.append(panel.n)
-        return build(panel, p)
+    def counted(values, weights, p):
+        built.extend([values.shape[1]] * len(values))
+        return build(values, weights, p)
 
     monkeypatch.setattr(eigen, "_span_coordinates", counted)
     return built
@@ -568,7 +569,7 @@ class TestDensityCommand:
         assert rc == 1
         err = read_error(capsys)
         assert err["kind"] == "missing-opening"
-        assert "day003" in err["message"]
+        assert err["message"].count("day003") == 1
 
     def test_swapped_tick_columns_exit_one_with_parse_kind(self, tmp_path, capsys):
         from curvedim.density import TickDay

@@ -18,8 +18,10 @@ from curvedim.eigen import (
     _span_coordinates,
     _symmetric_solve,
     decompose,
+    decompose_stack,
     loadings,
     operator_eigenvalues,
+    operator_eigenvalues_stack,
 )
 from curvedim.errors import InsufficientSampleError
 from curvedim.grids import CurvePanel, Grid, mean_curve
@@ -285,12 +287,14 @@ class TestDecompose:
         cases = ((random_panel(40, 101, seed=31), 3, 40 - 1),
                  (random_panel(90, 31, seed=32), 4, 31), (rank_two, 5, 2), (tall, 5, 2))
         for panel, p, rank in cases:
-            q, z = _span_coordinates(panel, p)
+            [exponent], [(_, [q], [z])] = _span_coordinates(panel.values[None],
+                                                           panel.grid.weights, p)
             r = z.shape[1]
             assert r == rank and q.shape == (len(panel.grid), r) and z.shape == (panel.n, r)
-            op = _reduced_operator(z, p)
+            [op] = _reduced_operator(z[None], p)
             assert np.array_equal(op, op.T)
             # The coordinates are of the values over 2^exponent.
+            assert exponent == panel.exponent
             lam = np.ldexp(_symmetric_solve(op)[::-1], 4 * panel.exponent)
             oracle = grid_operator_spectrum(panel, p)
             assert np.all(np.diff(lam) <= 0)
@@ -303,11 +307,11 @@ class TestDecompose:
         panel = random_panel(20_000, 11, seed=35)
         tracemalloc.start()
         try:
-            q, z = _span_coordinates(panel, 5)
+            _, [(_, q, z)] = _span_coordinates(panel.values[None], panel.grid.weights, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q.shape == (11, 11) and z.shape == (20_000, 11)
+        assert q.shape == (1, 11, 11) and z.shape == (1, 20_000, 11)
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_decomposition_loadings_match_projection_with_zero_column_means(self):
@@ -328,6 +332,40 @@ class TestDecompose:
             assert np.max(np.abs(dec.loadings - want), initial=0.0) <= 1e-12 * scale
             largest = np.max(np.abs(dec.loadings), initial=0.0)
             assert np.max(np.abs(dec.loadings.mean(axis=0)), initial=0.0) <= 1e-14 * largest
+
+    def test_stack_matches_each_panel_alone(self):
+        # One stack per grid mixes ranks: d = 1..6 factor panels (r = 11..16),
+        # a noise-free one (r = 2), identical curves (r = 0) and, on m = 31,
+        # full-rank panels (r = 31). Each panel pivots past the others' stops,
+        # so every result matches its panel solved alone bit for bit.
+        g = uniform_grid(31)
+        rng = np.random.default_rng(36)
+        stacks = (
+            (uniform_grid(), 5, [11, 12, 13, 14, 15, 16, 0, 2], [
+                *(generate_panel(FactorModelSpec(d=d, n=100, seed=d)).values for d in range(1, 7)),
+                np.tile(np.cos(uniform_grid().points), (100, 1)),
+                generate_panel(FactorModelSpec(d=2, n=100, noise_terms=0, seed=3)).values,
+            ]),
+            (g, 3, [31, 0, 12, 31], [
+                rng.standard_normal((90, 31)),
+                np.tile(np.cos(g.points), (90, 1)),
+                generate_panel(FactorModelSpec(d=2, n=90, grid=g, seed=2)).values,
+                1e6 * rng.standard_normal((90, 31)),
+            ]),
+        )
+        for grid, p, ranks, values in stacks:
+            stack = np.array(values)
+            solved = decompose_stack(stack, grid, p)
+            spectra = operator_eigenvalues_stack(stack, grid, p)
+            assert [len(funcs) for _, funcs, _ in solved] == ranks
+            assert len(spectra) == len(values)
+            for v, (lam, funcs, scores), raw in zip(values, solved, spectra):
+                panel = CurvePanel(grid=grid, values=v)
+                dec = decompose(panel, p)
+                assert np.array_equal(lam, dec.eigenvalues)
+                assert np.array_equal(funcs, dec.eigenfunctions)
+                assert np.array_equal(scores, dec.loadings)
+                assert np.array_equal(raw, operator_eigenvalues(panel, p))
 
     def test_eigenvalue_count_bounded(self):
         for n, m, p in ((20, 101, 3), (80, 31, 5)):

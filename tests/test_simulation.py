@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,18 +33,40 @@ from curvedim.simulation import (
 from reference import ar1_lfilter, ar1_loop, factor_panel, rate_regression_slopes
 
 
-def panels_per_chunk(d: int, n: int) -> int:
-    """Panels whose factor innovations fit in one ``DRAW_CHUNK_BYTES`` draw."""
-    return DRAW_CHUNK_BYTES // (8 * d * (BURN_IN + n))
+def panels_per_chunk(d: int, n: int) -> tuple[int, int]:
+    """Panels per draw, whose factor innovations fit in ``DRAW_CHUNK_BYTES``,
+    and per value stack, whose values on ``GRID`` fit in it."""
+    return (DRAW_CHUNK_BYTES // (8 * d * (BURN_IN + n)),
+            DRAW_CHUNK_BYTES // (8 * n * len(GRID)))
 
 
 def one_panel_at_a_time(monkeypatch, study, **kwargs):
-    """The study's result with each panel drawn alone, by the scalar reference."""
+    """The study's result with each panel drawn alone, by the scalar
+    reference, and solved alone, by ``decompose`` or ``operator_eigenvalues``."""
     with monkeypatch.context() as m:
         m.setattr(
             simulation,
             "generate_panels",
             lambda spec, seeds: (factor_panel(replace(spec, seed=s)) for s in seeds),
+        )
+        # A "stack" of one CurvePanel, which the solvers below take apart.
+        m.setattr(
+            simulation,
+            "_value_stacks",
+            lambda spec, seeds: ([factor_panel(replace(spec, seed=s))] for s in seeds),
+        )
+        m.setattr(
+            simulation,
+            "decompose_stack",
+            lambda panels, grid, p: [
+                (dec.eigenvalues, dec.eigenfunctions, dec.loadings)
+                for dec in (decompose(panel, p) for panel in panels)
+            ],
+        )
+        m.setattr(
+            simulation,
+            "operator_eigenvalues_stack",
+            lambda panels, grid, p: np.array([operator_eigenvalues(x, p) for x in panels]),
         )
         return study(**kwargs)
 
@@ -182,7 +205,7 @@ class TestGeneratePanels:
     @pytest.mark.parametrize("noise_terms", [0, 10])
     def test_match_one_panel_draws_and_scalar_reference(self, d, noise_terms):
         n = 2000
-        count = panels_per_chunk(d, n) + 1  # the last panel starts a second chunk
+        count = panels_per_chunk(d, n)[0] + 1  # the last panel starts a second draw
         spec = FactorModelSpec(d=d, n=n, noise_terms=noise_terms, seed=99)  # seed unused
         seeds = list(range(count))
         together = [p.values.tobytes() for p in generate_panels(spec, seeds)]
@@ -215,18 +238,25 @@ class TestGeneratePanels:
             assert not panel.values.flags.writeable
 
 
-# Each study over one chunk of replications and one more.
+# Each study over one draw of replications and one more. At n = 100 a
+# stack holds 12 panels, and a draw 36 at d = 6 and 218 at d = 1: so the
+# replications fill several stacks and start a second draw.
+CROSSING = panels_per_chunk(6, 100)[0] + 1
 CHUNK_CROSSING_STUDIES = [
-    (eigen_gap_study, dict(d_values=[6], n_values=[1000],
-                           replications=panels_per_chunk(6, 1000) + 1, p=2, seed=4)),
-    (bootstrap_power_study, dict(d=6, n_values=[1000],
-                                 replications=panels_per_chunk(6, 1000) + 1, n_draws=5, p=2,
+    (eigen_gap_study, dict(d_values=[6], n_values=[100], replications=CROSSING, p=2, seed=4)),
+    (bootstrap_power_study, dict(d=6, n_values=[100], replications=CROSSING, n_draws=5, p=2,
                                  seed=4)),
-    (subspace_error_study, dict(d_values=[6], n_values=[1000],
-                                replications=panels_per_chunk(6, 1000) + 1, p=2, seed=4)),
-    (rate_study, dict(sample_sizes=[5000], replications=panels_per_chunk(1, 5000) + 1,
+    (subspace_error_study, dict(d_values=[6], n_values=[100], replications=CROSSING, p=2,
+                                seed=4)),
+    (rate_study, dict(sample_sizes=[100], replications=panels_per_chunk(1, 100)[0] + 1,
                       seed=4)),
 ]
+
+
+def test_crossing_studies_cross_draws_and_stacks():
+    for d in (1, 6):
+        per_draw, per_stack = panels_per_chunk(d, 100)
+        assert 1 < per_stack < per_draw
 
 
 @pytest.mark.parametrize("study, kwargs", CHUNK_CROSSING_STUDIES,
@@ -336,6 +366,17 @@ class TestSubspaceErrorStudy:
             for n in (100, 600)
         }
         assert med[600] < med[100]
+
+    def test_stacks_keep_the_study_memory_bounded(self):
+        # Draws and value stacks are each bounded by DRAW_CHUNK_BYTES (1 MiB),
+        # so 600 panels need a few MiB whatever their count: about 6 MiB here.
+        tracemalloc.start()
+        try:
+            subspace_error_study((2, 4, 6), (100, 600), 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_first_replications_match_a_shorter_run(self):
         full, _ = subspace_error_study([2, 3], [60], 5, p=3, seed=13)
