@@ -41,31 +41,7 @@ _HOMES = {
     "var_fit_yule_walker": "tsmodels",
 }
 
-__all__ = [
-    "BootstrapConfig",
-    "CurveDimError",
-    "CurvePanel",
-    "DimensionReport",
-    "EigenDecomposition",
-    "Grid",
-    "PortmanteauResult",
-    "VarFit",
-    "bootstrap_test",
-    "decompose",
-    "default_epsilon",
-    "fit_var_with_aic",
-    "ljung_box",
-    "loadings",
-    "mean_curve",
-    "multivariate_portmanteau",
-    "operator_eigenvalues",
-    "read_panel_csv",
-    "select_dimension",
-    "subspace_distance_general",
-    "threshold_estimate",
-    "var_fit_yule_walker",
-    "write_panel_csv",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):

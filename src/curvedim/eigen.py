@@ -24,7 +24,10 @@ panel. In the coordinates X Q the quadrature weights are one, and
 M_k = Z_0^T Z_k / (n-p), Z being those coordinates. Every numpy call on
 a stack makes, slice by slice, the call the panel alone would make, so
 a panel's results do not depend on the stack it is solved in: they are
-the same to the bit.
+the same to the bit. ``_solve_stack`` is the one place that runs span
+basis, rank groups and eigensolve (``eigvalsh``, or ``eigh`` where
+eigenvectors are wanted); ``decompose_stack``, ``operator_eigenvalues_stack``
+and the subspace-error study each read what they need from its result.
 
 ``decompose`` is the entry point for an observed panel, a stack of one
 (``decompose_stack`` solves many): one symmetric eigensolve of that
@@ -66,7 +69,7 @@ from .grids import (
     FLOAT,
     CurvePanel,
     Grid,
-    binary_exponent,
+    binary_exponents,
     centered_values,
     check_lag_budget,
     read_float_rows,
@@ -196,8 +199,7 @@ def _span_coordinates(values: np.ndarray, weights: np.ndarray, p: int):
     a panel of identical curves is roundoff, rank 0.
     """
     check_lag_budget(values.shape[1], p)
-    # As C ints, numpy's ldexp takes its vector loop.
-    exponents = np.array([binary_exponent(v) for v in values], dtype=np.intc)
+    exponents = binary_exponents(values)
     # Scaled, weighted and centered in place: each new buffer of this size
     # costs its page faults.
     x = np.ldexp(values, -exponents[:, None, None])
@@ -214,13 +216,35 @@ def _span_coordinates(values: np.ndarray, weights: np.ndarray, p: int):
     return exponents, groups
 
 
+def _solve_stack(values: np.ndarray, grid: Grid, p: int, vectors: bool = False):
+    """The one stacked solve behind every entry point: span coordinates,
+    then each rank group's reduced operator and its symmetric eigensolve.
+
+    Returns ``exponents``, the binary exponent of each of the K panels of
+    the (K, n, m) stack ``values``; ``lam``, their descending unclamped
+    spectra (K x m) of the values over 2^exponent, exact zeros past each
+    rank r; and one (at, q, z, v) per rank group: the group's panel
+    indices, its span bases and coordinates as ``_span_coordinates``
+    gives them, and, with ``vectors``, the eigenvectors (k x r x r) in
+    the coordinates, columns in descending order (else None).
+    """
+    exponents, groups = _span_coordinates(values, grid.weights, p)
+    lam = np.zeros((len(values), len(grid)))
+    solved = []
+    for at, q, z in groups:
+        s = _symmetric_solve(_reduced_operator(z, p), vectors)
+        v = None
+        if vectors:
+            s, v = s[0], s[1][:, :, ::-1]
+        lam[at, : s.shape[1]] = s[:, ::-1]
+        solved.append((at, q, z, v))
+    return exponents, lam, solved
+
+
 def operator_eigenvalues_stack(values: np.ndarray, grid: Grid, p: int) -> np.ndarray:
     """``operator_eigenvalues`` of each panel of a (K, n, m) stack of panel
     values on ``grid``, as the rows of a K x m array."""
-    exponents, groups = _span_coordinates(values, grid.weights, p)
-    lam = np.zeros((len(values), len(grid)))
-    for at, _, z in groups:
-        lam[at, : z.shape[2]] = _symmetric_solve(_reduced_operator(z, p))[:, ::-1]
+    exponents, lam, _ = _solve_stack(values, grid, p)
     return _in_curve_units(lam, exponents)
 
 
@@ -234,13 +258,9 @@ def decompose_stack(values: np.ndarray, grid: Grid, p: int) -> list[tuple]:
     """``decompose`` of each panel of a (K, n, m) stack of panel values on
     ``grid``: one (eigenvalues, eigenfunctions, loadings) triple per panel,
     in order, as ``EigenDecomposition`` holds them."""
-    exponents, groups = _span_coordinates(values, grid.weights, p)
-    lam = np.zeros((len(values), len(grid)))
+    exponents, lam, solved = _solve_stack(values, grid, p, vectors=True)
     funcs, scores = [None] * len(values), [None] * len(values)
-    for at, q, z in groups:
-        s, v = _symmetric_solve(_reduced_operator(z, p), vectors=True)
-        v = v[:, :, ::-1]
-        lam[at, : s.shape[1]] = s[:, ::-1]
+    for at, q, z, v in solved:
         # An eigenfunction is its basis vector over sqrt(w).
         f = (q @ v).transpose(0, 2, 1) / np.sqrt(grid.weights)
         peaks = np.take_along_axis(f, np.argmax(np.abs(f), axis=2)[:, :, None], axis=2)

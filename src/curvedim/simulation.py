@@ -21,12 +21,15 @@ stack holds as many panels as fit in ``DRAW_CHUNK_BYTES`` of values.
 Each panel is bit-for-bit the one ``generate_panel`` draws from
 ``replace(spec, seed=s)`` alone. The eigen-gap, subspace-error and rate
 studies hand each stack to ``eigen``'s stacked solve, whose results
-are, to the bit, those of each panel solved alone; the bootstrap-power
-study tests one panel at a time, through ``generate_panels``, as its
-replicates dominate its cost. So results are reproducible bit-for-bit,
-the first k replications of a run do not depend on how many
-replications follow them, and the draw memory does not grow with the
-replication count.
+are, to the bit, those of each panel solved alone. The subspace-error
+study takes a stack's records at once from that solve
+(``_subspace_errors``): one comparison per spectrum for d_hat, and
+eigenfunctions only for the leading max(d, d_hat), which is all its
+distances read. The bootstrap-power study tests one panel at a time,
+through ``generate_panels``, as its replicates dominate its cost. So
+results are reproducible bit-for-bit, the first k replications of a run
+do not depend on how many replications follow them, and the draw memory
+does not grow with the replication count.
 
 Every study returns ``(records, design)``: ``records`` is a list of dicts,
 one per CSV row, whose keys are the CSV columns in order, and ``design``
@@ -43,13 +46,13 @@ from itertools import chain
 import numpy as np
 
 from .dimension import (
+    DEFAULT_EPSILON_EXPONENT,
+    DEFAULT_EPSILON_SCALE,
     BootstrapConfig,
     _overlap_distance,
     bootstrap_test,
-    default_epsilon,
-    threshold_estimate,
 )
-from .eigen import decompose, decompose_stack, operator_eigenvalues_stack
+from .eigen import _clamp, _in_curve_units, _solve_stack, decompose, operator_eigenvalues_stack
 from .errors import ValidationError, check_int
 from .grids import CurvePanel, Grid, check_finite_values
 
@@ -285,10 +288,9 @@ def subspace_error_study(
     its bootstrap ``d_hat``. An estimate of dimension 0 is at distance
     1. That rule recovers d = 4 and 6 in only 47 and 5 of 100 panels at
     n = 600, so past d = 2 ``dtilde_adaptive`` mostly measures the
-    rule's miss. Both bases
-    are quadrature-orthonormal as they stand (``decompose`` eigenfunctions,
-    and the cosine curves on ``GRID``), so neither is
-    re-orthonormalised.
+    rule's miss. Both bases are quadrature-orthonormal as they stand (the
+    eigenfunctions ``decompose`` gives, up to sign, and the cosine curves
+    on ``GRID``), so neither is re-orthonormalised.
     """
     _check_study(replications, seed)
     records: list[dict] = []
@@ -297,20 +299,50 @@ def subspace_error_study(
         for ni, n in enumerate(n_values):
             spec = FactorModelSpec(d=d, n=n)
             seeds = [_child_seed(seed, di, ni, rep) for rep in range(replications)]
-            solved = (decompose_stack(values, GRID, p) for values in _value_stacks(spec, seeds))
-            for rep, (lam, funcs, _) in enumerate(chain.from_iterable(solved)):
-                d_hat = threshold_estimate(lam, default_epsilon(lam, n))
+            stacks = (_subspace_errors(values, truth, n, p)
+                      for values in _value_stacks(spec, seeds))
+            for rep, (d_hat, dtilde, adaptive) in enumerate(chain.from_iterable(stacks)):
                 records.append(
                     {
                         "d": d,
                         "n": n,
                         "replication": rep,
                         "d_hat": d_hat,
-                        "dtilde": _overlap_distance(GRID, funcs[:d], truth),
-                        "dtilde_adaptive": _overlap_distance(GRID, funcs[:d_hat], truth),
+                        "dtilde": dtilde,
+                        "dtilde_adaptive": adaptive,
                     }
                 )
     return records, {}
+
+
+def _subspace_errors(values: np.ndarray, truth: np.ndarray, n: int, p: int) -> list[tuple]:
+    """(d_hat, dtilde, dtilde_adaptive) of each panel of a stack of study
+    values, in order, against the d ``truth`` curves: the values
+    ``threshold_estimate``, ``default_epsilon`` and ``_overlap_distance``
+    give on each panel's ``decompose``, to the bit.
+
+    d_hat is one comparison of each clamped spectrum with its cutoff.
+    Eigenfunctions are formed for the leading max(d, d_hat) only, with no
+    sign fix (the distance squares every overlap) and no loadings. The
+    product q v keeps every column, as in ``decompose_stack``: numpy's
+    matmul loop can round the leading columns of a narrower product
+    differently (measured: one column, and 1-4 or 9-12 of 16 or more).
+    """
+    d = len(truth)
+    exponents, lam, solved = _solve_stack(values, GRID, p, vectors=True)
+    lam = _in_curve_units(_clamp(lam), exponents)
+    cutoff = DEFAULT_EPSILON_SCALE * lam[:, :1] * float(n) ** (-DEFAULT_EPSILON_EXPONENT)
+    d_hats = np.count_nonzero(lam >= cutoff, axis=1)
+    errors = [None] * len(values)
+    for at, q, _, v in solved:
+        k = max(d, int(d_hats[at].max()))
+        funcs = (q @ v)[:, :, :k].transpose(0, 2, 1) / np.sqrt(GRID.weights)
+        for f, i in zip(funcs, at.tolist()):
+            d_hat = int(d_hats[i])
+            dtilde = _overlap_distance(GRID, f[:d], truth)
+            adaptive = dtilde if d_hat == d else _overlap_distance(GRID, f[:d_hat], truth)
+            errors[i] = (d_hat, dtilde, adaptive)
+    return errors
 
 
 def reference_rate_eigenvalue(grid: Grid, ar_coefficient: float) -> float:

@@ -25,7 +25,7 @@ from curvedim.eigen import (
 )
 from curvedim.errors import InsufficientSampleError
 from curvedim.grids import CurvePanel, Grid, mean_curve
-from curvedim.simulation import FactorModelSpec, generate_panel
+from curvedim.simulation import FactorModelSpec, _value_stacks, generate_panel
 from reference import (
     discretized_operator,
     dual_matrix,
@@ -366,6 +366,17 @@ class TestDecompose:
                 assert np.array_equal(funcs, dec.eigenfunctions)
                 assert np.array_equal(scores, dec.loadings)
                 assert np.array_equal(raw, operator_eigenvalues(panel, p))
+        # A d = 1 study stack comes out of the draw non-contiguous, strides
+        # (808, 9696, 8) at K 12, n 100: solved as it stands, it gives the
+        # bits of its contiguous copy.
+        strided = next(_value_stacks(FactorModelSpec(d=1, n=100), range(12)))
+        assert strided.strides == (808, 9696, 8)
+        contiguous = np.ascontiguousarray(strided)
+        assert np.array_equal(operator_eigenvalues_stack(strided, uniform_grid(), 5),
+                              operator_eigenvalues_stack(contiguous, uniform_grid(), 5))
+        for got, want in zip(decompose_stack(strided, uniform_grid(), 5),
+                             decompose_stack(contiguous, uniform_grid(), 5), strict=True):
+            assert all(map(np.array_equal, got, want))
 
     def test_eigenvalue_count_bounded(self):
         for n, m, p in ((20, 101, 3), (80, 31, 5)):

@@ -6,7 +6,12 @@ import pytest
 
 from curvedim import simulation
 from curvedim.cli import main
-from curvedim.dimension import _overlap_distance, subspace_distance_general
+from curvedim.dimension import (
+    _overlap_distance,
+    default_epsilon,
+    subspace_distance_general,
+    threshold_estimate,
+)
 from curvedim.eigen import decompose, operator_eigenvalues
 from curvedim.errors import ValidationError
 from curvedim.grids import CurvePanel, Grid
@@ -49,7 +54,7 @@ def one_panel_at_a_time(monkeypatch, study, **kwargs):
             "generate_panels",
             lambda spec, seeds: (factor_panel(replace(spec, seed=s)) for s in seeds),
         )
-        # A "stack" of one CurvePanel, which the solvers below take apart.
+        # A "stack" of one CurvePanel, which the solver below takes apart.
         m.setattr(
             simulation,
             "_value_stacks",
@@ -57,18 +62,30 @@ def one_panel_at_a_time(monkeypatch, study, **kwargs):
         )
         m.setattr(
             simulation,
-            "decompose_stack",
-            lambda panels, grid, p: [
-                (dec.eigenvalues, dec.eigenfunctions, dec.loadings)
-                for dec in (decompose(panel, p) for panel in panels)
-            ],
-        )
-        m.setattr(
-            simulation,
             "operator_eigenvalues_stack",
             lambda panels, grid, p: np.array([operator_eigenvalues(x, p) for x in panels]),
         )
         return study(**kwargs)
+
+
+def subspace_error_one_panel_at_a_time(d_values, n_values, replications, p, seed):
+    """``subspace_error_study``'s result with each panel drawn alone, by the
+    scalar reference, solved alone by ``decompose`` and measured by the
+    one-panel rules: ``threshold_estimate`` at ``default_epsilon``, and
+    ``_overlap_distance`` of the leading d and d_hat eigenfunctions."""
+    records = []
+    for di, d in enumerate(d_values):
+        truth = factor_curves(GRID, d)
+        for ni, n in enumerate(n_values):
+            for rep in range(replications):
+                spec = FactorModelSpec(d=d, n=n, seed=_child_seed(seed, di, ni, rep))
+                dec = decompose(factor_panel(spec), p)
+                lam, funcs = dec.eigenvalues, dec.eigenfunctions
+                d_hat = threshold_estimate(lam, default_epsilon(lam, n))
+                records.append({"d": d, "n": n, "replication": rep, "d_hat": d_hat,
+                                "dtilde": _overlap_distance(GRID, funcs[:d], truth),
+                                "dtilde_adaptive": _overlap_distance(GRID, funcs[:d_hat], truth)})
+    return records, {}
 
 
 def stationary_ar1(a: float, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -259,10 +276,21 @@ def test_crossing_studies_cross_draws_and_stacks():
         assert 1 < per_stack < per_draw
 
 
-@pytest.mark.parametrize("study, kwargs", CHUNK_CROSSING_STUDIES,
-                         ids=[study.__name__ for study, _ in CHUNK_CROSSING_STUDIES])
+# At n 100 and p 2, d = 1 gives d_hat 1, 2 and 3, and d = 6 gives 1 to 5: one
+# stack holds panels with d_hat above, at and below d, and d_hat = 1.
+MIXED_D_HAT = dict(d_values=[1, 6], n_values=[100], replications=40, p=2, seed=4)
+
+
+@pytest.mark.parametrize(
+    "study, kwargs", [*CHUNK_CROSSING_STUDIES, (subspace_error_study, MIXED_D_HAT)],
+    ids=[*(study.__name__ for study, _ in CHUNK_CROSSING_STUDIES), "subspace_error_mixed_d_hat"],
+)
 def test_study_records_match_one_panel_at_a_time(monkeypatch, study, kwargs):
-    assert study(**kwargs) == one_panel_at_a_time(monkeypatch, study, **kwargs)
+    if study is subspace_error_study:
+        want = subspace_error_one_panel_at_a_time(**kwargs)
+    else:
+        want = one_panel_at_a_time(monkeypatch, study, **kwargs)
+    assert study(**kwargs) == want
 
 
 class TestEigenGapStudy:
