@@ -25,20 +25,21 @@ M_k = Z_0^T Z_k / (n-p), Z being those coordinates. Every numpy call on
 a stack makes, slice by slice, the call the panel alone would make, so
 a panel's results do not depend on the stack it is solved in: they are
 the same to the bit. ``_solve_stack`` is the one place that runs span
-basis, rank groups and eigensolve (``eigvalsh``, or ``eigh`` where
-eigenvectors are wanted); ``decompose_stack``, ``operator_eigenvalues_stack``
-and the subspace-error study each read what they need from its result.
+basis, rank groups and eigensolve (``eigvalsh``, or ``eigh`` and the
+eigenfunctions where eigenvectors are wanted); ``decompose``,
+``operator_eigenvalues_stack`` and the subspace-error study each read
+what they need from its result.
 
-``decompose`` is the entry point for an observed panel, a stack of one
-(``decompose_stack`` solves many): one symmetric eigensolve of that
-r x r matrix gives the spectrum, clamped to zero below EIGENVALUE_CLAMP
-of the leading eigenvalue (the rule every report and decision applies)
-and exactly zero past r, and r sign-fixed eigenfunctions, a
-quadrature-orthonormal basis of the span. The ``EigenDecomposition``
-also carries its panel, its lag budget and the centered curves'
-loadings on the eigenfunctions, in the curves' units: the commands
-write those and fit their VAR, and the bootstrap resamples them, so
-each panel is scaled, weighted, centered and projected once.
+``decompose`` is the entry point for an observed panel, a stack of one:
+one symmetric eigensolve of that r x r matrix gives the spectrum,
+clamped to zero below EIGENVALUE_CLAMP of the leading eigenvalue (the
+rule every report and decision applies) and exactly zero past r, and r
+sign-fixed eigenfunctions, a quadrature-orthonormal basis of the span.
+The ``EigenDecomposition`` also carries its panel, its lag budget and
+the centered curves' loadings on the eigenfunctions, in the curves'
+units: the commands write those and fit their VAR, and the bootstrap
+resamples them, so each panel is scaled, weighted, centered and
+projected once.
 ``operator_eigenvalues`` (and ``operator_eigenvalues_stack``) is the
 raw, unclamped, eigenvalues-only solve for the Monte Carlo studies.
 Both agree with the m x m quadrature-weighted grid operator to roundoff
@@ -223,21 +224,26 @@ def _solve_stack(values: np.ndarray, grid: Grid, p: int, vectors: bool = False):
     Returns ``exponents``, the binary exponent of each of the K panels of
     the (K, n, m) stack ``values``; ``lam``, their descending unclamped
     spectra (K x m) of the values over 2^exponent, exact zeros past each
-    rank r; and one (at, q, z, v) per rank group: the group's panel
-    indices, its span bases and coordinates as ``_span_coordinates``
-    gives them, and, with ``vectors``, the eigenvectors (k x r x r) in
-    the coordinates, columns in descending order (else None).
+    rank r; and one (at, f, z, v) per rank group: the group's panel
+    indices, its coordinates as ``_span_coordinates`` gives them and,
+    with ``vectors`` (else None), its eigenfunctions f (k x r x m) with
+    no sign fix and the eigenvectors v (k x r x r) in the coordinates,
+    both in descending order. An eigenfunction is its basis vector over
+    sqrt(w); the product q v keeps every column, as numpy's matmul loop
+    can round the leading columns of a narrower product differently
+    (measured: one column, and 1-4 or 9-12 of 16 or more).
     """
     exponents, groups = _span_coordinates(values, grid.weights, p)
     lam = np.zeros((len(values), len(grid)))
     solved = []
     for at, q, z in groups:
         s = _symmetric_solve(_reduced_operator(z, p), vectors)
-        v = None
+        f = v = None
         if vectors:
             s, v = s[0], s[1][:, :, ::-1]
+            f = (q @ v).transpose(0, 2, 1) / np.sqrt(grid.weights)
         lam[at, : s.shape[1]] = s[:, ::-1]
-        solved.append((at, q, z, v))
+        solved.append((at, f, z, v))
     return exponents, lam, solved
 
 
@@ -254,24 +260,6 @@ def operator_eigenvalues(panel: CurvePanel, p: int) -> np.ndarray:
     return operator_eigenvalues_stack(panel.values[None], panel.grid, p)[0]
 
 
-def decompose_stack(values: np.ndarray, grid: Grid, p: int) -> list[tuple]:
-    """``decompose`` of each panel of a (K, n, m) stack of panel values on
-    ``grid``: one (eigenvalues, eigenfunctions, loadings) triple per panel,
-    in order, as ``EigenDecomposition`` holds them."""
-    exponents, lam, solved = _solve_stack(values, grid, p, vectors=True)
-    funcs, scores = [None] * len(values), [None] * len(values)
-    for at, q, z, v in solved:
-        # An eigenfunction is its basis vector over sqrt(w).
-        f = (q @ v).transpose(0, 2, 1) / np.sqrt(grid.weights)
-        peaks = np.take_along_axis(f, np.argmax(np.abs(f), axis=2)[:, :, None], axis=2)
-        sign = np.where(peaks < 0, -1.0, 1.0)
-        f = f * sign
-        y = np.ldexp((z @ v) * sign.transpose(0, 2, 1), exponents[at, None, None])
-        for k, i in enumerate(at.tolist()):
-            funcs[i], scores[i] = f[k], y[k]
-    return list(zip(_in_curve_units(_clamp(lam), exponents), funcs, scores))
-
-
 def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     """Full pipeline: spectrum plus orthonormal eigenfunction curves.
 
@@ -284,8 +272,12 @@ def decompose(panel: CurvePanel, p: int = 5) -> EigenDecomposition:
     ``loadings``, is flipped so its largest-magnitude grid value is
     positive, so output is deterministic.
     """
-    [solved] = decompose_stack(panel.values[None], panel.grid, p)
-    return EigenDecomposition(*solved, panel, p)
+    exponents, lam, [(_, f, z, v)] = _solve_stack(panel.values[None], panel.grid, p, vectors=True)
+    peaks = np.take_along_axis(f, np.argmax(np.abs(f), axis=2)[:, :, None], axis=2)
+    sign = np.where(peaks < 0, -1.0, 1.0)
+    scores = np.ldexp((z @ v) * sign.transpose(0, 2, 1), exponents[:, None, None])
+    [lam] = _in_curve_units(_clamp(lam), exponents)
+    return EigenDecomposition(lam, (f * sign)[0], scores[0], panel, p)
 
 
 def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:

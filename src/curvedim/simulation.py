@@ -24,8 +24,8 @@ studies hand each stack to ``eigen``'s stacked solve, whose results
 are, to the bit, those of each panel solved alone. The subspace-error
 study takes a stack's records at once from that solve
 (``_subspace_errors``): one comparison per spectrum for d_hat, and
-eigenfunctions only for the leading max(d, d_hat), which is all its
-distances read. The bootstrap-power study tests one panel at a time,
+distances on the eigenfunctions that solve gives, with no sign fix and
+no loadings. The bootstrap-power study tests one panel at a time,
 through ``generate_panels``, as its replicates dominate its cost. So
 results are reproducible bit-for-bit, the first k replications of a run
 do not depend on how many replications follow them, and the draw memory
@@ -322,11 +322,9 @@ def _subspace_errors(values: np.ndarray, truth: np.ndarray, n: int, p: int) -> l
     give on each panel's ``decompose``, to the bit.
 
     d_hat is one comparison of each clamped spectrum with its cutoff.
-    Eigenfunctions are formed for the leading max(d, d_hat) only, with no
-    sign fix (the distance squares every overlap) and no loadings. The
-    product q v keeps every column, as in ``decompose_stack``: numpy's
-    matmul loop can round the leading columns of a narrower product
-    differently (measured: one column, and 1-4 or 9-12 of 16 or more).
+    The distances read the eigenfunctions of ``_solve_stack`` as they
+    come, with no sign fix (the distance squares every overlap) and no
+    loadings.
     """
     d = len(truth)
     exponents, lam, solved = _solve_stack(values, GRID, p, vectors=True)
@@ -334,9 +332,7 @@ def _subspace_errors(values: np.ndarray, truth: np.ndarray, n: int, p: int) -> l
     cutoff = DEFAULT_EPSILON_SCALE * lam[:, :1] * float(n) ** (-DEFAULT_EPSILON_EXPONENT)
     d_hats = np.count_nonzero(lam >= cutoff, axis=1)
     errors = [None] * len(values)
-    for at, q, _, v in solved:
-        k = max(d, int(d_hats[at].max()))
-        funcs = (q @ v)[:, :, :k].transpose(0, 2, 1) / np.sqrt(GRID.weights)
+    for at, funcs, _, _ in solved:
         for f, i in zip(funcs, at.tolist()):
             d_hat = int(d_hats[i])
             dtilde = _overlap_distance(GRID, f[:d], truth)

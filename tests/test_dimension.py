@@ -341,6 +341,21 @@ class TestSelectDimension:
         )
         assert hits >= 24
 
+    def test_bootstrap_loses_dimension_at_lag_budget_ten(self):
+        # README says p = 10 leaves the plateau of p = 1 to 5. On the 30
+        # panels above at d = 4, n = 300, p = 10 recovered d in 13 (27 at
+        # p = 5), and 16 of its 17 misses fell below d.
+        d, n = 4, 300
+        seeds = [_child_seed(707, d, n, rep) for rep in range(30)]
+        cfg = BootstrapConfig(n_draws=200, seed=1)
+        d_hats = [
+            select_dimension(panel, p=10, cfg=cfg, d_max=d + 3).d_hat
+            for panel in generate_panels(FactorModelSpec(d, n), seeds)
+        ]
+        misses = [x for x in d_hats if x != d]
+        assert len(misses) >= 10
+        assert sum(x < d for x in misses) > len(misses) / 2
+
     @pytest.mark.parametrize("d, floor", [(2, 26), (4, 19)])
     def test_bootstrap_recovers_dimension_under_pointwise_noise(self, d, floor):
         # Noise white in time drops out of every lag-k autocovariance, k >= 1,

@@ -14,11 +14,13 @@ from curvedim.dimension import (
 )
 
 from curvedim.eigen import (
+    _clamp,
+    _in_curve_units,
     _reduced_operator,
+    _solve_stack,
     _span_coordinates,
     _symmetric_solve,
     decompose,
-    decompose_stack,
     loadings,
     operator_eigenvalues,
     operator_eigenvalues_stack,
@@ -39,6 +41,17 @@ from reference import (
 
 def uniform_grid(m=101):
     return Grid.uniform(0.0, 1.0, m)
+
+
+def stack_records(values, grid, p):
+    """Each panel's (exponent, unclamped spectrum, eigenfunctions, z v) from
+    one ``_solve_stack`` of the (K, n, m) stack ``values``, in order."""
+    exponents, lam, solved = _solve_stack(values, grid, p, vectors=True)
+    records = [None] * len(values)
+    for at, f, z, v in solved:
+        for i, funcs, scores in zip(at.tolist(), f, z @ v):
+            records[i] = (exponents[i], lam[i], funcs, scores)
+    return records
 
 
 def random_panel(n, m, seed=0):
@@ -337,7 +350,8 @@ class TestDecompose:
         # One stack per grid mixes ranks: d = 1..6 factor panels (r = 11..16),
         # a noise-free one (r = 2), identical curves (r = 0) and, on m = 31,
         # full-rank panels (r = 31). Each panel pivots past the others' stops,
-        # so every result matches its panel solved alone bit for bit.
+        # so every panel's record matches its panel solved alone bit for bit,
+        # and decompose is that record after the sign fix.
         g = uniform_grid(31)
         rng = np.random.default_rng(36)
         stacks = (
@@ -355,16 +369,21 @@ class TestDecompose:
         )
         for grid, p, ranks, values in stacks:
             stack = np.array(values)
-            solved = decompose_stack(stack, grid, p)
+            solved = stack_records(stack, grid, p)
             spectra = operator_eigenvalues_stack(stack, grid, p)
-            assert [len(funcs) for _, funcs, _ in solved] == ranks
+            assert [len(funcs) for _, _, funcs, _ in solved] == ranks
             assert len(spectra) == len(values)
-            for v, (lam, funcs, scores), raw in zip(values, solved, spectra):
+            for v, record, raw in zip(values, solved, spectra):
+                [alone] = stack_records(v[None], grid, p)
+                assert all(map(np.array_equal, record, alone))
+                exponent, lam, funcs, scores = record
+                sign = np.sign(funcs[np.arange(len(funcs)), np.argmax(np.abs(funcs), axis=1)])
                 panel = CurvePanel(grid=grid, values=v)
                 dec = decompose(panel, p)
-                assert np.array_equal(lam, dec.eigenvalues)
-                assert np.array_equal(funcs, dec.eigenfunctions)
-                assert np.array_equal(scores, dec.loadings)
+                assert np.array_equal(_in_curve_units(_clamp(lam[None]), exponent[None])[0],
+                                      dec.eigenvalues)
+                assert np.array_equal(funcs * sign[:, None], dec.eigenfunctions)
+                assert np.array_equal(np.ldexp(scores * sign, exponent), dec.loadings)
                 assert np.array_equal(raw, operator_eigenvalues(panel, p))
         # A d = 1 study stack comes out of the draw non-contiguous, strides
         # (808, 9696, 8) at K 12, n 100: solved as it stands, it gives the
@@ -374,8 +393,8 @@ class TestDecompose:
         contiguous = np.ascontiguousarray(strided)
         assert np.array_equal(operator_eigenvalues_stack(strided, uniform_grid(), 5),
                               operator_eigenvalues_stack(contiguous, uniform_grid(), 5))
-        for got, want in zip(decompose_stack(strided, uniform_grid(), 5),
-                             decompose_stack(contiguous, uniform_grid(), 5), strict=True):
+        for got, want in zip(stack_records(strided, uniform_grid(), 5),
+                             stack_records(contiguous, uniform_grid(), 5), strict=True):
             assert all(map(np.array_equal, got, want))
 
     def test_eigenvalue_count_bounded(self):
