@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import json
 import os
@@ -192,17 +193,13 @@ def _var_fit(series: np.ndarray, max_order: int) -> tuple[VarFit, dict]:
         col = {}
         for q in DIAGNOSTIC_LAGS:
             if series.shape[0] > q:
-                col[str(q)] = float(ljung_box(series[:, j], q).pvalue)
+                col[str(q)] = ljung_box(series[:, j], q).pvalue
         diagnostics["ljung_box"][f"component_{j + 1}"] = col
     resid = var_residuals(series, fit)
     for q in DIAGNOSTIC_LAGS:
         if resid.shape[0] > q:
             res = multivariate_portmanteau(resid, q, fitted_order=fit.order)
-            diagnostics["portmanteau"][str(q)] = {
-                "statistic": float(res.statistic),
-                "dof": int(res.dof),
-                "pvalue": float(res.pvalue),
-            }
+            diagnostics["portmanteau"][str(q)] = dataclasses.asdict(res)
     return fit, diagnostics
 
 
@@ -231,8 +228,8 @@ def cmd_test_dim(args) -> int:
         "d0": args.d0,
         "tested_rank": args.d0 + 1,
         "p_value": pvalue,
-        "observed_eigenvalue": float(dec.eigenvalues[args.d0]),
-        "rejected_at_alpha": bool(pvalue <= args.alpha),
+        "observed_eigenvalue": dec.eigenvalues[args.d0],
+        "rejected_at_alpha": pvalue <= args.alpha,
         "alpha": args.alpha,
     }
     out = _outdir(args)

@@ -125,12 +125,11 @@ def kde_curve(returns: np.ndarray, bandwidth: float, grid: Grid) -> np.ndarray:
 def day_density(day: TickDay, multiplier: float):
     """One day through the full pipeline; returns (curve, metadata)."""
     returns = log_returns(previous_tick_prices(day))
-    sigma = float(np.std(returns, ddof=1))
     bandwidth = silverman_bandwidth(returns, multiplier)
     meta = {
         "day_id": day.day_id,
-        "tick_count": int(day.times.size),
-        "sigma": sigma,
+        "tick_count": day.times.size,
+        "sigma": np.std(returns, ddof=1),
         "bandwidth": bandwidth,
         "skipped": False,
     }
@@ -164,7 +163,7 @@ def build_density_panel(
             metadata.append(
                 {
                     "day_id": day.day_id,
-                    "tick_count": int(day.times.size),
+                    "tick_count": day.times.size,
                     "skipped": True,
                     "error": {"kind": exc.kind, "message": str(exc)},
                 }

@@ -153,8 +153,13 @@ def threshold_estimate(eigenvalues: np.ndarray, epsilon: float) -> int:
     return int(np.sum(lam >= epsilon))
 
 
-def default_epsilon(eigenvalues: np.ndarray, n: int) -> float:
+def default_epsilon(eigenvalues: np.ndarray, n: int) -> float | np.ndarray:
     """Scale-relative cutoff: half the leading eigenvalue times n^(-2/5).
+
+    Takes one spectrum, or a (K, m) stack of spectra of n-curve panels and
+    gives the K cutoffs, each to the bit that of its row alone. This is
+    the one statement of the cutoff: reports and the subspace-error study
+    both apply it.
 
     Relative to the leading eigenvalue so the rule is invariant to a
     common rescaling of the curves. The scale (``DEFAULT_EPSILON_SCALE``,
@@ -166,7 +171,9 @@ def default_epsilon(eigenvalues: np.ndarray, n: int) -> float:
     """
     check_int("n", n, 1)
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    theta1 = float(lam[0]) if lam.size else 0.0
+    if lam.ndim not in (1, 2) or lam.shape[-1] == 0:
+        raise ValidationError("need a nonempty spectrum or a (K, m) stack of them")
+    theta1 = lam[..., 0]
     return DEFAULT_EPSILON_SCALE * theta1 * float(n) ** (-DEFAULT_EPSILON_EXPONENT)
 
 
@@ -281,10 +288,10 @@ def _overlap_distance(grid: Grid, b1: np.ndarray, b2: np.ndarray) -> float:
 
 def write_dimension_report_json(report: DimensionReport, path) -> None:
     payload = {
-        "d_hat": int(report.d_hat),
-        "threshold_d": int(report.threshold_d),
-        "epsilon": float(report.epsilon_used),
-        "pvalues": {str(k): float(v) for k, v in sorted(report.pvalues.items())},
-        "eigenvalues": [float(x) for x in report.eigenvalues],
+        "d_hat": report.d_hat,
+        "threshold_d": report.threshold_d,
+        "epsilon": report.epsilon_used,
+        "pvalues": {str(k): v for k, v in report.pvalues.items()},
+        "eigenvalues": report.eigenvalues,
     }
     write_json(path, payload)

@@ -295,7 +295,7 @@ def loadings(panel: CurvePanel, eigenfunctions: np.ndarray) -> np.ndarray:
 
 def write_decomposition_json(eigenvalues: np.ndarray, count: int, path) -> None:
     """A spectrum and the number of eigenfunctions kept with it."""
-    write_json(path, {"eigenvalues": [float(x) for x in eigenvalues], "count": int(count)})
+    write_json(path, {"eigenvalues": eigenvalues, "count": count})
 
 
 def write_loadings_csv(values: np.ndarray, path) -> None:

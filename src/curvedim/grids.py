@@ -155,10 +155,14 @@ def write_json(path, payload) -> None:
     """Write ``payload`` as indented, key-sorted JSON ending in a newline.
 
     Every JSON output of the package goes through here, so all share one
-    byte layout.
+    byte layout, and this is the one place numpy values become JSON: a
+    ``np.float64`` is a float and is written by ``float.__repr__``, and
+    arrays and numpy int and bool scalars are written as their
+    ``tolist()``. Callers pass their values as they are, but keep dict
+    keys strings: ``sort_keys`` orders integer keys as numbers.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
 
 

@@ -23,7 +23,8 @@ Each panel is bit-for-bit the one ``generate_panel`` draws from
 studies hand each stack to ``eigen``'s stacked solve, whose results
 are, to the bit, those of each panel solved alone. The subspace-error
 study takes a stack's records at once from that solve
-(``_subspace_errors``): one comparison per spectrum for d_hat, and
+(``_subspace_errors``): d_hat from ``dimension.default_epsilon`` on the
+stack's spectra as they come, the threshold rule reports apply, and
 distances on the eigenfunctions that solve gives, with no sign fix and
 no loadings. The bootstrap-power study tests one panel at a time,
 through ``generate_panels``, as its replicates dominate its cost. So
@@ -45,14 +46,8 @@ from itertools import chain
 
 import numpy as np
 
-from .dimension import (
-    DEFAULT_EPSILON_EXPONENT,
-    DEFAULT_EPSILON_SCALE,
-    BootstrapConfig,
-    _overlap_distance,
-    bootstrap_test,
-)
-from .eigen import _clamp, _in_curve_units, _solve_stack, decompose, operator_eigenvalues_stack
+from .dimension import BootstrapConfig, _overlap_distance, bootstrap_test, default_epsilon
+from .eigen import _solve_stack, decompose, operator_eigenvalues_stack
 from .errors import ValidationError, check_int
 from .grids import CurvePanel, Grid, check_finite_values
 
@@ -187,10 +182,7 @@ def _value_stacks(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[np.nd
     per_chunk = max(1, DRAW_CHUNK_BYTES // (8 * d * steps))
     per_stack = max(1, DRAW_CHUNK_BYTES // (8 * n * len(grid)))
     for lo in range(0, len(seeds), per_chunk):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=s))
-            for s in seeds[lo : lo + per_chunk]
-        ]
+        rngs = [np.random.default_rng(s) for s in seeds[lo : lo + per_chunk]]
         # Row i * d + j: factor j of panel i, its innovations then its start.
         draws = np.empty((len(rngs), d, steps + 1))
         for rng, out in zip(rngs, draws):
@@ -202,10 +194,7 @@ def _value_stacks(spec: FactorModelSpec, seeds: Iterable[int]) -> Iterator[np.nd
         for i in range(0, len(rngs), per_stack):
             stack = rngs[i : i + per_stack]
             factors = paths[:, i * d : (i + len(stack)) * d].reshape(n, len(stack), d)
-            factors = factors.transpose(1, 0, 2)
-            # One factor: a K = 1 product rounds once per entry, so a broadcast
-            # multiply gives the matmul's bits at about half its cost.
-            values = factors * curves if d == 1 else np.ascontiguousarray(factors) @ curves
+            values = np.ascontiguousarray(factors.transpose(1, 0, 2)) @ curves
             if noise_terms:
                 z = np.empty((len(stack), n, noise_terms))
                 for rng, out in zip(stack, z):
@@ -321,16 +310,18 @@ def _subspace_errors(values: np.ndarray, truth: np.ndarray, n: int, p: int) -> l
     ``threshold_estimate``, ``default_epsilon`` and ``_overlap_distance``
     give on each panel's ``decompose``, to the bit.
 
-    d_hat is one comparison of each clamped spectrum with its cutoff.
-    The distances read the eigenfunctions of ``_solve_stack`` as they
-    come, with no sign fix (the distance squares every overlap) and no
-    loadings.
+    d_hat is one comparison of each raw spectrum of ``_solve_stack`` with
+    its ``default_epsilon`` cutoff, which counts as the clamped spectrum
+    in curve units does: the clamp only zeroes entries below 1e-12
+    theta_1, far below the cutoff 0.5 theta_1 n^(-0.4) for any n below
+    10^29, and the map to curve units multiplies the entries and the
+    cutoff by one power of two, which is exact on study panels. The
+    distances read the eigenfunctions of ``_solve_stack`` as they come,
+    with no sign fix (the distance squares every overlap) and no loadings.
     """
     d = len(truth)
-    exponents, lam, solved = _solve_stack(values, GRID, p, vectors=True)
-    lam = _in_curve_units(_clamp(lam), exponents)
-    cutoff = DEFAULT_EPSILON_SCALE * lam[:, :1] * float(n) ** (-DEFAULT_EPSILON_EXPONENT)
-    d_hats = np.count_nonzero(lam >= cutoff, axis=1)
+    _, lam, solved = _solve_stack(values, GRID, p, vectors=True)
+    d_hats = np.count_nonzero(lam >= default_epsilon(lam, n)[:, None], axis=1)
     errors = [None] * len(values)
     for at, funcs, _, _ in solved:
         for f, i in zip(funcs, at.tolist()):

@@ -260,14 +260,9 @@ def multivariate_portmanteau(
 def write_var_fit_json(fit: VarFit, path) -> None:
     """Coefficient matrices keyed by lag and the centered AIC row."""
     payload = {
-        "order": int(fit.order),
-        "coefficient_matrices": {
-            str(k + 1): [[float(v) for v in row] for row in mat]
-            for k, mat in enumerate(fit.coefficient_matrices)
-        },
-        "innovation_covariance": [
-            [float(v) for v in row] for row in fit.innovation_covariance
-        ],
-        "aic_table": {str(k): float(v) for k, v in sorted(fit.aic_table.items())},
+        "order": fit.order,
+        "coefficient_matrices": {str(k + 1): m for k, m in enumerate(fit.coefficient_matrices)},
+        "innovation_covariance": fit.innovation_covariance,
+        "aic_table": {str(k): v for k, v in fit.aic_table.items()},
     }
     write_json(path, payload)

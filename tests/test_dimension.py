@@ -65,6 +65,24 @@ def random_orthonormal_basis(grid, dim, seed):
     return basis
 
 
+def t3_noise(rng, shape):
+    """Student t noise on 3 degrees of freedom, scaled to sd 0.05."""
+    return 0.05 / np.sqrt(3.0) * rng.standard_t(3, size=shape)
+
+
+def stochastic_volatility_noise(rng, shape):
+    """0.05 exp(h_t / 2) z: the log-volatility h_t of curve t is a stationary
+    AR(1), coefficient 0.95 and variance 0.5, so the noise of neighbouring
+    curves has similar size."""
+    a, var = 0.95, 0.5
+    shocks = rng.standard_normal(shape[0])
+    h = np.empty(shape[0])
+    h[0] = np.sqrt(var) * shocks[0]
+    for t in range(1, shape[0]):
+        h[t] = a * h[t - 1] + np.sqrt(var * (1.0 - a * a)) * shocks[t]
+    return 0.05 * np.exp(h / 2.0)[:, None] * rng.standard_normal(shape)
+
+
 class TestBootstrapTest:
     def test_single_draw_pvalue_is_binary(self):
         panel = generate_panel(FactorModelSpec(d=1, n=60, seed=0))
@@ -306,6 +324,15 @@ class TestThresholdEstimate:
     def test_default_epsilon_scale_relative(self):
         lam = np.array([4.0, 1.0, 0.1])
         assert np.isclose(default_epsilon(3.0 * lam, 600), 3.0 * default_epsilon(lam, 600))
+        # A (K, m) stack gives each row's own cutoff, bit for bit.
+        stack = np.random.default_rng(2).exponential(1.0, size=(5, 4))
+        stack = -np.sort(-stack, axis=1)
+        got = default_epsilon(stack, 600)
+        assert got.shape == (5,)
+        assert np.array_equal(got, [default_epsilon(row, 600) for row in stack])
+        for bad in (np.array([]), np.empty((3, 0)), np.float64(1.0)):
+            with pytest.raises(ValidationError, match="nonempty spectrum"):
+                default_epsilon(bad, 600)
 
 
 class TestSelectDimension:
@@ -375,6 +402,30 @@ class TestSelectDimension:
             )
             hits += select_dimension(noisy, p=5, cfg=cfg, d_max=d + 3).d_hat == d
         assert hits >= floor
+
+    @pytest.mark.parametrize("noise", [t3_noise, stochastic_volatility_noise],
+                             ids=["t3", "stochastic-volatility"])
+    def test_level_and_power_under_heavy_tailed_and_clustered_noise(self, noise):
+        # The density curves carry estimation noise with heavy tails and
+        # clustered size, and the bootstrap resamples residual rows as if
+        # they were independent. Noise white in time keeps the test's level
+        # and power anyway: on these 40 two-factor panels (m = 31, so every
+        # panel is full rank) each law rejected "theta_3 = 0" in 2 and
+        # "theta_2 = 0" in 39. The bounds sit about 3 binomial SE past that.
+        # About 3 s per law on 2 vCPUs; the budget is 10 s per law.
+        spec = FactorModelSpec(2, 300, grid=Grid.uniform(0.0, 1.0, 31))
+        seeds = [_child_seed(77, 2, rep) for rep in range(40)]
+        cfg = BootstrapConfig(n_draws=200, seed=1)
+        level = power = 0
+        for rep, panel in enumerate(generate_panels(spec, seeds)):
+            rng = np.random.default_rng(_child_seed(78, 2, rep))
+            noisy = CurvePanel(grid=panel.grid,
+                               values=panel.values + noise(rng, panel.values.shape))
+            on_theta2, on_theta3 = bootstrap_test(decompose(noisy, 5), [1, 2], cfg)
+            power += on_theta2 <= cfg.alpha
+            level += on_theta3 <= cfg.alpha
+        assert level <= 6
+        assert power >= 36
 
     def test_scan_covers_every_rank_the_bootstrap_tests(self):
         # n = 12 curves at p = 5 give n - p = 7 lag pairs, so bootstrap_test

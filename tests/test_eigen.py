@@ -385,12 +385,12 @@ class TestDecompose:
                 assert np.array_equal(funcs * sign[:, None], dec.eigenfunctions)
                 assert np.array_equal(np.ldexp(scores * sign, exponent), dec.loadings)
                 assert np.array_equal(raw, operator_eigenvalues(panel, p))
-        # A d = 1 study stack comes out of the draw non-contiguous, strides
-        # (808, 9696, 8) at K 12, n 100: solved as it stands, it gives the
-        # bits of its contiguous copy.
-        strided = next(_value_stacks(FactorModelSpec(d=1, n=100), range(12)))
+        # A stack need not be contiguous: a d = 1 study stack (K 12, n 100)
+        # laid out curve-major, strides (808, 9696, 8), solved as it stands,
+        # gives the bits of its contiguous copy.
+        contiguous = next(_value_stacks(FactorModelSpec(d=1, n=100), range(12)))
+        strided = np.ascontiguousarray(contiguous.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert strided.strides == (808, 9696, 8)
-        contiguous = np.ascontiguousarray(strided)
         assert np.array_equal(operator_eigenvalues_stack(strided, uniform_grid(), 5),
                               operator_eigenvalues_stack(contiguous, uniform_grid(), 5))
         for got, want in zip(stack_records(strided, uniform_grid(), 5),

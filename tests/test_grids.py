@@ -17,6 +17,7 @@ from curvedim.grids import (
     read_float_rows,
     read_panel_csv,
     write_csv_rows,
+    write_json,
     write_panel_csv,
 )
 from reference import gram_matrix, inner_product, lag_cov_kernel
@@ -264,3 +265,29 @@ class TestCsvRows:
         path = tmp_path / "empty.csv"
         write_csv_rows(path, np.empty((2, 0)), [])
         assert path.read_text() == "\n\n\n"
+
+
+class TestWriteJson:
+    def test_numpy_values_write_the_bytes_of_their_tolist(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vector = rng.standard_normal(7) * 10.0 ** np.arange(-3, 4)
+        vector[0] = -0.0
+        payload = {
+            "vector": vector,
+            "matrix": rng.standard_normal((3, 2)),
+            "float": np.float64(1 / 3),
+            "int": np.int64(12),
+            "bool": np.bool_(True),
+            "nested": {"10": [np.float64(2.5), np.int64(-1)], "9": np.bool_(False)},
+        }
+        as_python = {
+            "vector": vector.tolist(),
+            "matrix": payload["matrix"].tolist(),
+            "float": 1 / 3,
+            "int": 12,
+            "bool": True,
+            "nested": {"10": [2.5, -1], "9": False},
+        }
+        write_json(tmp_path / "numpy.json", payload)
+        write_json(tmp_path / "python.json", as_python)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
